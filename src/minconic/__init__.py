@@ -47,7 +47,6 @@ from .selfpolar import (
 from .solvers import (
     CaseAllocation,
     CaseContext,
-    Configuration,
     CountPrediction,
     SolutionSet,
     SolveDiagnostics,
@@ -71,7 +70,6 @@ __all__ = [
     "CaseContext",
     "CaseDegeneracy",
     "ComplexLinePair",
-    "Configuration",
     "ConicClass",
     "ConicMatrix",
     "CountPrediction",

@@ -10,8 +10,9 @@ Configurations are single JSON documents:
     }
 
 Reports are byte-stable: fixed field order, floats at 15 significant digits,
-no timestamps. Exit codes: 0 ok, 2 parse error, 3 general-position or
-degeneracy error, 4 unsupported element count, 5 certification failure.
+no timestamps. Exit codes: 0 ok, 1 any other solver error, 2 parse error,
+3 general-position or degeneracy error, 4 unsupported element count,
+5 certification failure.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateCase,
     DegenerateParameter,
     GeneralPositionError,
+    MinconicError,
     PointAtInfinity,
     UnsupportedCount,
 )
@@ -339,15 +341,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, MinconicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedCount as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (GeneralPositionError, PointAtInfinity, DegenerateCase, DegenerateParameter) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERAL_POSITION
+        return _exit_code_for(exc)
 
 
 if __name__ == "__main__":

@@ -324,6 +324,17 @@ def _line_points(l: Vec3) -> tuple[Vec3, Vec3]:
     return p0, p1
 
 
+def _stable_roots(q2: float, q1: float, q0: float, disc: float) -> tuple[float, float]:
+    """Both roots of q2 x^2 + q1 x + q0 = 0 for a positive discriminant.
+
+    The root whose formula adds same-signed terms is computed first and the
+    other follows from the product of the roots, so neither suffers
+    cancellation. The roots come back unsorted.
+    """
+    qq = -(q1 + math.copysign(math.sqrt(disc), q1)) / 2.0
+    return qq / q2, q0 / qq
+
+
 def _intersect_line_conic(l: Vec3, m6, tol: Tolerances):
     """Intersections of one line with a conic: (real pts, complex count)."""
     p0, p1 = _line_points(l)
@@ -358,9 +369,7 @@ def _intersect_line_conic(l: Vec3, m6, tol: Tolerances):
         th = -q1 / (2.0 * q2)
         pts.append(tuple(a + th * b for a, b in zip(p0, p1)))
         return pts, 0
-    r = math.sqrt(disc)
-    qq = -(q1 + math.copysign(r, q1)) / 2.0
-    for th in (qq / q2, q0 / qq):
+    for th in _stable_roots(q2, q1, q0, disc):
         pts.append(tuple(a + th * b for a, b in zip(p0, p1)))
     return pts, 0
 

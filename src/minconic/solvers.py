@@ -21,6 +21,7 @@ from . import _kernels as _k
 from .conics import (
     ConicMatrix,
     PencilEigenvalues,
+    _stable_roots,
     intersect_conic_pencil,
     pencil_eigenvalues,
     point_residual,
@@ -57,24 +58,6 @@ def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:
 
 def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
     return abs(_k.det3(u, v, w)) <= tol.collinearity * _k.norm3(u) * _k.norm3(v) * _k.norm3(w)
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A bag of points and lines; exactly five in total for the solvers."""
-
-    points: tuple[HomogeneousPoint, ...]
-    lines: tuple[ProjectiveLine, ...] = ()
-
-    @property
-    def kind(self) -> str:
-        key = (len(self.points), len(self.lines))
-        if key not in KINDS:
-            raise UnsupportedCount(
-                f"{key[0]} points and {key[1]} lines do not form a five-element "
-                "minimal configuration"
-            )
-        return KINDS[key]
 
 
 @dataclass(frozen=True)
@@ -147,16 +130,26 @@ class SolutionSet:
         return len(self.real_conics)
 
 
-def _fill_residuals(diag: SolveDiagnostics, conics, points, lines) -> None:
+_FIVE_POINT_PREDICTION = CountPrediction(1, 0, "unique conic through five points")
+
+
+def _with_residuals(sol: SolutionSet, vecs: Sequence[Vec3], lvs: Sequence[Vec3]) -> SolutionSet:
+    """Record the worst incidence and tangency residuals of sol's conics.
+
+    The solver cores leave the residuals at zero: solve_dual measures its
+    adjugated conics against the original input instead of measuring the
+    dual-plane conics it never returns.
+    """
     pin = 0.0
     tan = 0.0
-    for cm in conics:
-        for pt in points:
+    for cm in sol.real_conics:
+        for pt in vecs:
             pin = max(pin, point_residual(cm, pt))
-        for l in lines:
+        for l in lvs:
             tan = max(tan, tangency_residual(cm, l))
-    diag.max_incidence_residual = pin
-    diag.max_tangency_residual = tan
+    sol.diagnostics.max_incidence_residual = pin
+    sol.diagnostics.max_tangency_residual = tan
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,10 @@ def solve_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatri
     Returns the normalized conic matrix; use solve() for the SolutionSet
     wrapper with diagnostics.
     """
-    vecs = [_vec(p) for p in points]
+    return _five_point_conic([_vec(p) for p in points], tol)
+
+
+def _five_point_conic(vecs: Sequence[Vec3], tol: Tolerances) -> ConicMatrix:
     if len(vecs) != 5:
         raise UnsupportedCount("exactly five points required")
     require_no_collinear_triple(vecs, tol)
@@ -177,13 +173,12 @@ def solve_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatri
     return ConicMatrix.from_sym6(m6).normalized()
 
 
-def _five_point_solution_set(points: Sequence, tol: Tolerances) -> SolutionSet:
-    conic = solve_five_points(points, tol)
-    vecs = [_vec(p) for p in points]
+def _five_points_core(vecs: Sequence[Vec3], tol: Tolerances) -> SolutionSet:
+    conic = _five_point_conic(vecs, tol)
     _, _, _, dev = _k.diag_triangle(*vecs[:4])
-    diag = SolveDiagnostics(case_label="5p", triangle_deviation=dev)
-    _fill_residuals(diag, (conic,), vecs, ())
-    diag.prediction = CountPrediction(1, 0, "unique conic through five points")
+    diag = SolveDiagnostics(
+        case_label="5p", triangle_deviation=dev, prediction=_FIVE_POINT_PREDICTION
+    )
     return SolutionSet((conic,), 0, "5p", diag)
 
 
@@ -226,10 +221,34 @@ def _quadratic_roots(
         return ([], 2, disc, False)
     if disc <= band:
         return ([-q1 / (2.0 * q2)], 0, disc, True)
-    r = math.sqrt(disc)
-    qq = -(q1 + math.copysign(r, q1)) / 2.0
-    roots = sorted((qq / q2, q0 / qq))
-    return (roots, 0, disc, False)
+    return (sorted(_stable_roots(q2, q1, q0, disc)), 0, disc, False)
+
+
+def _sign_product_4p1l(vecs: Sequence[Vec3], lv: Vec3) -> float:
+    """Product of the four point-triple determinants and the four incidences."""
+    pred = 1.0
+    for d in (
+        _k.det3(vecs[0], vecs[1], vecs[2]),
+        _k.det3(vecs[0], vecs[1], vecs[3]),
+        _k.det3(vecs[0], vecs[2], vecs[3]),
+        _k.det3(vecs[1], vecs[2], vecs[3]),
+    ):
+        pred *= d
+    for v in vecs:
+        pred *= _k.dot3(v, lv)
+    return pred
+
+
+def _prediction_4p1l(pred: float, on_line: bool, on_vertex: bool) -> CountPrediction:
+    if on_line:
+        return CountPrediction(1, 0, "unique: line through a quadrangle point", pred)
+    if on_vertex:
+        return CountPrediction(
+            1, 0, "unique: line through a diagonal-triangle vertex", pred
+        )
+    if pred > 0.0:
+        return CountPrediction(2, 0, "orientation/side sign product positive", pred)
+    return CountPrediction(0, 2, "orientation/side sign product negative", pred)
 
 
 def predict_count_4p1l(points: Sequence, line, tol: Tolerances = DEFAULT) -> CountPrediction:
@@ -244,28 +263,13 @@ def predict_count_4p1l(points: Sequence, line, tol: Tolerances = DEFAULT) -> Cou
     """
     vecs = [_vec(p) for p in points]
     lv = _vec(line)
-    dets = [
-        _k.det3(vecs[0], vecs[1], vecs[2]),
-        _k.det3(vecs[0], vecs[1], vecs[3]),
-        _k.det3(vecs[0], vecs[2], vecs[3]),
-        _k.det3(vecs[1], vecs[2], vecs[3]),
-    ]
-    incs = [_k.dot3(v, lv) for v in vecs]
-    pred = 1.0
-    for d in dets:
-        pred *= d
-    for s in incs:
-        pred *= s
+    pred = _sign_product_4p1l(vecs, lv)
     if any(_incident(v, lv, tol) for v in vecs):
-        return CountPrediction(1, 0, "unique: line through a quadrangle point", pred)
+        # a unique solution whatever the triangle: skip building it
+        return _prediction_4p1l(pred, True, False)
     xi1, xi2, xi3, _ = _k.diag_triangle(*vecs)
-    if any(_incident(x, lv, tol) for x in (xi1, xi2, xi3)):
-        return CountPrediction(
-            1, 0, "unique: line through a diagonal-triangle vertex", pred
-        )
-    if pred > 0.0:
-        return CountPrediction(2, 0, "orientation/side sign product positive", pred)
-    return CountPrediction(0, 2, "orientation/side sign product negative", pred)
+    on_vertex = any(_incident(x, lv, tol) for x in (xi1, xi2, xi3))
+    return _prediction_4p1l(pred, False, on_vertex)
 
 
 def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) -> SolutionSet:
@@ -277,6 +281,11 @@ def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) ->
     admits no non-degenerate solution and is rejected as a general-position
     failure.
     """
+    sol = _four_points_line_core(points, line, tol)
+    return _with_residuals(sol, [_vec(p) for p in points], (_vec(line),))
+
+
+def _four_points_line_core(points: Sequence, line, tol: Tolerances) -> SolutionSet:
     vecs = [_vec(p) for p in points]
     if len(vecs) != 4:
         raise UnsupportedCount("exactly four points required")
@@ -302,7 +311,9 @@ def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) ->
         )
 
     q2, q1, q0 = _tangency_quadratic(xi, lv)
-    prediction = predict_count_4p1l(points, line, tol)
+    prediction = _prediction_4p1l(
+        _sign_product_4p1l(vecs, lv), bool(on_line), bool(on_vertex)
+    )
     double = False
 
     if on_line:
@@ -329,9 +340,7 @@ def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) ->
         # with no cancellation and always matches the count prediction
         disc = 16.0 * prediction.predicate
         if disc > 0.0:
-            r = math.sqrt(disc)
-            qq = -(q1 + math.copysign(r, q1)) / 2.0
-            roots, complex_count = sorted((qq / q2, q0 / qq)), 0
+            roots, complex_count = sorted(_stable_roots(q2, q1, q0, disc)), 0
         elif disc < 0.0:
             roots, complex_count = [], 2
         else:
@@ -357,7 +366,6 @@ def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) ->
         triangle_deviation=dev,
         double_root=double,
     )
-    _fill_residuals(diag, conics, vecs, (lv,))
     return SolutionSet(tuple(conics), complex_count, label, diag)
 
 
@@ -468,14 +476,17 @@ def _scalars_3p2l(x1: Vec3, x2: Vec3, x3: Vec3, l1: Vec3, l2: Vec3):
     return p, A, B, C, D, a, b, c
 
 
+def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float, tol: Tolerances) -> ConicMatrix:
+    if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
+        raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
+    return ConicMatrix.from_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s)).normalized()
+
+
 def _pencil_solution(
     x1: Vec3, x2: Vec3, x3: Vec3, x4: Vec3, s: float, tol: Tolerances
 ) -> tuple[ConicMatrix, float]:
-    if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
-        raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
     xi1, xi2, xi3, dev = _k.diag_triangle(x1, x2, x3, x4)
-    m6 = _k.conic_from_pencil(xi1, xi2, xi3, s)
-    return ConicMatrix.from_sym6(m6).normalized(), dev
+    return _pencil_member(xi1, xi2, xi3, s, tol), dev
 
 
 def _coord_matrix(A, B, C, D, ai, bi, ci):
@@ -508,21 +519,24 @@ def predict_count_3p2l(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> C
     the two lines with the same side-product sign, and none otherwise.
     """
     alloc = classify_3p2l_case(points, l1, l2, tol)
-    x1, x2, x3, lv1, lv2 = _allocated(points, l1, l2, alloc)
-    _, A, B, C, D, a, b, c = _scalars_3p2l(x1, x2, x3, lv1, lv2)
+    _, A, B, _, _, a, b, c = _scalars_3p2l(*_allocated(points, l1, l2, alloc))
+    return _prediction_3p2l(alloc.case, A, B, a, b, c)
 
-    if alloc.case == 1:
+
+def _prediction_3p2l(case: int, A, B, a, b, c) -> CountPrediction:
+    """The count prediction of a classified input from its scalars."""
+    if case == 1:
         return CountPrediction(1, 0, "case 1: one point on each line")
-    if alloc.case == 2:
+    if case == 2:
         return CountPrediction(
             1, 0, "case 2: collinear pair with the crossing, third point incident"
         )
-    if alloc.case == 3:
+    if case == 3:
         pred = (a[0] * c[0]) * (a[1] * c[1])
         if pred > 0.0:
             return CountPrediction(2, 0, "case 3: side products agree in sign", pred)
         return CountPrediction(0, 2, "case 3: side products differ in sign", pred)
-    if alloc.case == 4:
+    if case == 4:
         pred = -A * B * a[1] * b[1]
         if pred > 0.0:
             return CountPrediction(
@@ -548,15 +562,19 @@ def solve_three_points_two_lines(
     case has its own closed form. Counts are one (cases 1 and 2), two or a
     complex pair (cases 3 and 4), and four or two complex pairs (case 5).
     """
+    sol = _three_points_two_lines_core(points, l1, l2, tol)
+    return _with_residuals(sol, [_vec(p) for p in points], (_vec(l1), _vec(l2)))
+
+
+def _three_points_two_lines_core(points: Sequence, l1, l2, tol: Tolerances) -> SolutionSet:
     alloc = classify_3p2l_case(points, l1, l2, tol)
     x1, x2, x3, lv1, lv2 = _allocated(points, l1, l2, alloc)
     p, A, B, C, D, a, b, c = _scalars_3p2l(x1, x2, x3, lv1, lv2)
-    prediction = predict_count_3p2l(points, l1, l2, tol)
     diag = SolveDiagnostics(
         case_label=alloc.label,
         allocation=alloc.order,
         lines_swapped=alloc.swap_lines,
-        prediction=prediction,
+        prediction=_prediction_3p2l(alloc.case, A, B, a, b, c),
         context=CaseContext(p, None, "t*x1+p"),
     )
 
@@ -601,8 +619,7 @@ def solve_three_points_two_lines(
                 L1 = _k.dot3(xi1, lv1) ** 2
                 L2 = _k.dot3(xi2, lv1) ** 2
                 s = L1 / (L1 - L2)
-                conic, _ = _pencil_solution(x1, x2, x3, x4, s, tol)
-                conics.append(conic)
+                conics.append(_pencil_member(xi1, xi2, xi3, s, tol))
                 params.append((s, t))
                 diag.triangle_deviation = dev
 
@@ -616,9 +633,7 @@ def solve_three_points_two_lines(
         disc = -16.0 * D * D * A * B * a[1] * b[1]
         diag.discriminant = disc
         if disc > 0.0:
-            r = math.sqrt(disc)
-            qq = -(q1 + math.copysign(r, q1)) / 2.0
-            roots = [qq / q2, q0 / qq]
+            roots = _stable_roots(q2, q1, q0, disc)
         elif disc < 0.0:
             roots, complex_count = [], 2
         else:
@@ -671,8 +686,6 @@ def solve_three_points_two_lines(
 
     order = sorted(range(len(conics)), key=lambda i: params[i])
     diag.parameters = tuple(params[i] for i in order)
-    vecs = [_vec(pt) for pt in points]
-    _fill_residuals(diag, conics, vecs, (_vec(l1), _vec(l2)))
     return SolutionSet(
         tuple(conics[i] for i in order), complex_count, alloc.label, diag
     )
@@ -699,11 +712,11 @@ def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> 
     n = len(dual_points)
     try:
         if n == 5:
-            inner = _five_point_solution_set(dual_points, tol)
+            inner = _five_points_core([_vec(p) for p in dual_points], tol)
         elif n == 4:
-            inner = solve_four_points_line(dual_points, dual_lines[0], tol)
+            inner = _four_points_line_core(dual_points, dual_lines[0], tol)
         elif n == 3:
-            inner = solve_three_points_two_lines(
+            inner = _three_points_two_lines_core(
                 dual_points, dual_lines[0], dual_lines[1], tol
             )
         else:
@@ -717,10 +730,8 @@ def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> 
     diag = inner.diagnostics
     diag.case_label = label
     conics = tuple(cm.adjugate().normalized() for cm in inner.real_conics)
-    vecs = [_vec(p) for p in points]
-    lvs = [_vec(l) for l in lines]
-    _fill_residuals(diag, conics, vecs, lvs)
-    return SolutionSet(conics, inner.complex_count, label, diag)
+    sol = SolutionSet(conics, inner.complex_count, label, diag)
+    return _with_residuals(sol, [_vec(p) for p in points], [_vec(l) for l in lines])
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +751,8 @@ def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> 
             "five-element minimal configuration"
         )
     if cfg_kind == "5p":
-        return _five_point_solution_set(points, tol)
+        vecs = [_vec(p) for p in points]
+        return _with_residuals(_five_points_core(vecs, tol), vecs, ())
     if cfg_kind == "4p1l":
         return solve_four_points_line(points, lines[0], tol)
     if cfg_kind == "3p2l":
@@ -757,14 +769,14 @@ def predict(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -
             "five-element minimal configuration"
         )
     if cfg_kind == "5p":
-        return CountPrediction(1, 0, "unique conic through five points")
+        return _FIVE_POINT_PREDICTION
     if cfg_kind == "4p1l":
         return predict_count_4p1l(points, lines[0], tol)
     if cfg_kind == "3p2l":
         return predict_count_3p2l(points, lines[0], lines[1], tol)
     dual_points, dual_lines = _dualize(points, lines)
     if len(dual_points) == 5:
-        inner = CountPrediction(1, 0, "unique conic through five points")
+        inner = _FIVE_POINT_PREDICTION
     elif len(dual_points) == 4:
         inner = predict_count_4p1l(dual_points, dual_lines[0], tol)
     else:

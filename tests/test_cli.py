@@ -113,6 +113,19 @@ def test_unsupported_count_exit_4(tmp_path):
     assert cli.main(["solve", cfg]) == 4
 
 
+def test_any_solver_error_exits_1_without_traceback(square_cfg, capsys, monkeypatch):
+    from minconic.errors import InconsistentPencil
+
+    def failing_solve(points, lines, tol):
+        raise InconsistentPencil("third line pair does not pass through a computed intersection")
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    assert cli.main(["solve", square_cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_tolerance_flag_overrides(tmp_path):
     # one corner nudged 1e-8 off y = 1: by default only the exact corner is
     # on the line (one-solution branch); a loose tolerance sees two incident

@@ -1,0 +1,76 @@
+"""Each solver family analyses its input once, and solve() reports exactly
+the prediction that predict() gives for the same input."""
+import random
+
+import pytest
+
+import minconic._kernels as _k
+from minconic import predict, solve, solvers
+from minconic.oracle import dualize_input, random_3p2l_case, random_4p1l, random_five_points
+
+from conftest import gallery_names, load_gallery_case
+
+
+def counted(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("case", range(1, 6))
+def test_3p2l_solve_classifies_once(monkeypatch, case):
+    pts, l1, l2 = random_3p2l_case(random.Random(case), case)
+    calls = counted(monkeypatch, solvers, "classify_3p2l_case")
+    solve(pts, [l1, l2])
+    assert len(calls) == 1
+
+
+def test_4p1l_solve_builds_one_diagonal_triangle(monkeypatch):
+    pts, line = random_4p1l(random.Random(7))
+    calls = counted(monkeypatch, _k, "diag_triangle")
+    solve(pts, [line])
+    assert len(calls) == 1
+
+
+def corpus():
+    rng = random.Random(20)
+    out = []
+    for _ in range(40):
+        out.append((random_five_points(rng), []))
+        pts, line = random_4p1l(rng)
+        out.append((pts, [line]))
+        for case in range(1, 6):
+            pts, l1, l2 = random_3p2l_case(rng, case)
+            out.append((pts, [l1, l2]))
+        out.append(dualize_input(random_five_points(rng), []))
+        pts, line = random_4p1l(rng)
+        out.append(dualize_input(pts, [line]))
+        pts, l1, l2 = random_3p2l_case(rng, 5)
+        out.append(dualize_input(pts, [l1, l2]))
+    for name in gallery_names():
+        points, lines, _ = load_gallery_case(name)
+        out.append((points, lines))
+    return out
+
+
+def test_solve_reports_the_prediction_of_predict(monkeypatch):
+    # solve() derives its prediction from its own analysis, not by calling
+    # the predictors, and the two still agree field for field
+    calls = counted(monkeypatch, solvers, "predict_count_4p1l")
+    calls += counted(monkeypatch, solvers, "predict_count_3p2l")
+    primal = 0
+    for points, lines in corpus():
+        if len(points) < len(lines):
+            continue  # dual predictions carry a "dual: " prefix that solve() does not
+        primal += 1
+        n = len(calls)
+        sol = solve(points, lines)
+        assert len(calls) == n
+        assert sol.diagnostics.prediction == predict(points, lines)
+    assert primal >= 7 * 40
