@@ -1,9 +1,12 @@
-"""Pure-Python kernel twin.
+"""Fixed-size kernels of the solvers: float math on plain tuples.
 
-Fixed-size float math on plain tuples. Mirrors _speedups.pyx exactly; the
-package selects one of the two at import time. Symmetric 3x3 matrices travel
-as 6-tuples (m11, m12, m22, m13, m23, m33).
+The diagonal (self-polar) triangle, the pencil member and the five-point
+conic are closed forms in a handful of cross and dot products. Symmetric 3x3
+matrices travel as 6-tuples (m11, m12, m22, m13, m23, m33).
 """
+
+#: the kernel implementation, reported in every SolveDiagnostics
+BACKEND = "python"
 
 
 def cross(a, b):
@@ -111,13 +114,15 @@ def conic_from_pencil(xi1, xi2, xi3, s):
 
 
 def conic_from_five_points(x1, x2, x3, x4, x5):
-    """Unique conic through five points; returns (sym6, beta).
+    """Unique conic through five points; returns (sym6, beta, dev).
 
     beta holds the coordinates of x5 in the diagonal-triangle basis; a tie
     between two |beta_i| means x5 sits on a side of the quadrangle and the
     result is degenerate (callers are expected to have screened for that).
+    dev is the deviation of the diagonal triangle of x1..x4 (see
+    diag_triangle).
     """
-    xi1, xi2, xi3, _ = diag_triangle(x1, x2, x3, x4)
+    xi1, xi2, xi3, dev = diag_triangle(x1, x2, x3, x4)
     u = cross(xi2, xi3)
     v = cross(xi3, xi1)
     w = cross(xi1, xi2)
@@ -129,7 +134,7 @@ def conic_from_five_points(x1, x2, x3, x4, x5):
     m = _axpy_outer(m, b3 * b3 - b2 * b2, u)
     m = _axpy_outer(m, b1 * b1 - b3 * b3, v)
     m = _axpy_outer(m, b2 * b2 - b1 * b1, w)
-    return m, (b1, b2, b3)
+    return m, (b1, b2, b3), dev
 
 
 def sym_adjugate(m):

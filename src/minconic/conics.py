@@ -21,7 +21,7 @@ from .errors import (
     InconsistentPencil,
     RankOne,
 )
-from .projective import HomogeneousPoint, ProjectiveLine, Vec3
+from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -37,12 +37,6 @@ class ConicClass(enum.Enum):
     @property
     def is_degenerate(self) -> bool:
         return self in (ConicClass.LINE_PAIR, ConicClass.DOUBLE_LINE, ConicClass.POINT)
-
-
-def _as_vec3(p) -> Vec3:
-    if hasattr(p, "vec"):
-        return p.vec()
-    return (float(p[0]), float(p[1]), float(p[2]))
 
 
 @dataclass(frozen=True)
@@ -106,21 +100,30 @@ class ConicMatrix:
         return ConicMatrix.from_sym6(_k.sym_adjugate(self.sym6()))
 
     def point_value(self, p) -> float:
-        return _k.sym_eval(self.sym6(), _as_vec3(p))
+        return _k.sym_eval(self.sym6(), _vec(p))
 
     def line_value(self, l) -> float:
         """Tangency form l^T adj(C) l; zero when l is tangent."""
-        return _k.sym_eval(_k.sym_adjugate(self.sym6()), _as_vec3(l))
+        return _k.sym_eval(_k.sym_adjugate(self.sym6()), _vec(l))
 
     def scaled(self, k: float) -> "ConicMatrix":
         return ConicMatrix(*(k * v for v in self.sym6()))
 
     def normalized(self) -> "ConicMatrix":
-        """Unit six-vector scale with the first largest-magnitude entry positive."""
+        """Unit six-vector scale with the first largest-magnitude entry positive.
+
+        Raises DegenerateCase for a zero matrix or one with an inf or NaN
+        entry (an overflowed construction).
+        """
         v = self.sym6()
         n = math.sqrt(sum(x * x for x in v))
         if n == 0.0:
-            raise ValueError("zero conic matrix cannot be normalized")
+            raise DegenerateCase("zero conic matrix cannot be normalized")
+        if not n < math.inf and not all(map(math.isfinite, v)):
+            raise DegenerateCase(
+                "conic matrix has a non-finite entry (overflow or NaN); it "
+                "cannot be normalized"
+            )
         top = max(abs(x) for x in v)
         lead = next(x for x in v if abs(x) == top)
         sign = 1.0 if lead > 0.0 else -1.0
@@ -176,14 +179,14 @@ def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
 
 def point_residual(c: ConicMatrix, p) -> float:
     """Normalized incidence residual |x^T C x| / (||C||_F ||x||^2)."""
-    v = _as_vec3(p)
+    v = _vec(p)
     n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     return abs(c.point_value(v)) / (c.frobenius() * n2)
 
 
 def tangency_residual(c: ConicMatrix, l) -> float:
     """Normalized tangency residual |l^T adj(C) l| / (||adj(C)||_F ||l||^2)."""
-    v = _as_vec3(l)
+    v = _vec(l)
     adj = c.adjugate()
     n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     return abs(_k.sym_eval(adj.sym6(), v)) / (adj.frobenius() * n2)

@@ -16,14 +16,10 @@ from typing import Optional, Sequence
 from . import _kernels as _k
 from .conics import ConicMatrix, point_residual, rank, tangency_residual
 from .errors import RankDeficient
-from .projective import HomogeneousPoint, ProjectiveLine, Vec3
+from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
 from .selfpolar import DiagonalTriangle
 from .solvers import SolutionSet, predict
 from .tolerances import DEFAULT, Tolerances
-
-
-def _vec(p) -> Vec3:
-    return p.vec() if hasattr(p, "vec") else (float(p[0]), float(p[1]), float(p[2]))
 
 
 # ---------------------------------------------------------------------------

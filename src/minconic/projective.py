@@ -64,6 +64,18 @@ class ProjectiveLine:
         return (self.a, self.b, self.c)
 
 
+def _vec(p) -> Vec3:
+    """Coordinate triple of a point, a line or any 3-sequence, as floats."""
+    return p.vec() if hasattr(p, "vec") else (float(p[0]), float(p[1]), float(p[2]))
+
+
+def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
+    """Whether three homogeneous triples are dependent (collinear points or
+    concurrent lines): |det| within the collinearity tolerance times the
+    product of the three norms."""
+    return abs(_k.det3(u, v, w)) <= tol.collinearity * (_k.norm3(u) * _k.norm3(v) * _k.norm3(w))
+
+
 def cross(a: Sequence[float], b: Sequence[float]) -> Vec3:
     """Cross product of two homogeneous triples.
 
@@ -94,12 +106,6 @@ def normalize_point(v: Sequence[float], tol: Tolerances = DEFAULT) -> Homogeneou
     return HomogeneousPoint(vec[0] / vec[2], vec[1] / vec[2], 1.0)
 
 
-def _det_points(p1: Vec3, p2: Vec3, p3: Vec3) -> tuple[float, float]:
-    d = _k.det3(p1, p2, p3)
-    scale = _k.norm3(p1) * _k.norm3(p2) * _k.norm3(p3)
-    return d, scale
-
-
 def orientation(
     p1: HomogeneousPoint,
     p2: HomogeneousPoint,
@@ -112,10 +118,10 @@ def orientation(
     anticlockwise. Determinants smaller than the collinearity tolerance times
     the product of the three norms report COLLINEAR.
     """
-    d, scale = _det_points(p1.vec(), p2.vec(), p3.vec())
-    if abs(d) <= tol.collinearity * scale:
+    u, v, w = p1.vec(), p2.vec(), p3.vec()
+    if _collinear(u, v, w, tol):
         return Orientation.COLLINEAR
-    return Orientation.ANTICLOCKWISE if d > 0.0 else Orientation.CLOCKWISE
+    return Orientation.ANTICLOCKWISE if _k.det3(u, v, w) > 0.0 else Orientation.CLOCKWISE
 
 
 def side_sign(p: HomogeneousPoint, l: ProjectiveLine, tol: Tolerances = DEFAULT) -> int:

@@ -12,19 +12,9 @@ from typing import NamedTuple, Sequence
 
 from . import _kernels as _k
 from .conics import ConicMatrix
-from .errors import DegenerateParameter, GeneralPositionError
-from .projective import Vec3
+from .errors import DegenerateParameter, GeneralPositionError, UnsupportedCount
+from .projective import Vec3, _collinear, _vec
 from .tolerances import DEFAULT, Tolerances
-
-
-def _vec(p) -> Vec3:
-    return p.vec() if hasattr(p, "vec") else (float(p[0]), float(p[1]), float(p[2]))
-
-
-def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
-    d = _k.det3(u, v, w)
-    scale = _k.norm3(u) * _k.norm3(v) * _k.norm3(w)
-    return abs(d) <= tol.collinearity * scale
 
 
 def require_no_collinear_triple(points: Sequence, tol: Tolerances = DEFAULT) -> None:
@@ -157,9 +147,14 @@ def pencil_conic(tri: DiagonalTriangle, s: float, tol: Tolerances = DEFAULT) -> 
 
 def conic_through_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatrix:
     """The unique conic through five points, no three collinear."""
-    vecs = [_vec(p) for p in points]
+    return _five_point_fit([_vec(p) for p in points], tol)[0]
+
+
+def _five_point_fit(vecs: Sequence[Vec3], tol: Tolerances) -> tuple[ConicMatrix, float]:
+    """The conic through five point triples and the deviation of the diagonal
+    triangle of the first four, which the fit is built on."""
     if len(vecs) != 5:
-        raise ValueError("exactly five points required")
+        raise UnsupportedCount("exactly five points required")
     require_no_collinear_triple(vecs, tol)
-    m6, _beta = _k.conic_from_five_points(*vecs)
-    return ConicMatrix.from_sym6(m6)
+    m6, _beta, dev = _k.conic_from_five_points(*vecs)
+    return ConicMatrix.from_sym6(m6), dev

@@ -34,8 +34,8 @@ from .errors import (
     InconsistentPencil,
     UnsupportedCount,
 )
-from .projective import HomogeneousPoint, ProjectiveLine, Vec3
-from .selfpolar import require_no_collinear_triple
+from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _collinear, _vec
+from .selfpolar import _five_point_fit, conic_through_five_points, require_no_collinear_triple
 from .tolerances import DEFAULT, Tolerances
 
 KINDS = {
@@ -48,16 +48,8 @@ KINDS = {
 }
 
 
-def _vec(p) -> Vec3:
-    return p.vec() if hasattr(p, "vec") else (float(p[0]), float(p[1]), float(p[2]))
-
-
 def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:
     return abs(_k.dot3(x, l)) <= tol.incidence * _k.norm3(x) * _k.norm3(l)
-
-
-def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
-    return abs(_k.det3(u, v, w)) <= tol.collinearity * _k.norm3(u) * _k.norm3(v) * _k.norm3(w)
 
 
 @dataclass(frozen=True)
@@ -162,24 +154,15 @@ def solve_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatri
     Returns the normalized conic matrix; use solve() for the SolutionSet
     wrapper with diagnostics.
     """
-    return _five_point_conic([_vec(p) for p in points], tol)
-
-
-def _five_point_conic(vecs: Sequence[Vec3], tol: Tolerances) -> ConicMatrix:
-    if len(vecs) != 5:
-        raise UnsupportedCount("exactly five points required")
-    require_no_collinear_triple(vecs, tol)
-    m6, _beta = _k.conic_from_five_points(*vecs)
-    return ConicMatrix.from_sym6(m6).normalized()
+    return conic_through_five_points(points, tol).normalized()
 
 
 def _five_points_core(vecs: Sequence[Vec3], tol: Tolerances) -> SolutionSet:
-    conic = _five_point_conic(vecs, tol)
-    _, _, _, dev = _k.diag_triangle(*vecs[:4])
+    conic, dev = _five_point_fit(vecs, tol)
     diag = SolveDiagnostics(
         case_label="5p", triangle_deviation=dev, prediction=_FIVE_POINT_PREDICTION
     )
-    return SolutionSet((conic,), 0, "5p", diag)
+    return SolutionSet((conic.normalized(),), 0, "5p", diag)
 
 
 # ---------------------------------------------------------------------------

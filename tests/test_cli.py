@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import minconic
 from minconic import cli
 
 
@@ -46,7 +47,7 @@ def test_solve_json_output(square_cfg, capsys):
         assert entry["class"] in ("real_ellipse", "hyperbola", "parabola")
     assert doc["residuals"]["max_incidence"] < 1e-9
     assert doc["residuals"]["max_tangency"] < 1e-9
-    assert doc["backend"] in ("c", "python")
+    assert doc["backend"] == minconic.BACKEND == "python"
 
 
 def test_solve_output_is_byte_stable(square_cfg, capsys):
@@ -121,6 +122,24 @@ def test_any_solver_error_exits_1_without_traceback(square_cfg, capsys, monkeypa
 
     monkeypatch.setattr(cli, "solve", failing_solve)
     assert cli.main(["solve", square_cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+SQUARE_FIFTH_POINT = {"points": SQUARE_TANGENT["points"] + [[2, 0.5]]}
+
+
+@pytest.mark.parametrize("config", [SQUARE_TANGENT, SQUARE_FIFTH_POINT], ids=["4p1l", "5p"])
+def test_overflowing_input_exits_nonzero_without_traceback(tmp_path, capsys, config):
+    # the README square with every homogeneous coordinate scaled by 1e40:
+    # with the tangent it reads as special position, and with a fifth point
+    # the five-point conic overflows to non-finite entries
+    scaled = {
+        "points": [[1e40 * x for x in p + [1]] for p in config["points"]],
+        "lines": [[1e40 * x for x in l] for l in config.get("lines", [])],
+    }
+    assert cli.main(["solve", write_config(tmp_path / "big.json", scaled)]) != 0
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err

@@ -57,6 +57,20 @@ def test_normalized_is_unit_scale_with_positive_lead():
     assert conic_close(c, CIRCLE)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_normalized_rejects_non_finite_entries(bad):
+    for i in range(6):
+        entries = list(CIRCLE.sym6())
+        entries[i] = bad
+        with pytest.raises(DegenerateCase, match="non-finite"):
+            ConicMatrix.from_sym6(entries).normalized()
+
+
+def test_normalized_rejects_the_zero_matrix():
+    with pytest.raises(DegenerateCase, match="zero conic"):
+        ConicMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0).normalized()
+
+
 def test_adjugate_involution():
     c = ConicMatrix(2.0, 1.0, -3.0, 0.5, 4.0, 1.0)
     back = adjugate(adjugate(c))

@@ -31,11 +31,24 @@ def test_3p2l_solve_classifies_once(monkeypatch, case):
     assert len(calls) == 1
 
 
-def test_4p1l_solve_builds_one_diagonal_triangle(monkeypatch):
-    pts, line = random_4p1l(random.Random(7))
+def one_input(family):
+    rng = random.Random(7)
+    if family == "4p1l":
+        pts, line = random_4p1l(rng)
+        return pts, [line]
+    pts = random_five_points(rng)
+    return (pts, []) if family == "5p" else dualize_input(pts, [])
+
+
+@pytest.mark.parametrize("family", ["4p1l", "5p", "5l"])
+def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
+    points, lines = one_input(family)
     calls = counted(monkeypatch, _k, "diag_triangle")
-    solve(pts, [line])
+    sol = solve(points, lines)
     assert len(calls) == 1
+    # the reported deviation is that of the one triangle built (for 5p and
+    # 5l, the triangle of the first four points the conic is fitted on)
+    assert sol.diagnostics.triangle_deviation == _k.diag_triangle(*calls[0])[3]
 
 
 def corpus():
