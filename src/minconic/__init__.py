@@ -28,6 +28,7 @@ from .errors import (
     GeneralPositionError,
     InconsistentPencil,
     MinconicError,
+    NonFiniteInput,
     PointAtInfinity,
     RankDeficient,
     RankOne,
@@ -81,6 +82,7 @@ __all__ = [
     "HomogeneousPoint",
     "InconsistentPencil",
     "MinconicError",
+    "NonFiniteInput",
     "Orientation",
     "PencilEigenvalues",
     "PencilIntersection",

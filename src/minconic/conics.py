@@ -3,13 +3,18 @@
 A conic is stored by the six independent entries of its symmetric matrix.
 Everything here is scale-invariant; reported conics are normalized to a unit
 six-vector with a deterministic sign.
+
+The solver path is plain float arithmetic: split_line_pair reads its rank
+and sign decisions off closed-form eigenvalues. numpy is used only by rank
+and classify (and, outside this module, by plotting and the oracle).
 """
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +28,11 @@ from .errors import (
 )
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
 from .tolerances import DEFAULT, Tolerances
+
+
+def _sym6_frobenius(m: Sequence[float]) -> float:
+    a, b, c, d, e, f = m
+    return math.sqrt(a * a + c * c + f * f + 2.0 * (b * b + d * d + e * e))
 
 
 class ConicClass(enum.Enum):
@@ -90,8 +100,7 @@ class ConicMatrix:
         )
 
     def frobenius(self) -> float:
-        a, b, c, d, e, f = self.sym6()
-        return math.sqrt(a * a + c * c + f * f + 2.0 * (b * b + d * d + e * e))
+        return _sym6_frobenius(self.sym6())
 
     def det(self) -> float:
         return _k.sym_det(self.sym6())
@@ -119,11 +128,16 @@ class ConicMatrix:
         n = math.sqrt(sum(x * x for x in v))
         if n == 0.0:
             raise DegenerateCase("zero conic matrix cannot be normalized")
-        if not n < math.inf and not all(map(math.isfinite, v)):
-            raise DegenerateCase(
-                "conic matrix has a non-finite entry (overflow or NaN); it "
-                "cannot be normalized"
-            )
+        if not n < math.inf:
+            if not all(map(math.isfinite, v)):
+                raise DegenerateCase(
+                    "conic matrix has a non-finite entry (overflow or NaN); it "
+                    "cannot be normalized"
+                )
+            # finite entries whose squares overflow: bring the largest to
+            # [0.5, 1) by a power of two, which is exact and keeps the lead
+            _, exp = math.frexp(max(abs(x) for x in v))
+            return ConicMatrix(*(math.ldexp(x, -exp) for x in v)).normalized()
         top = max(abs(x) for x in v)
         lead = next(x for x in v if abs(x) == top)
         sign = 1.0 if lead > 0.0 else -1.0
@@ -243,8 +257,87 @@ def pencil_eigenvalues(
     return lams
 
 
+#: sym6 index of the matrix entry (row, column)
+_SYM6 = ((0, 1, 3), (1, 2, 4), (3, 4, 5))
+
+#: Newton steps allowed for the near-zero eigenvalue of a line pair. An
+#: isolated one settles in one or two. Two eigenvalues of one size near the
+#: rank gate are first approached linearly, halving the distance each step,
+#: and 100 steps cover the 30-odd halvings from the spectral radius of an
+#: equilibrated matrix (1 to 3) down to the gate.
+_NEWTON_STEPS = 100
+
+
 def _sym6_combo(k1: float, m1: Sequence[float], k2: float, m2: Sequence[float]):
     return tuple(k1 * a + k2 * b for a, b in zip(m1, m2))
+
+
+def _stable_roots(q2: float, q1: float, q0: float, disc: float) -> tuple[float, float]:
+    """Both roots of q2 x^2 + q1 x + q0 = 0 for a positive discriminant.
+
+    The root whose formula adds same-signed terms is computed first and the
+    other follows from the product of the roots, so neither suffers
+    cancellation. The roots come back unsorted.
+    """
+    qq = -(q1 + math.copysign(math.sqrt(disc), q1)) / 2.0
+    return qq / q2, q0 / qq
+
+
+def _balanced_eigenvalues(
+    m, adj, q: Vec3, j: int, q_norm: float
+) -> Optional[tuple[float, float, float]]:
+    """The three eigenvalues of an equilibrated symmetric matrix, or None.
+
+    They are the roots of x^3 - e1 x^2 + e2 x - e3 (trace, trace of the
+    adjugate, determinant). Newton steps started at det/e2, which is the root
+    nearest zero to first order when that root is isolated, find one root;
+    the other two solve the deflated quadratic. q is column j of the
+    adjugate, its largest, and q_norm its norm. None means the steps did not settle: no eigenvalue is
+    isolated near zero, so the matrix has rank 3 or its second eigenvalue
+    is at the rank gate.
+    """
+    m11, m12, m22, m13, m23, m33 = m
+    e1 = m11 + m22 + m33
+    e2 = adj[0] + adj[2] + adj[5]
+    if e2 == 0.0:
+        return None
+    if 2.0 * abs(q[j]) >= q_norm:
+        # M q = det e_j, so q^T M q = det q_j. Read this way the determinant
+        # of a nearly singular matrix keeps its relative accuracy, because
+        # the rounding of the cofactors in q enters only to second order.
+        # The plain cofactor expansion below leaves an absolute error of
+        # about eps, which puts the near-zero eigenvalue about eps/e2 off:
+        # past the rank gate for many matrices whose second eigenvalue is
+        # within ten times the gate. Near rank 2 the adjugate is close to a
+        # multiple of q q^T, and its largest column has q_j >= |q| / sqrt(3).
+        e3 = _k.sym_eval(m, q) / q[j]
+    else:
+        e3 = _k.dot3((m[_SYM6[j][0]], m[_SYM6[j][1]], m[_SYM6[j][2]]), q)
+    # entries of an equilibrated matrix are at most 1 in magnitude, so the
+    # rounding level of its eigenvalues is an absolute one
+    settled = 8.0 * sys.float_info.epsilon * (1.0 + abs(e1))
+    x = e3 / e2
+    for _ in range(_NEWTON_STEPS):
+        slope = (3.0 * x - 2.0 * e1) * x + e2
+        if slope == 0.0:
+            return None
+        step = (((x - e1) * x + e2) * x - e3) / slope
+        x -= step
+        if abs(step) <= settled:
+            break
+    else:
+        return None
+    s = e1 - x
+    # the product of the other two: from e2 when x is the small root, from
+    # the determinant when x is the large one and the other two are small
+    p = e3 / x if x * x > abs(e2) else e2 - x * s
+    disc = s * s - 4.0 * p
+    if disc <= 0.0:
+        # a symmetric matrix has real eigenvalues: a negative discriminant
+        # is rounding around a double root
+        return x, 0.5 * s, 0.5 * s
+    y1, y2 = _stable_roots(1.0, -s, p, disc)
+    return x, y1, y2
 
 
 def split_line_pair(
@@ -256,28 +349,50 @@ def split_line_pair(
     product of that point with itself); completing it to a basis removes one
     coordinate and leaves a binary quadratic that factors directly.
 
+    The rank and sign decisions use closed-form eigenvalues of the
+    equilibrated matrix (see _balanced_eigenvalues), gated at rank_zero times
+    the spectral radius. A double line has two near-zero eigenvalues, which
+    the characteristic polynomial only resolves to about sqrt(eps); it is
+    recognized by its adjugate instead, whose Frobenius norm is within a
+    factor sqrt(3) of the product of the two largest eigenvalue magnitudes.
+
     Raises ComplexLinePair when the two lines are complex conjugates, RankOne
-    for a double line, and ValueError if the matrix is not degenerate.
+    for a double line, ValueError if the matrix is not degenerate, and
+    DegenerateCase for an inf or NaN entry.
     """
     # symmetric equilibration: pencil members can span many orders of
     # magnitude across coordinates, which would hide a genuine small
     # eigenvalue under the rank gate and misread the pair as a double line
-    raw = c.matrix()
+    a, b, cc, d, e, f = c.sym6()
     scales = []
-    for row in raw:
+    for row in ((a, b, d), (b, cc, e), (d, e, f)):
         top = max(abs(row[0]), abs(row[1]), abs(row[2]))
         scales.append(1.0 / math.sqrt(top) if top > 0.0 else 1.0)
-    c = ConicMatrix.from_matrix(
-        tuple(
-            tuple(raw[r][s] * scales[r] * scales[s] for s in range(3))
-            for r in range(3)
+    s1, s2, s3 = scales
+    m = (a * s1 * s1, b * s1 * s2, cc * s2 * s2, d * s1 * s3, e * s2 * s3, f * s3 * s3)
+    norm = _sym6_frobenius(m)
+    if not norm < math.inf:
+        raise DegenerateCase(
+            "conic matrix has a non-finite entry (overflow or NaN); it cannot "
+            "be split into lines"
         )
-    )
-    w = _eigvalsh3(c)
-    top = float(np.abs(w).max())
-    if top == 0.0:
+    if norm == 0.0:
         raise RankOne("zero matrix")
-    nonzero = [float(x) for x in w if abs(x) > tol.rank_zero * top]
+    adj = _k.sym_adjugate(m)
+    if _sym6_frobenius(adj) <= tol.rank_zero * norm * norm:
+        # with one dominant eigenvalue ||M||_F is the spectral radius, so the
+        # second eigenvalue is below the rank gate
+        raise RankOne("conic is a double line (rank 1)")
+    a11, a12, a22, a13, a23, a33 = adj
+    cols = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
+    norms = [_k.norm3(v) for v in cols]
+    col = norms.index(max(norms))
+    q = cols[col]
+    w = _balanced_eigenvalues(m, adj, q, col, norms[col])
+    if w is None:
+        raise ValueError("conic is not degenerate; it does not split into lines")
+    top = max(abs(w[0]), abs(w[1]), abs(w[2]))
+    nonzero = [x for x in sorted(w) if abs(x) > tol.rank_zero * top]
     if len(nonzero) == 3:
         raise ValueError("conic is not degenerate; it does not split into lines")
     if len(nonzero) <= 1:
@@ -285,14 +400,10 @@ def split_line_pair(
     if nonzero[0] * nonzero[1] > 0.0:
         raise ComplexLinePair("degenerate conic has no real line split")
 
-    adj = c.adjugate().matrix()
-    cols = [(adj[0][j], adj[1][j], adj[2][j]) for j in range(3)]
-    norms = [_k.norm3(col) for col in cols]
-    q = cols[norms.index(max(norms))]
+    # the singular point q spans the adjugate; eliminate its largest coordinate
     k = max(range(3), key=lambda i: abs(q[i]))
     i, j = [idx for idx in range(3) if idx != k]
-    m = c.matrix()
-    alpha, gamma, beta = m[i][i], m[i][j], m[j][j]
+    alpha, gamma, beta = m[_SYM6[i][i]], m[_SYM6[i][j]], m[_SYM6[j][j]]
     disc = gamma * gamma - alpha * beta
     if disc < 0.0:
         disc = 0.0
@@ -310,7 +421,7 @@ def split_line_pair(
         l[i], l[j] = cu, cv
         l[k] = -(q[i] * cu + q[j] * cv) / q[k]
         # undo the equilibration: balanced lines are S * l_original
-        lines.append(ProjectiveLine(l[0] / scales[0], l[1] / scales[1], l[2] / scales[2]))
+        lines.append(ProjectiveLine(l[0] / s1, l[1] / s2, l[2] / s3))
     return lines[0], lines[1]
 
 
@@ -325,17 +436,6 @@ def _line_points(l: Vec3) -> tuple[Vec3, Vec3]:
     p0 = _k.cross(l, cands[0])
     p1 = _k.cross(l, cands[1])
     return p0, p1
-
-
-def _stable_roots(q2: float, q1: float, q0: float, disc: float) -> tuple[float, float]:
-    """Both roots of q2 x^2 + q1 x + q0 = 0 for a positive discriminant.
-
-    The root whose formula adds same-signed terms is computed first and the
-    other follows from the product of the roots, so neither suffers
-    cancellation. The roots come back unsorted.
-    """
-    qq = -(q1 + math.copysign(math.sqrt(disc), q1)) / 2.0
-    return qq / q2, q0 / qq
 
 
 def _intersect_line_conic(l: Vec3, m6, tol: Tolerances):

@@ -21,6 +21,10 @@ class GeneralPositionError(MinconicError, ValueError):
         self.indices = indices
 
 
+class NonFiniteInput(MinconicError, ValueError):
+    """A point or line has an inf or NaN coordinate."""
+
+
 class UnsupportedCount(MinconicError, ValueError):
     """Configuration does not contain exactly five points/lines."""
 

@@ -22,16 +22,16 @@ from .conics import (
     ConicMatrix,
     PencilEigenvalues,
     _stable_roots,
+    _sym6_frobenius,
     intersect_conic_pencil,
     pencil_eigenvalues,
-    point_residual,
-    tangency_residual,
 )
 from .errors import (
     CaseDegeneracy,
     DegenerateCase,
     GeneralPositionError,
     InconsistentPencil,
+    NonFiniteInput,
     UnsupportedCount,
 )
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _collinear, _vec
@@ -130,15 +130,28 @@ def _with_residuals(sol: SolutionSet, vecs: Sequence[Vec3], lvs: Sequence[Vec3])
 
     The solver cores leave the residuals at zero: solve_dual measures its
     adjugated conics against the original input instead of measuring the
-    dual-plane conics it never returns.
+    dual-plane conics it never returns. Each conic's norm and adjugate are
+    computed once; every residual is the same expression, evaluated in the
+    same order, as point_residual and tangency_residual.
     """
     pin = 0.0
     tan = 0.0
+    if sol.real_conics:
+        # as floats, like the public functions read them
+        vecs = [(float(v[0]), float(v[1]), float(v[2])) for v in vecs]
+        lvs = [(float(v[0]), float(v[1]), float(v[2])) for v in lvs]
     for cm in sol.real_conics:
-        for pt in vecs:
-            pin = max(pin, point_residual(cm, pt))
-        for l in lvs:
-            tan = max(tan, tangency_residual(cm, l))
+        m = cm.sym6()
+        norm = _sym6_frobenius(m)
+        for v in vecs:
+            n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+            pin = max(pin, abs(_k.sym_eval(m, v)) / (norm * n2))
+        if lvs:
+            adj = _k.sym_adjugate(m)
+            adj_norm = _sym6_frobenius(adj)
+            for v in lvs:
+                n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+                tan = max(tan, abs(_k.sym_eval(adj, v)) / (adj_norm * n2))
     sol.diagnostics.max_incidence_residual = pin
     sol.diagnostics.max_tangency_residual = tan
     return sol
@@ -721,11 +734,20 @@ def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> 
 # entry points
 
 
+def _require_finite(points: Sequence, lines: Sequence) -> None:
+    """Raise NonFiniteInput for the first inf or NaN coordinate."""
+    for kind, items in (("point", points), ("line", lines)):
+        for idx, item in enumerate(items):
+            v = _vec(item)
+            if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
+                raise NonFiniteInput(f"{kind} {idx} has a non-finite coordinate: {v!r}")
+
+
 def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> SolutionSet:
     """Solve any five-element point/line configuration.
 
     Dispatches on the point/line split; raises UnsupportedCount when the
-    total is not five.
+    total is not five and NonFiniteInput for an inf or NaN coordinate.
     """
     cfg_kind = KINDS.get((len(points), len(lines)))
     if cfg_kind is None:
@@ -733,6 +755,7 @@ def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> 
             f"{len(points)} points and {len(lines)} lines do not form a "
             "five-element minimal configuration"
         )
+    _require_finite(points, lines)
     if cfg_kind == "5p":
         vecs = [_vec(p) for p in points]
         return _with_residuals(_five_points_core(vecs, tol), vecs, ())
@@ -744,13 +767,17 @@ def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> 
 
 
 def predict(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> CountPrediction:
-    """Predict real/complex solution counts without solving."""
+    """Predict real/complex solution counts without solving.
+
+    Raises UnsupportedCount and NonFiniteInput as solve() does.
+    """
     cfg_kind = KINDS.get((len(points), len(lines)))
     if cfg_kind is None:
         raise UnsupportedCount(
             f"{len(points)} points and {len(lines)} lines do not form a "
             "five-element minimal configuration"
         )
+    _require_finite(points, lines)
     if cfg_kind == "5p":
         return _FIVE_POINT_PREDICTION
     if cfg_kind == "4p1l":

@@ -145,6 +145,15 @@ def test_overflowing_input_exits_nonzero_without_traceback(tmp_path, capsys, con
     assert "Traceback" not in err
 
 
+def test_non_finite_input_exits_nonzero_without_traceback(tmp_path, capsys):
+    # json.dumps writes inf as the JSON extension literal Infinity
+    cfg = {"points": [[0, 0], [4, 1], [1, 3]], "lines": [[1, 0, 5], [0, 1, float("inf")]]}
+    assert cli.main(["solve", write_config(tmp_path / "inf.json", cfg)]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_tolerance_flag_overrides(tmp_path):
     # one corner nudged 1e-8 off y = 1: by default only the exact corner is
     # on the line (one-solution branch); a loose tolerance sees two incident

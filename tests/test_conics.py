@@ -1,7 +1,10 @@
 """Conic matrix layer: construction, classification, degeneracy handling."""
 import math
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from minconic import (
     ConicClass,
@@ -64,6 +67,17 @@ def test_normalized_rejects_non_finite_entries(bad):
         entries[i] = bad
         with pytest.raises(DegenerateCase, match="non-finite"):
             ConicMatrix.from_sym6(entries).normalized()
+
+
+def test_normalized_survives_overflowing_squares():
+    # every entry is finite but their squares overflow: the norm is taken
+    # after an exact power-of-two rescale instead of returning a zero conic
+    c = ConicMatrix(1e200, 0.0, 1e200, 0.0, 0.0, -1e200).normalized()
+    assert conic_close(c, CIRCLE, tol=1e-15)
+    assert math.fsum(x * x for x in c.sym6()) == pytest.approx(1.0)
+    big = ConicMatrix(-3e300, 1e299, 2e300, 0.0, 5.0, 1e299).normalized()
+    assert big.c < 0.0 < big.a  # the first largest entry, -3e300, turns positive
+    assert conic_close(big, ConicMatrix(-3.0, 0.1, 2.0, 0.0, 0.0, 0.1), tol=1e-15)
 
 
 def test_normalized_rejects_the_zero_matrix():
@@ -189,3 +203,104 @@ def test_split_line_pair_rejects_other_ranks():
         split_line_pair(ConicMatrix.from_coefficients((1.0, 0.0, 0.0, 0.0, 0.0, 0.0)))
     with pytest.raises(ComplexLinePair):
         split_line_pair(ConicMatrix.from_coefficients((1.0, 0.0, 1.0, 0.0, 0.0, 0.0)))
+
+
+def test_split_line_pair_rejects_non_finite_entries():
+    for bad in (math.inf, math.nan):
+        entries = list(outer_sym(ProjectiveLine(1.0, 1.0, 0.0), ProjectiveLine(1.0, -1.0, 0.0)).sym6())
+        entries[4] = bad
+        with pytest.raises(DegenerateCase, match="non-finite"):
+            split_line_pair(ConicMatrix.from_sym6(entries))
+
+
+def eigvalsh_decision(c: ConicMatrix, rank_zero=1e-9) -> str:
+    """The split's rank and sign decision, read off numpy's eigenvalues of
+    the same equilibrated matrix, or "tie" when an eigenvalue is within
+    numpy's own rounding (a few eps times the spectral radius) of the gate.
+
+    Such a tie has no reference answer: for ConicMatrix(0, 1, 0, 0, 1e-9,
+    1e-18) numpy puts the small eigenvalue 2.7e-16 above the gate, while its
+    exact value (9.99999999e-10, against a gate of 1.0000000005e-9) is below.
+    """
+    raw = c.matrix()
+    scales = [max(abs(x) for x in row) for row in raw]
+    scales = [1.0 / math.sqrt(t) if t > 0.0 else 1.0 for t in scales]
+    balanced = [[raw[r][s] * scales[r] * scales[s] for s in range(3)] for r in range(3)]
+    w = np.linalg.eigvalsh(np.array(balanced))
+    top = float(np.abs(w).max())
+    if top == 0.0:
+        return "RankOne"
+    gate = rank_zero * top
+    if any(abs(abs(x) - gate) <= 64.0 * sys.float_info.epsilon * top for x in w):
+        return "tie"
+    nonzero = [float(x) for x in w if abs(x) > gate]
+    if len(nonzero) == 3:
+        return "ValueError"
+    if len(nonzero) <= 1:
+        return "RankOne"
+    return "ComplexLinePair" if nonzero[0] * nonzero[1] > 0.0 else "split"
+
+
+def split_decision(c: ConicMatrix) -> str:
+    try:
+        split_line_pair(c)
+    except (RankOne, ComplexLinePair) as exc:
+        return type(exc).__name__
+    except ValueError:
+        return "ValueError"
+    return "split"
+
+
+unit = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
+direction = st.tuples(unit, unit, unit).filter(lambda v: max(map(abs, v)) > 1e-3)
+# a diagonal congruence diag(10^k) keeps rank and inertia and spreads the
+# entries over 1e-200 to 1e200
+exponents = st.tuples(*[st.integers(min_value=-100, max_value=100)] * 3)
+
+
+def congruent(m6, ks):
+    s = [10.0 ** k for k in ks]
+    a, b, c, d, e, f = m6
+    return ConicMatrix(
+        a * s[0] * s[0], b * s[0] * s[1], c * s[1] * s[1],
+        d * s[0] * s[2], e * s[1] * s[2], f * s[2] * s[2],
+    )
+
+
+@st.composite
+def conics_of_each_kind(draw):
+    kind = draw(st.sampled_from(["real pair", "complex pair", "double line", "full rank"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "full rank":
+        m6 = draw(st.tuples(*[unit] * 6))
+    else:
+        l, m = ProjectiveLine(*draw(direction)), ProjectiveLine(*draw(direction))
+        if kind == "real pair":
+            m6 = outer_sym(l, m).sym6()
+        elif kind == "complex pair":
+            m6 = tuple(x + y for x, y in zip(outer_sym(l, l).sym6(), outer_sym(m, m).sym6()))
+        else:
+            m6 = outer_sym(l, l).sym6()
+    return congruent(tuple(sign * x for x in m6), draw(exponents))
+
+
+@settings(max_examples=400, deadline=None)
+@given(conics_of_each_kind())
+def test_split_decisions_agree_with_eigvalsh(c):
+    want = eigvalsh_decision(c)
+    assume(want != "tie")
+    assert split_decision(c) == want
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1e-6, 1e-8, 3e-9, 2e-9, 5e-10, 1e-12, 0.0])
+def test_split_decisions_agree_with_eigvalsh_near_the_rank_gate(ratio):
+    # rank-2 matrices whose second eigenvalue is close to the 1e-9 gate: the
+    # determinant is read through the singular point, so the zero eigenvalue
+    # stays below the gate even when the second one barely clears it
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        for second in (ratio, -ratio):
+            m = q @ np.diag([1.0, second, 0.0]) @ q.T
+            c = ConicMatrix.from_matrix(((m + m.T) / 2.0).tolist())
+            assert split_decision(c) == eigvalsh_decision(c)

@@ -1,6 +1,8 @@
 """Three points + two tangent lines: all five cases and their guards."""
 import math
+import random
 
+import numpy as np
 import pytest
 
 from minconic import (
@@ -9,6 +11,7 @@ from minconic import (
     ProjectiveLine,
     classify_3p2l_case,
     point_residual,
+    predict,
     predict_count_3p2l,
     solve,
     solve_three_points_two_lines,
@@ -18,10 +21,12 @@ from minconic.errors import (
     CaseDegeneracy,
     DegenerateCase,
     GeneralPositionError,
+    NonFiniteInput,
     UnsupportedCount,
 )
+from minconic.oracle import dualize_input, random_3p2l_case
 
-from conftest import six_vector_angle
+from conftest import gallery_names, load_gallery_case, six_vector_angle
 
 X_EQ_1 = ProjectiveLine(1.0, 0.0, -1.0)
 Y_EQ_1 = ProjectiveLine(0.0, 1.0, -1.0)
@@ -207,3 +212,44 @@ def test_dispatcher_and_prediction_agreement():
         assert pred.predicted_real == sol.real_count
         assert pred.predicted_complex == sol.complex_count
         assert sol.diagnostics.parameters == tuple(sorted(sol.diagnostics.parameters))
+
+
+def case5_inputs():
+    """Gallery and oracle case-5 inputs, each with its 2-point/3-line dual."""
+    out = [load_gallery_case(name)[:2] for name in gallery_names() if "case5" in name]
+    rng = random.Random(5)
+    for _ in range(40):
+        pts, l1, l2 = random_3p2l_case(rng, 5)
+        out.append((pts, [l1, l2]))
+    return out + [dualize_input(pts, lines) for pts, lines in out]
+
+
+def test_case5_needs_no_numpy_eigensolver(monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvalsh called on the solve path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unavailable)
+    real = 0
+    for points, lines in case5_inputs():
+        sol = solve(points, lines)
+        assert sol.case_label.endswith("3p2l/Case5")
+        assert sol.total_count == 4
+        real += sol.real_count
+    assert real > 0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_coordinates_are_rejected_up_front(bad):
+    # one NaN or inf coordinate used to fail every incidence test, reach the
+    # case-5 pencil and surface as numpy's LinAlgError
+    pts, l1, l2 = random_3p2l_case(random.Random(3), 5)
+    for points, lines in ((pts, [l1, l2]), dualize_input(pts, [l1, l2])):
+        items = [list(x.vec()) for x in points + lines]
+        for k in range(len(items)):
+            spoiled = [list(v) for v in items]
+            spoiled[k][k % 3] = bad
+            args = (spoiled[: len(points)], spoiled[len(points):])
+            with pytest.raises(NonFiniteInput, match="non-finite"):
+                solve(*args)
+            with pytest.raises(NonFiniteInput, match="non-finite"):
+                predict(*args)
