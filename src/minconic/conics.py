@@ -26,7 +26,7 @@ from .errors import (
     InconsistentPencil,
     RankOne,
 )
-from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
+from .projective import ProjectiveLine, Vec3, _vec
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -215,32 +215,30 @@ class PencilEigenvalues(NamedTuple):
         return tuple(sorted(self))  # type: ignore[return-value]
 
 
-def pencil_eigenvalues(
-    points: Sequence[HomogeneousPoint],
-    l1: ProjectiveLine,
-    l2: ProjectiveLine,
-    tol: Tolerances = DEFAULT,
-) -> PencilEigenvalues:
+def pencil_eigenvalues(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> PencilEigenvalues:
     """Eigenvalues of the conic pencil behind a generic 3-point/2-line problem.
 
-    The three values are ratios of incidence products; they are the
-    generalized eigenvalues of the two tangency forms in pencil coordinates.
-    Two of them coincide exactly when the line intersection point sits on a
-    side of the point triangle, which breaks the generic 4-solution case, so
-    a near-tie raises DegenerateCase instead of returning garbage.
+    Points and lines are HomogeneousPoint/ProjectiveLine objects or any
+    coordinate 3-sequences. The three values are ratios of incidence
+    products; they are the generalized eigenvalues of the two tangency forms
+    in pencil coordinates. Two of them coincide exactly when the line
+    intersection point sits on a side of the point triangle, which breaks the
+    generic 4-solution case, so a near-tie raises DegenerateCase instead of
+    returning garbage.
     """
+    lv1, lv2 = _vec(l1), _vec(l2)
     incs = []
     for idx, pt in enumerate(points):
-        v = pt.vec()
-        for l in (l1, l2):
-            val = _k.dot3(v, l.vec())
-            if abs(val) <= tol.incidence * _k.norm3(v) * _k.norm3(l.vec()):
+        v = _vec(pt)
+        for lv in (lv1, lv2):
+            val = _k.dot3(v, lv)
+            if abs(val) <= tol.incidence * _k.norm3(v) * _k.norm3(lv):
                 raise GeneralPositionError(
                     f"point {idx} lies on an input line; the generic pencil "
                     "construction does not apply",
                     (idx,),
                 )
-        incs.append((_k.dot3(v, l1.vec()), _k.dot3(v, l2.vec())))
+        incs.append((_k.dot3(v, lv1), _k.dot3(v, lv2)))
     (a1, a2), (b1, b2), (c1, c2) = incs
     lams = PencilEigenvalues(
         (a2 * b2) / (a1 * b1),

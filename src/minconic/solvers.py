@@ -34,7 +34,7 @@ from .errors import (
     NonFiniteInput,
     UnsupportedCount,
 )
-from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _collinear, _vec
+from .projective import Vec3, _collinear, _vec
 from .selfpolar import _five_point_fit, conic_through_five_points, require_no_collinear_triple
 from .tolerances import DEFAULT, Tolerances
 
@@ -128,18 +128,15 @@ _FIVE_POINT_PREDICTION = CountPrediction(1, 0, "unique conic through five points
 def _with_residuals(sol: SolutionSet, vecs: Sequence[Vec3], lvs: Sequence[Vec3]) -> SolutionSet:
     """Record the worst incidence and tangency residuals of sol's conics.
 
-    The solver cores leave the residuals at zero: solve_dual measures its
+    The solver cores leave the residuals at zero: the dual path measures its
     adjugated conics against the original input instead of measuring the
-    dual-plane conics it never returns. Each conic's norm and adjugate are
-    computed once; every residual is the same expression, evaluated in the
-    same order, as point_residual and tangency_residual.
+    dual-plane conics it never returns. vecs and lvs are the triples _vec
+    read, as point_residual and tangency_residual read them. Each conic's
+    norm and adjugate are computed once; every residual is the same
+    expression, evaluated in the same order, as those public functions.
     """
     pin = 0.0
     tan = 0.0
-    if sol.real_conics:
-        # as floats, like the public functions read them
-        vecs = [(float(v[0]), float(v[1]), float(v[2])) for v in vecs]
-        lvs = [(float(v[0]), float(v[1]), float(v[2])) for v in lvs]
     for cm in sol.real_conics:
         m = cm.sym6()
         norm = _sym6_frobenius(m)
@@ -170,12 +167,16 @@ def solve_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatri
     return conic_through_five_points(points, tol).normalized()
 
 
-def _five_points_core(vecs: Sequence[Vec3], tol: Tolerances) -> SolutionSet:
+def _five_points_core(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> SolutionSet:
     conic, dev = _five_point_fit(vecs, tol)
     diag = SolveDiagnostics(
         case_label="5p", triangle_deviation=dev, prediction=_FIVE_POINT_PREDICTION
     )
     return SolutionSet((conic.normalized(),), 0, "5p", diag)
+
+
+def _predict_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> CountPrediction:
+    return _FIVE_POINT_PREDICTION
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +258,11 @@ def predict_count_4p1l(points: Sequence, line, tol: Tolerances = DEFAULT) -> Cou
     special points (four quadrangle points, three diagonal-triangle
     vertices) forces a unique solution.
     """
-    vecs = [_vec(p) for p in points]
-    lv = _vec(line)
+    return _predict_4p1l([_vec(p) for p in points], (_vec(line),), tol)
+
+
+def _predict_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> CountPrediction:
+    lv = lvs[0]
     pred = _sign_product_4p1l(vecs, lv)
     if any(_incident(v, lv, tol) for v in vecs):
         # a unique solution whatever the triangle: skip building it
@@ -277,15 +281,17 @@ def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) ->
     admits no non-degenerate solution and is rejected as a general-position
     failure.
     """
-    sol = _four_points_line_core(points, line, tol)
-    return _with_residuals(sol, [_vec(p) for p in points], (_vec(line),))
-
-
-def _four_points_line_core(points: Sequence, line, tol: Tolerances) -> SolutionSet:
     vecs = [_vec(p) for p in points]
     if len(vecs) != 4:
         raise UnsupportedCount("exactly four points required")
-    lv = _vec(line)
+    lvs = (_vec(line),)
+    return _with_residuals(_four_points_line_core(vecs, lvs, tol), vecs, lvs)
+
+
+def _four_points_line_core(
+    vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances
+) -> SolutionSet:
+    lv = lvs[0]
     require_no_collinear_triple(vecs, tol)
 
     on_line = [i for i, v in enumerate(vecs) if _incident(v, lv, tol)]
@@ -472,19 +478,6 @@ def _scalars_3p2l(x1: Vec3, x2: Vec3, x3: Vec3, l1: Vec3, l2: Vec3):
     return p, A, B, C, D, a, b, c
 
 
-def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float, tol: Tolerances) -> ConicMatrix:
-    if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
-        raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
-    return ConicMatrix.from_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s)).normalized()
-
-
-def _pencil_solution(
-    x1: Vec3, x2: Vec3, x3: Vec3, x4: Vec3, s: float, tol: Tolerances
-) -> tuple[ConicMatrix, float]:
-    xi1, xi2, xi3, dev = _k.diag_triangle(x1, x2, x3, x4)
-    return _pencil_member(xi1, xi2, xi3, s, tol), dev
-
-
 def _coord_matrix(A, B, C, D, ai, bi, ci):
     """Tangency constraint for one line as a quadratic form in (s, t, 1)."""
     c1 = A * A * ai * ai
@@ -496,13 +489,13 @@ def _coord_matrix(A, B, C, D, ai, bi, ci):
     return (c1, c2, c4, c3, c5, c6)  # sym6 layout (m11, m12, m22, m13, m23, m33)
 
 
-def _allocated(points, l1, l2, alloc: CaseAllocation):
-    vecs = [_vec(p) for p in points]
+def _normal_form_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
+    """Classify the triples and relabel them into their case's normal form:
+    (allocation, (x1, x2, x3, l1, l2))."""
+    alloc = classify_3p2l_case(vecs, lvs[0], lvs[1], tol)
     x1, x2, x3 = (vecs[i] for i in alloc.order)
-    lv1, lv2 = _vec(l1), _vec(l2)
-    if alloc.swap_lines:
-        lv1, lv2 = lv2, lv1
-    return x1, x2, x3, lv1, lv2
+    lv1, lv2 = (lvs[1], lvs[0]) if alloc.swap_lines else (lvs[0], lvs[1])
+    return alloc, (x1, x2, x3, lv1, lv2)
 
 
 def predict_count_3p2l(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> CountPrediction:
@@ -514,8 +507,12 @@ def predict_count_3p2l(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> C
     negative; case 5 has four real conics exactly when all three points see
     the two lines with the same side-product sign, and none otherwise.
     """
-    alloc = classify_3p2l_case(points, l1, l2, tol)
-    _, A, B, _, _, a, b, c = _scalars_3p2l(*_allocated(points, l1, l2, alloc))
+    return _predict_3p2l([_vec(p) for p in points], (_vec(l1), _vec(l2)), tol)
+
+
+def _predict_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> CountPrediction:
+    alloc, frame = _normal_form_3p2l(vecs, lvs, tol)
+    _, A, B, _, _, a, b, c = _scalars_3p2l(*frame)
     return _prediction_3p2l(alloc.case, A, B, a, b, c)
 
 
@@ -558,13 +555,15 @@ def solve_three_points_two_lines(
     case has its own closed form. Counts are one (cases 1 and 2), two or a
     complex pair (cases 3 and 4), and four or two complex pairs (case 5).
     """
-    sol = _three_points_two_lines_core(points, l1, l2, tol)
-    return _with_residuals(sol, [_vec(p) for p in points], (_vec(l1), _vec(l2)))
+    vecs = [_vec(p) for p in points]
+    lvs = (_vec(l1), _vec(l2))
+    return _with_residuals(_three_points_two_lines_core(vecs, lvs, tol), vecs, lvs)
 
 
-def _three_points_two_lines_core(points: Sequence, l1, l2, tol: Tolerances) -> SolutionSet:
-    alloc = classify_3p2l_case(points, l1, l2, tol)
-    x1, x2, x3, lv1, lv2 = _allocated(points, l1, l2, alloc)
+def _three_points_two_lines_core(
+    vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances
+) -> SolutionSet:
+    alloc, (x1, x2, x3, lv1, lv2) = _normal_form_3p2l(vecs, lvs, tol)
     p, A, B, C, D, a, b, c = _scalars_3p2l(x1, x2, x3, lv1, lv2)
     diag = SolveDiagnostics(
         case_label=alloc.label,
@@ -574,50 +573,35 @@ def _three_points_two_lines_core(points: Sequence, l1, l2, tol: Tolerances) -> S
         context=CaseContext(p, None, "t*x1+p"),
     )
 
-    conics: list[ConicMatrix] = []
-    params: list[tuple[float, float]] = []
+    # each case yields its pencil roots (s, t); the moving quadrangle point
+    # is x4 = t*anchor + offset
+    anchor, offset = x1, p
+    roots: list[tuple[Optional[float], float]] = []
     complex_count = 0
 
     if alloc.case == 1:
         # tangency is pinned at the two incident points
-        s = 0.5
-        t = -A / (2.0 * D)
-        x4 = tuple(t * u + v for u, v in zip(x1, p))
-        conic, dev = _pencil_solution(x1, x2, x3, x4, s, tol)
-        conics.append(conic)
-        params.append((s, t))
-        diag.triangle_deviation = dev
+        roots = [(0.5, -A / (2.0 * D))]
 
     elif alloc.case == 2:
         q = _k.cross(p, lv2)
         diag.context = CaseContext(p, q, "t*p+q")
+        anchor, offset = p, q
         denom = 2.0 * B * b[1]
         if denom == 0.0:
             raise CaseDegeneracy("collinear-pair case denominator vanished")
         t = (_k.det3(q, x2, x3) * a[1] - _k.det3(x1, q, x3) * b[1]) / denom
-        s = 2.0
-        x4 = tuple(t * u + v for u, v in zip(p, q))
-        conic, dev = _pencil_solution(x1, x2, x3, x4, s, tol)
-        conics.append(conic)
-        params.append((s, t))
-        diag.triangle_deviation = dev
+        roots = [(2.0, t)]
 
     elif alloc.case == 3:
-        # second and third points are collinear with the line crossing
+        # second and third points are collinear with the line crossing; s is
+        # read off the triangle of each root t below
         rhs = (C * C * c[0] * c[1]) / (D * D * a[0] * a[1])
         diag.discriminant = rhs
         if rhs <= 0.0:
             complex_count = 2
         else:
-            for t in (math.sqrt(rhs), -math.sqrt(rhs)):
-                x4 = tuple(t * u + v for u, v in zip(x1, p))
-                xi1, xi2, xi3, dev = _k.diag_triangle(x1, x2, x3, x4)
-                L1 = _k.dot3(xi1, lv1) ** 2
-                L2 = _k.dot3(xi2, lv1) ** 2
-                s = L1 / (L1 - L2)
-                conics.append(_pencil_member(xi1, xi2, xi3, s, tol))
-                params.append((s, t))
-                diag.triangle_deviation = dev
+            roots = [(None, math.sqrt(rhs)), (None, -math.sqrt(rhs))]
 
     elif alloc.case == 4:
         # third point rides the first line; tangency to the second is quadratic
@@ -629,28 +613,17 @@ def _three_points_two_lines_core(points: Sequence, l1, l2, tol: Tolerances) -> S
         disc = -16.0 * D * D * A * B * a[1] * b[1]
         diag.discriminant = disc
         if disc > 0.0:
-            roots = _stable_roots(q2, q1, q0, disc)
+            ts = _stable_roots(q2, q1, q0, disc)
         elif disc < 0.0:
-            roots, complex_count = [], 2
+            ts, complex_count = (), 2
         else:
-            roots = [-q1 / (2.0 * q2)]
+            ts = (-q1 / (2.0 * q2),)
             diag.double_root = True
-        for t in roots:
-            s = -(D / A) * t
-            x4 = tuple(t * u + v for u, v in zip(x1, p))
-            conic, dev = _pencil_solution(x1, x2, x3, x4, s, tol)
-            conics.append(conic)
-            params.append((s, t))
-            diag.triangle_deviation = dev
+        roots = [(-(D / A) * t, t) for t in ts]
 
     else:
         try:
-            lams = pencil_eigenvalues(
-                [HomogeneousPoint(*x1), HomogeneousPoint(*x2), HomogeneousPoint(*x3)],
-                ProjectiveLine(*lv1),
-                ProjectiveLine(*lv2),
-                tol,
-            )
+            lams = pencil_eigenvalues((x1, x2, x3), lv1, lv2, tol)
         except DegenerateCase as exc:
             raise CaseDegeneracy(
                 "generic-case pencil is degenerate: the line intersection "
@@ -659,7 +632,15 @@ def _three_points_two_lines_core(points: Sequence, l1, l2, tol: Tolerances) -> S
         diag.eigenvalues = lams
         m1 = ConicMatrix.from_sym6(_coord_matrix(A, B, C, D, a[0], b[0], c[0]))
         m2 = ConicMatrix.from_sym6(_coord_matrix(A, B, C, D, a[1], b[1], c[1]))
-        inter = intersect_conic_pencil(m1, m2, lams, tol)
+        try:
+            inter = intersect_conic_pencil(m1, m2, lams, tol)
+        except ValueError as exc:
+            # split_line_pair found a member of full rank: two eigenvalues
+            # tie just outside the eigenvalue_tie band
+            raise CaseDegeneracy(
+                "generic-case pencil is degenerate: a member at a pencil "
+                "eigenvalue does not split into lines"
+            ) from exc
         complex_count = inter.complex_count
         if len(inter.real_points) + inter.complex_count != 4:
             raise InconsistentPencil(
@@ -673,12 +654,24 @@ def _three_points_two_lines_core(points: Sequence, l1, l2, tol: Tolerances) -> S
                 "two real and two complex intersections contradict the "
                 "all-or-nothing reality structure of the two-tangency pencil"
             )
-        for s, t in sorted(inter.real_points):
-            x4 = tuple(t * u + v for u, v in zip(x1, p))
-            conic, dev = _pencil_solution(x1, x2, x3, x4, s, tol)
-            conics.append(conic)
-            params.append((s, t))
-            diag.triangle_deviation = dev
+        roots = sorted(inter.real_points)
+
+    conics: list[ConicMatrix] = []
+    params: list[tuple[float, float]] = []
+    for s, t in roots:
+        x4 = tuple(t * u + v for u, v in zip(anchor, offset))
+        xi1, xi2, xi3, dev = _k.diag_triangle(x1, x2, x3, x4)
+        if s is None:
+            L1 = _k.dot3(xi1, lv1) ** 2
+            L2 = _k.dot3(xi2, lv1) ** 2
+            s = L1 / (L1 - L2)
+        if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
+            raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
+        conics.append(
+            ConicMatrix.from_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s)).normalized()
+        )
+        params.append((s, t))
+        diag.triangle_deviation = dev
 
     order = sorted(range(len(conics)), key=lambda i: params[i])
     diag.parameters = tuple(params[i] for i in order)
@@ -688,35 +681,48 @@ def _three_points_two_lines_core(points: Sequence, l1, l2, tol: Tolerances) -> S
 
 
 # ---------------------------------------------------------------------------
-# dual configurations (more lines than points)
+# entry points
+
+#: the family a configuration belongs to, by its number of points once a
+#: lines-heavy one is dualized: (solver core, count predictor), both taking
+#: (point triples, line triples, tolerances)
+_FAMILIES = {
+    5: (_five_points_core, _predict_5p),
+    4: (_four_points_line_core, _predict_4p1l),
+    3: (_three_points_two_lines_core, _predict_3p2l),
+}
 
 
-def _dualize(points: Sequence, lines: Sequence):
-    dual_points = [HomogeneousPoint(*_vec(l)) for l in lines]
-    dual_lines = [ProjectiveLine(*_vec(p)) for p in points]
-    return dual_points, dual_lines
+def _triples(points: Sequence, lines: Sequence) -> tuple[list[Vec3], list[Vec3]]:
+    """The coordinate triples of a five-element configuration, each element
+    read once through _vec.
 
-
-def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> SolutionSet:
-    """Solve a lines-heavy configuration through the dual problem.
-
-    Lines become points and points become lines; the dual solutions are
-    conics in the dual plane and their adjugates are the answers in the
-    original plane. Counts and case structure carry over unchanged.
+    Raises UnsupportedCount when the total is not five and NonFiniteInput for
+    the first inf or NaN coordinate.
     """
-    dual_points, dual_lines = _dualize(points, lines)
-    n = len(dual_points)
+    if (len(points), len(lines)) not in KINDS:
+        raise UnsupportedCount(
+            f"{len(points)} points and {len(lines)} lines do not form a "
+            "five-element minimal configuration"
+        )
+    vecs: list[Vec3] = []
+    lvs: list[Vec3] = []
+    for kind, items, out in (("point", points, vecs), ("line", lines, lvs)):
+        for idx, item in enumerate(items):
+            v = _vec(item)
+            if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
+                raise NonFiniteInput(f"{kind} {idx} has a non-finite coordinate: {v!r}")
+            out.append(v)
+    return vecs, lvs
+
+
+def _solve_dual(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances) -> SolutionSet:
+    family = _FAMILIES.get(len(lvs))
+    if family is None:
+        raise UnsupportedCount("dual configuration is not lines-heavy")
     try:
-        if n == 5:
-            inner = _five_points_core([_vec(p) for p in dual_points], tol)
-        elif n == 4:
-            inner = _four_points_line_core(dual_points, dual_lines[0], tol)
-        elif n == 3:
-            inner = _three_points_two_lines_core(
-                dual_points, dual_lines[0], dual_lines[1], tol
-            )
-        else:
-            raise UnsupportedCount("dual configuration is not lines-heavy")
+        # lines become points and points become lines
+        inner = family[0](lvs, vecs, tol)
     except GeneralPositionError as exc:
         raise GeneralPositionError(
             f"dual configuration degenerate (lines and points exchanged): {exc}",
@@ -727,20 +733,17 @@ def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> 
     diag.case_label = label
     conics = tuple(cm.adjugate().normalized() for cm in inner.real_conics)
     sol = SolutionSet(conics, inner.complex_count, label, diag)
-    return _with_residuals(sol, [_vec(p) for p in points], [_vec(l) for l in lines])
+    return _with_residuals(sol, vecs, lvs)
 
 
-# ---------------------------------------------------------------------------
-# entry points
+def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> SolutionSet:
+    """Solve a lines-heavy configuration through the dual problem.
 
-
-def _require_finite(points: Sequence, lines: Sequence) -> None:
-    """Raise NonFiniteInput for the first inf or NaN coordinate."""
-    for kind, items in (("point", points), ("line", lines)):
-        for idx, item in enumerate(items):
-            v = _vec(item)
-            if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
-                raise NonFiniteInput(f"{kind} {idx} has a non-finite coordinate: {v!r}")
+    Lines become points and points become lines; the dual solutions are
+    conics in the dual plane and their adjugates are the answers in the
+    original plane. Counts and case structure carry over unchanged.
+    """
+    return _solve_dual([_vec(p) for p in points], [_vec(l) for l in lines], tol)
 
 
 def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> SolutionSet:
@@ -749,21 +752,10 @@ def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> 
     Dispatches on the point/line split; raises UnsupportedCount when the
     total is not five and NonFiniteInput for an inf or NaN coordinate.
     """
-    cfg_kind = KINDS.get((len(points), len(lines)))
-    if cfg_kind is None:
-        raise UnsupportedCount(
-            f"{len(points)} points and {len(lines)} lines do not form a "
-            "five-element minimal configuration"
-        )
-    _require_finite(points, lines)
-    if cfg_kind == "5p":
-        vecs = [_vec(p) for p in points]
-        return _with_residuals(_five_points_core(vecs, tol), vecs, ())
-    if cfg_kind == "4p1l":
-        return solve_four_points_line(points, lines[0], tol)
-    if cfg_kind == "3p2l":
-        return solve_three_points_two_lines(points, lines[0], lines[1], tol)
-    return solve_dual(points, lines, tol)
+    vecs, lvs = _triples(points, lines)
+    if len(vecs) < len(lvs):
+        return _solve_dual(vecs, lvs, tol)
+    return _with_residuals(_FAMILIES[len(vecs)][0](vecs, lvs, tol), vecs, lvs)
 
 
 def predict(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> CountPrediction:
@@ -771,26 +763,10 @@ def predict(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -
 
     Raises UnsupportedCount and NonFiniteInput as solve() does.
     """
-    cfg_kind = KINDS.get((len(points), len(lines)))
-    if cfg_kind is None:
-        raise UnsupportedCount(
-            f"{len(points)} points and {len(lines)} lines do not form a "
-            "five-element minimal configuration"
-        )
-    _require_finite(points, lines)
-    if cfg_kind == "5p":
-        return _FIVE_POINT_PREDICTION
-    if cfg_kind == "4p1l":
-        return predict_count_4p1l(points, lines[0], tol)
-    if cfg_kind == "3p2l":
-        return predict_count_3p2l(points, lines[0], lines[1], tol)
-    dual_points, dual_lines = _dualize(points, lines)
-    if len(dual_points) == 5:
-        inner = _FIVE_POINT_PREDICTION
-    elif len(dual_points) == 4:
-        inner = predict_count_4p1l(dual_points, dual_lines[0], tol)
-    else:
-        inner = predict_count_3p2l(dual_points, dual_lines[0], dual_lines[1], tol)
+    vecs, lvs = _triples(points, lines)
+    if len(vecs) >= len(lvs):
+        return _FAMILIES[len(vecs)][1](vecs, lvs, tol)
+    inner = _FAMILIES[len(lvs)][1](lvs, vecs, tol)
     return CountPrediction(
         inner.predicted_real, inner.predicted_complex, "dual: " + inner.rule, inner.predicate
     )

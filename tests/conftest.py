@@ -15,6 +15,19 @@ SQUARE = [
     HomogeneousPoint(1, -1),
 ]
 
+# a 3-point/2-line case-5 input (a noisy RANSAC sample) whose pencil
+# eigenvalues lam2 and lam3 differ by 3.3e-9 relative, just outside
+# eigenvalue_tie: the lam1 member reads as full rank and does not split
+NEAR_TIE_POINTS = [
+    (-2.331610130967922, -3.553281695738844, 1.0),
+    (-2.2417921437161192, -3.7005489688357103, 1.0),
+    (-4.456643704888074, -1.5103904063674725, 1.0),
+]
+NEAR_TIE_LINES = [
+    (-0.28378421185434366, 0.9588881692367517, 4.813118419746332),
+    (-0.3251790610879466, 0.9456524616527795, 4.69151017053323),
+]
+
 
 def load_gallery_case(name):
     doc = json.loads((FIXTURES / "gallery" / f"{name}.json").read_text())

@@ -6,6 +6,8 @@ import pytest
 import minconic
 from minconic import cli
 
+from conftest import NEAR_TIE_LINES, NEAR_TIE_POINTS
+
 
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
@@ -149,6 +151,16 @@ def test_non_finite_input_exits_nonzero_without_traceback(tmp_path, capsys):
     # json.dumps writes inf as the JSON extension literal Infinity
     cfg = {"points": [[0, 0], [4, 1], [1, 3]], "lines": [[1, 0, 5], [0, 1, float("inf")]]}
     assert cli.main(["solve", write_config(tmp_path / "inf.json", cfg)]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_case5_member_that_does_not_split_exits_3_without_traceback(tmp_path, capsys):
+    # the failed line-pair split of a near-tie case-5 pencil is a case
+    # degeneracy, reported like any other special position
+    cfg = {"points": NEAR_TIE_POINTS, "lines": NEAR_TIE_LINES}
+    assert cli.main(["solve", write_config(tmp_path / "tie.json", cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err

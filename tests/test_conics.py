@@ -148,6 +148,15 @@ def test_pencil_eigenvalues_known_ratios():
     assert sorted(lams) == pytest.approx([1.0, 2.25, 9.0], abs=1e-12)
 
 
+def test_pencil_eigenvalues_accept_plain_triples():
+    pts = [HomogeneousPoint(-1.0, 0.0), HomogeneousPoint(0.0, -1.0), HomogeneousPoint(0.6, -0.8)]
+    l1 = ProjectiveLine(1.0, 0.0, -1.0)
+    l2 = ProjectiveLine(0.0, 1.0, -1.0)
+    as_tuples = pencil_eigenvalues([p.vec() for p in pts], l1.vec(), l2.vec())
+    assert as_tuples == pencil_eigenvalues(pts, l1, l2)
+    assert pencil_eigenvalues([list(p.vec()) for p in pts], list(l1.vec()), l2) == as_tuples
+
+
 def test_pencil_eigenvalue_tie_raises():
     # line crossing (1, 1) sits on the side through (0, 3) and (2, -1)
     pts = [

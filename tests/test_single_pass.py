@@ -1,12 +1,23 @@
 """Each solver family analyses its input once, and solve() reports exactly
 the prediction that predict() gives for the same input; the residuals it
-reports are those of the public residual functions, computed once per conic."""
+reports are those of the public residual functions, computed once per conic;
+solve() and predict() read each input element once."""
 import random
+from collections import Counter
 
 import pytest
 
 import minconic._kernels as _k
-from minconic import point_residual, predict, solve, solvers, tangency_residual
+from minconic import (
+    HomogeneousPoint,
+    MinconicError,
+    ProjectiveLine,
+    point_residual,
+    predict,
+    solve,
+    solvers,
+    tangency_residual,
+)
 from minconic.oracle import dualize_input, random_3p2l_case, random_4p1l, random_five_points
 
 from conftest import gallery_names, load_gallery_case
@@ -90,16 +101,80 @@ def test_solve_reports_the_prediction_of_predict(monkeypatch):
     assert primal >= 7 * 40
 
 
+def residuals_match(points, lines) -> bool:
+    """Assert that solve() reports the public functions' residuals; return
+    whether it found a real conic."""
+    sol = solve(points, lines)
+    pin = max((point_residual(c, p) for c in sol for p in points), default=0.0)
+    tan = max((tangency_residual(c, l) for c in sol for l in lines), default=0.0)
+    assert sol.diagnostics.max_incidence_residual == pin
+    assert sol.diagnostics.max_tangency_residual == tan
+    return len(sol.real_conics) > 0
+
+
+def as_ints(items, scale):
+    """Copies of points or lines with each coordinate scaled and rounded to
+    a Python int."""
+    return [type(x)(*(round(v * scale) for v in x.vec())) for x in items]
+
+
 def test_reported_residuals_are_those_of_the_public_functions():
     # bit for bit: the per-conic norm and adjugate are hoisted out of the
     # loops over the input elements, and nothing else about the arithmetic
     # changes
-    solved = 0
-    for points, lines in corpus(seed=1):
-        sol = solve(points, lines)
-        solved += len(sol.real_conics) > 0
-        pin = max((point_residual(c, p) for c in sol for p in points), default=0.0)
-        tan = max((tangency_residual(c, l) for c in sol for l in lines), default=0.0)
-        assert sol.diagnostics.max_incidence_residual == pin
-        assert sol.diagnostics.max_tangency_residual == tan
+    solved = sum(residuals_match(points, lines) for points, lines in corpus(seed=1))
     assert solved >= 250
+    # Python-int coordinates reach the public functions as ints, and so
+    # must reach the reported residuals: a float() on the way rounds them
+    solved = 0
+    for points, lines in corpus(seed=3):
+        for scale in (10**6, 10**12, 10**20):
+            try:
+                solved += residuals_match(as_ints(points, scale), as_ints(lines, scale))
+            except MinconicError:
+                pass  # scaled inputs some families reject (ROADMAP item 3)
+    assert solved >= 500
+
+
+#: .vec() calls per object id, counted by the two classes below
+READS: Counter = Counter()
+
+
+class CountedPoint(HomogeneousPoint):
+    def vec(self):
+        READS[id(self)] += 1
+        return super().vec()
+
+
+class CountedLine(ProjectiveLine):
+    def vec(self):
+        READS[id(self)] += 1
+        return super().vec()
+
+
+def one_per_category():
+    """One input of each of the ten categories: 5p, 4p1l, 3p2l cases 1-5
+    and the duals 5l, 1p4l, 2p3l."""
+    rng = random.Random(11)
+    pts, line = random_4p1l(rng)
+    out = [(random_five_points(rng), []), (pts, [line])]
+    for case in range(1, 6):
+        pts, l1, l2 = random_3p2l_case(rng, case)
+        out.append((pts, [l1, l2]))
+    return out + [dualize_input(*out[k]) for k in (0, 1, 6)]
+
+
+@pytest.mark.parametrize("api", [solve, predict])
+def test_each_element_is_read_once(api):
+    # one front door converts every point and line once; the cores, the
+    # dual swap and the residuals reuse its coordinate triples
+    inputs = one_per_category()
+    assert sorted((len(p), len(l)) for p, l in inputs) == [
+        (0, 5), (1, 4), (2, 3), (3, 2), (3, 2), (3, 2), (3, 2), (3, 2), (4, 1), (5, 0)
+    ]
+    for points, lines in inputs:
+        points = [CountedPoint(*p.vec()) for p in points]
+        lines = [CountedLine(*l.vec()) for l in lines]
+        READS.clear()
+        api(points, lines)
+        assert [READS[id(x)] for x in points + lines] == [1] * 5

@@ -10,6 +10,7 @@ from minconic import (
     HomogeneousPoint,
     ProjectiveLine,
     classify_3p2l_case,
+    pencil_eigenvalues,
     point_residual,
     predict,
     predict_count_3p2l,
@@ -26,7 +27,13 @@ from minconic.errors import (
 )
 from minconic.oracle import dualize_input, random_3p2l_case
 
-from conftest import gallery_names, load_gallery_case, six_vector_angle
+from conftest import (
+    NEAR_TIE_LINES,
+    NEAR_TIE_POINTS,
+    gallery_names,
+    load_gallery_case,
+    six_vector_angle,
+)
 
 X_EQ_1 = ProjectiveLine(1.0, 0.0, -1.0)
 Y_EQ_1 = ProjectiveLine(0.0, 1.0, -1.0)
@@ -168,6 +175,17 @@ def test_near_degenerate_crossing_raises_not_lies():
         solve_three_points_two_lines(pts, X_EQ_1, Y_EQ_1)
     with pytest.raises(CaseDegeneracy):
         solve_three_points_two_lines(pts, X_EQ_1, Y_EQ_1)
+
+
+def test_case5_member_that_does_not_split_is_a_case_degeneracy():
+    assert classify_3p2l_case(NEAR_TIE_POINTS, *NEAR_TIE_LINES).case == 5
+    pencil_eigenvalues(NEAR_TIE_POINTS, *NEAR_TIE_LINES)  # no tie inside the band
+    with pytest.raises(CaseDegeneracy, match="does not split into lines") as err:
+        solve(NEAR_TIE_POINTS, NEAR_TIE_LINES)
+    cause = err.value.__cause__
+    assert type(cause) is ValueError and "not degenerate" in str(cause)
+    with pytest.raises(CaseDegeneracy):
+        solve_three_points_two_lines(NEAR_TIE_POINTS, *NEAR_TIE_LINES)
 
 
 def test_general_position_guards():
