@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import oracle, plotting
+from . import plotting
 from .conics import classify
 from .errors import (
     DegenerateCase,
@@ -218,6 +218,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import oracle  # imports numpy: loaded only by the commands that use it
+
     cfg = load_config(args.config)
     tol = _tolerances(cfg["options"], args.tolerance)
     sol = solve(cfg["points"], cfg["lines"], tol)

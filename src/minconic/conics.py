@@ -4,9 +4,10 @@ A conic is stored by the six independent entries of its symmetric matrix.
 Everything here is scale-invariant; reported conics are normalized to a unit
 six-vector with a deterministic sign.
 
-The solver path is plain float arithmetic: split_line_pair reads its rank
-and sign decisions off closed-form eigenvalues. numpy is used only by rank
-and classify (and, outside this module, by plotting and the oracle).
+Everything is plain float arithmetic: rank, classify and split_line_pair
+read their rank and sign decisions off one closed-form eigenvalue helper.
+numpy is used only outside this module, by the oracle's reference rank and
+by plotting.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from . import _kernels as _k
 from .errors import (
@@ -148,17 +147,15 @@ def adjugate(c: ConicMatrix) -> ConicMatrix:
     return c.adjugate()
 
 
-def _eigvalsh3(c: ConicMatrix) -> np.ndarray:
-    return np.linalg.eigvalsh(np.array(c.matrix(), dtype=float))
-
-
 def rank(c: ConicMatrix, tol: Tolerances = DEFAULT) -> int:
     """Numeric rank: eigenvalues below rank_zero times the spectral radius are zero."""
-    w = np.abs(_eigvalsh3(c))
-    top = float(w.max())
+    w = _spectrum(c)
+    if w is None:
+        return 3
+    top = max(abs(w[0]), abs(w[1]), abs(w[2]))
     if top == 0.0:
         return 0
-    return int((w > tol.rank_zero * top).sum())
+    return sum(abs(x) > tol.rank_zero * top for x in w)
 
 
 def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
@@ -167,16 +164,16 @@ def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
     Degenerate cases are split by rank and by the signs of the nonzero
     eigenvalues; non-degenerate ones by the leading 2x2 minor.
     """
-    w = _eigvalsh3(c)
-    top = float(np.abs(w).max())
-    if top == 0.0:
-        raise ValueError("zero conic matrix has no class")
-    nonzero = [float(x) for x in w if abs(x) > tol.rank_zero * top]
-    r = len(nonzero)
-    if r <= 1:
-        return ConicClass.DOUBLE_LINE
-    if r == 2:
-        return ConicClass.LINE_PAIR if nonzero[0] * nonzero[1] < 0.0 else ConicClass.POINT
+    w = _spectrum(c)
+    if w is not None:
+        top = max(abs(w[0]), abs(w[1]), abs(w[2]))
+        if top == 0.0:
+            raise ValueError("zero conic matrix has no class")
+        nonzero = [x for x in w if abs(x) > tol.rank_zero * top]
+        if len(nonzero) <= 1:
+            return ConicClass.DOUBLE_LINE
+        if len(nonzero) == 2:
+            return ConicClass.LINE_PAIR if nonzero[0] * nonzero[1] < 0.0 else ConicClass.POINT
 
     # full rank: ellipse / parabola / hyperbola via the leading block
     a, b, cc = c.a, c.b, c.c
@@ -258,12 +255,16 @@ def pencil_eigenvalues(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> P
 #: sym6 index of the matrix entry (row, column)
 _SYM6 = ((0, 1, 3), (1, 2, 4), (3, 4, 5))
 
-#: Newton steps allowed for the near-zero eigenvalue of a line pair. An
-#: isolated one settles in one or two. Two eigenvalues of one size near the
-#: rank gate are first approached linearly, halving the distance each step,
-#: and 100 steps cover the 30-odd halvings from the spectral radius of an
-#: equilibrated matrix (1 to 3) down to the gate.
+#: Newton steps allowed for one eigenvalue. An isolated one settles in one
+#: or two; a double eigenvalue away from zero (rank 3) is approached
+#: linearly, halving the distance each step, and may use them all.
 _NEWTON_STEPS = 100
+
+#: bound on ||adj M||_F / ||M||_F^2 below which the two smaller eigenvalues
+#: are read off the adjugate. The ratio is within a factor 3 of
+#: |lam2 / lam1| (eigenvalues by decreasing magnitude), so below it lam1
+#: dominates the trace, and above it only lam3 can be near zero, isolated.
+_TWO_SMALL = 1e-3
 
 
 def _sym6_combo(k1: float, m1: Sequence[float], k2: float, m2: Sequence[float]):
@@ -281,40 +282,11 @@ def _stable_roots(q2: float, q1: float, q0: float, disc: float) -> tuple[float, 
     return qq / q2, q0 / qq
 
 
-def _balanced_eigenvalues(
-    m, adj, q: Vec3, j: int, q_norm: float
-) -> Optional[tuple[float, float, float]]:
-    """The three eigenvalues of an equilibrated symmetric matrix, or None.
-
-    They are the roots of x^3 - e1 x^2 + e2 x - e3 (trace, trace of the
-    adjugate, determinant). Newton steps started at det/e2, which is the root
-    nearest zero to first order when that root is isolated, find one root;
-    the other two solve the deflated quadratic. q is column j of the
-    adjugate, its largest, and q_norm its norm. None means the steps did not settle: no eigenvalue is
-    isolated near zero, so the matrix has rank 3 or its second eigenvalue
-    is at the rank gate.
-    """
-    m11, m12, m22, m13, m23, m33 = m
-    e1 = m11 + m22 + m33
-    e2 = adj[0] + adj[2] + adj[5]
-    if e2 == 0.0:
-        return None
-    if 2.0 * abs(q[j]) >= q_norm:
-        # M q = det e_j, so q^T M q = det q_j. Read this way the determinant
-        # of a nearly singular matrix keeps its relative accuracy, because
-        # the rounding of the cofactors in q enters only to second order.
-        # The plain cofactor expansion below leaves an absolute error of
-        # about eps, which puts the near-zero eigenvalue about eps/e2 off:
-        # past the rank gate for many matrices whose second eigenvalue is
-        # within ten times the gate. Near rank 2 the adjugate is close to a
-        # multiple of q q^T, and its largest column has q_j >= |q| / sqrt(3).
-        e3 = _k.sym_eval(m, q) / q[j]
-    else:
-        e3 = _k.dot3((m[_SYM6[j][0]], m[_SYM6[j][1]], m[_SYM6[j][2]]), q)
-    # entries of an equilibrated matrix are at most 1 in magnitude, so the
-    # rounding level of its eigenvalues is an absolute one
+def _cubic_root(x: float, e1: float, e2: float, e3: float) -> Optional[float]:
+    """A root of x^3 - e1 x^2 + e2 x - e3 by Newton steps from x, or None if
+    the steps do not settle. The coefficients are those of a matrix with
+    entries at most 1 in magnitude, whose rounding level is an absolute one."""
     settled = 8.0 * sys.float_info.epsilon * (1.0 + abs(e1))
-    x = e3 / e2
     for _ in range(_NEWTON_STEPS):
         slope = (3.0 * x - 2.0 * e1) * x + e2
         if slope == 0.0:
@@ -322,13 +294,71 @@ def _balanced_eigenvalues(
         step = (((x - e1) * x + e2) * x - e3) / slope
         x -= step
         if abs(step) <= settled:
-            break
+            return x
+    return None
+
+
+def _adjugate_column(adj) -> tuple[Vec3, int]:
+    """The largest column of an adjugate and its index. When the matrix is
+    near rank 2 this column is, to first order, a multiple of its singular
+    point."""
+    a11, a12, a22, a13, a23, a33 = adj
+    cols = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
+    norms = [_k.norm3(v) for v in cols]
+    j = norms.index(max(norms))
+    return cols[j], j
+
+
+def _eigenvalues(m, adj, norm: float) -> Optional[tuple[float, float, float]]:
+    """The three eigenvalues of a symmetric matrix, or None if none is near zero.
+
+    m is the matrix in sym6 layout with entries at most 1 in magnitude and
+    the largest at least 1/2, adj its adjugate and norm its Frobenius norm.
+    The eigenvalues are the roots of x^3 - e1 x^2 + e2 x - e3 (trace, trace
+    of the adjugate, determinant); one root is found by Newton steps and the
+    other two solve the deflated quadratic x^2 - s x + p. None means the
+    steps found no eigenvalue near zero: the matrix has rank 3.
+    """
+    m11, m12, m22, m13, m23, m33 = m
+    a11, a12, a22, a13, a23, a33 = adj
+    e1 = m11 + m22 + m33
+    e2 = a11 + a22 + a33
+    if _sym6_frobenius(adj) <= _TWO_SMALL * norm * norm:
+        # two eigenvalues near zero, which the cubic resolves only to about
+        # sqrt(eps). With lam1 dominant they are the nonzero eigenvalues of
+        # adj(M) / lam1, so read them off the adjugate: its principal 2x2
+        # minors sum to det(M) tr(M), and that sum keeps its relative
+        # accuracy where the plain determinant's rounding (about eps) would
+        # swamp lam1 lam2 lam3.
+        e3 = ((a11 * a22 - a12 * a12) + (a11 * a33 - a13 * a13) + (a22 * a33 - a23 * a23)) / e1
+        # lam1, a simple root within 6e-3 of e1 relative: the steps settle
+        x = _cubic_root(e1, e1, e2, e3)
+        p = e3 / x
+        s = (e2 - p) / x
     else:
-        return None
-    s = e1 - x
-    # the product of the other two: from e2 when x is the small root, from
-    # the determinant when x is the large one and the other two are small
-    p = e3 / x if x * x > abs(e2) else e2 - x * s
+        if e2 == 0.0:
+            return None
+        q, j = _adjugate_column(adj)
+        if 2.0 * abs(q[j]) >= _k.norm3(q):
+            # M q = det e_j, so q^T M q = det q_j. Read this way the
+            # determinant of a nearly singular matrix keeps its relative
+            # accuracy, because the rounding of the cofactors in q enters
+            # only to second order; the plain cofactor expansion below
+            # leaves an absolute error of about eps, which puts the near-zero
+            # eigenvalue about eps/e2 off. Near rank 2 the adjugate is close
+            # to a multiple of q q^T, and its largest column has
+            # q_j >= |q| / sqrt(3).
+            e3 = _k.sym_eval(m, q) / q[j]
+        else:
+            e3 = _k.dot3((m[_SYM6[j][0]], m[_SYM6[j][1]], m[_SYM6[j][2]]), q)
+        # det/e2 is the root nearest zero to first order when it is isolated
+        x = _cubic_root(e3 / e2, e1, e2, e3)
+        if x is None:
+            return None
+        s = e1 - x
+        # the product of the other two: from e2 when x is the small root,
+        # from the determinant when x is the large one
+        p = e3 / x if x * x > abs(e2) else e2 - x * s
     disc = s * s - 4.0 * p
     if disc <= 0.0:
         # a symmetric matrix has real eigenvalues: a negative discriminant
@@ -336,6 +366,25 @@ def _balanced_eigenvalues(
         return x, 0.5 * s, 0.5 * s
     y1, y2 = _stable_roots(1.0, -s, p, disc)
     return x, y1, y2
+
+
+def _spectrum(c: ConicMatrix) -> Optional[tuple[float, float, float]]:
+    """Eigenvalues of c times the power of two that brings its largest entry
+    into [1/2, 1), or None if none is near zero (see _eigenvalues).
+
+    The scale is exact, so the signs and the ratios to the spectral radius,
+    which decide rank and class, are those of c itself. Raises ValueError
+    for an inf or NaN entry.
+    """
+    v = c.sym6()
+    if not all(map(math.isfinite, v)):
+        raise ValueError("conic matrix has a non-finite entry; it has no rank")
+    top = max(abs(x) for x in v)
+    if top == 0.0:
+        return 0.0, 0.0, 0.0
+    exp = math.frexp(top)[1]
+    m = tuple(math.ldexp(x, -exp) for x in v)
+    return _eigenvalues(m, _k.sym_adjugate(m), _sym6_frobenius(m))
 
 
 def split_line_pair(
@@ -348,11 +397,8 @@ def split_line_pair(
     coordinate and leaves a binary quadratic that factors directly.
 
     The rank and sign decisions use closed-form eigenvalues of the
-    equilibrated matrix (see _balanced_eigenvalues), gated at rank_zero times
-    the spectral radius. A double line has two near-zero eigenvalues, which
-    the characteristic polynomial only resolves to about sqrt(eps); it is
-    recognized by its adjugate instead, whose Frobenius norm is within a
-    factor sqrt(3) of the product of the two largest eigenvalue magnitudes.
+    equilibrated matrix (see _eigenvalues), gated at rank_zero times the
+    spectral radius.
 
     Raises ComplexLinePair when the two lines are complex conjugates, RankOne
     for a double line, ValueError if the matrix is not degenerate, and
@@ -377,20 +423,11 @@ def split_line_pair(
     if norm == 0.0:
         raise RankOne("zero matrix")
     adj = _k.sym_adjugate(m)
-    if _sym6_frobenius(adj) <= tol.rank_zero * norm * norm:
-        # with one dominant eigenvalue ||M||_F is the spectral radius, so the
-        # second eigenvalue is below the rank gate
-        raise RankOne("conic is a double line (rank 1)")
-    a11, a12, a22, a13, a23, a33 = adj
-    cols = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
-    norms = [_k.norm3(v) for v in cols]
-    col = norms.index(max(norms))
-    q = cols[col]
-    w = _balanced_eigenvalues(m, adj, q, col, norms[col])
+    w = _eigenvalues(m, adj, norm)
     if w is None:
         raise ValueError("conic is not degenerate; it does not split into lines")
     top = max(abs(w[0]), abs(w[1]), abs(w[2]))
-    nonzero = [x for x in sorted(w) if abs(x) > tol.rank_zero * top]
+    nonzero = [x for x in w if abs(x) > tol.rank_zero * top]
     if len(nonzero) == 3:
         raise ValueError("conic is not degenerate; it does not split into lines")
     if len(nonzero) <= 1:
@@ -399,6 +436,7 @@ def split_line_pair(
         raise ComplexLinePair("degenerate conic has no real line split")
 
     # the singular point q spans the adjugate; eliminate its largest coordinate
+    q, _ = _adjugate_column(adj)
     k = max(range(3), key=lambda i: abs(q[i]))
     i, j = [idx for idx in range(3) if idx != k]
     alpha, gamma, beta = m[_SYM6[i][i]], m[_SYM6[i][j]], m[_SYM6[j][j]]

@@ -2,9 +2,11 @@
 
 Nothing here shares formulas with the closed-form solvers: the five-point
 fit goes through a null-space computation on the design matrix, tangency
-roots are isolated by sign-change bisection on the actual matrix pencil, and
-certification recomputes every constraint residual from scratch. These are
-the ground truth the solver tests compare against.
+roots are isolated by sign-change bisection on the actual matrix pencil,
+the rank of a solved conic comes from LAPACK's eigenvalues (numpy), not from
+the solvers' closed-form ones, and certification recomputes every
+constraint residual itself. These are the ground truth the solver tests
+compare against.
 """
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import _kernels as _k
-from .conics import ConicMatrix, point_residual, rank, tangency_residual
+from .conics import ConicMatrix, point_residual, tangency_residual
 from .errors import RankDeficient
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
 from .selfpolar import DiagonalTriangle
@@ -135,6 +139,16 @@ def scan_tangency_roots(
 # certification
 
 
+def _rank(c: ConicMatrix, tol: Tolerances) -> int:
+    """Numeric rank from numpy's eigenvalues: those below rank_zero times the
+    spectral radius are zero."""
+    w = np.abs(np.linalg.eigvalsh(np.array(c.matrix(), dtype=float)))
+    top = float(w.max())
+    if top == 0.0:
+        return 0
+    return int((w > tol.rank_zero * top).sum())
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -196,7 +210,7 @@ def certify(
         checks.append(CheckResult(f"incidence[{i}]", pin <= tol.residual, pin, tol.residual))
         tan = max((tangency_residual(cm, l) for l in lvs), default=0.0)
         checks.append(CheckResult(f"tangency[{i}]", tan <= tol.residual, tan, tol.residual))
-        r = rank(cm, tol)
+        r = _rank(cm, tol)
         checks.append(CheckResult(f"nondegenerate[{i}]", r == 3, float(r), 3.0))
 
     quads = _self_polar_quadrangles(points, lines, sol)

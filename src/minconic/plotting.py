@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .conics import ConicClass, ConicMatrix, classify
 from .projective import HomogeneousPoint, ProjectiveLine
 from .tolerances import DEFAULT, Tolerances
@@ -78,6 +76,10 @@ def sample_conic(
     open branch. Branches are world-coordinate polylines, already restricted
     to a generous neighborhood of the viewport.
     """
+    # LAPACK's eigenvector signs set the order of the sampled points, and so
+    # the bytes of the SVG; imported here, numpy is loaded only to plot
+    import numpy as np
+
     kind = classify(cm, tol)
     xmin, ymin, xmax, ymax = viewport
     reach = 2.0 * math.hypot(xmax - xmin, ymax - ymin)

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedCount,
 )
 from .projective import Vec3, _collinear, _vec
-from .selfpolar import _five_point_fit, conic_through_five_points, require_no_collinear_triple
+from .selfpolar import _five_point_fit, require_no_collinear_triple
 from .tolerances import DEFAULT, Tolerances
 
 KINDS = {
@@ -46,6 +46,10 @@ KINDS = {
     (1, 4): "1p4l",
     (0, 5): "5l",
 }
+
+#: the count errors of the families whose functions take a fixed number of lines
+_FOUR_POINTS = "exactly four points required"
+_THREE_POINTS = "exactly three points required"
 
 
 def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:
@@ -164,7 +168,8 @@ def solve_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatri
     Returns the normalized conic matrix; use solve() for the SolutionSet
     wrapper with diagnostics.
     """
-    return conic_through_five_points(points, tol).normalized()
+    vecs, _ = _triples(points, (), "exactly five points required")
+    return _five_point_fit(vecs, tol)[0].normalized()
 
 
 def _five_points_core(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> SolutionSet:
@@ -258,7 +263,7 @@ def predict_count_4p1l(points: Sequence, line, tol: Tolerances = DEFAULT) -> Cou
     special points (four quadrangle points, three diagonal-triangle
     vertices) forces a unique solution.
     """
-    return _predict_4p1l([_vec(p) for p in points], (_vec(line),), tol)
+    return _predict_4p1l(*_triples(points, (line,), _FOUR_POINTS), tol)
 
 
 def _predict_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> CountPrediction:
@@ -281,10 +286,7 @@ def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) ->
     admits no non-degenerate solution and is rejected as a general-position
     failure.
     """
-    vecs = [_vec(p) for p in points]
-    if len(vecs) != 4:
-        raise UnsupportedCount("exactly four points required")
-    lvs = (_vec(line),)
+    vecs, lvs = _triples(points, (line,), _FOUR_POINTS)
     return _with_residuals(_four_points_line_core(vecs, lvs, tol), vecs, lvs)
 
 
@@ -413,7 +415,7 @@ def classify_3p2l_case(
     """
     vecs = [_vec(p) for p in points]
     if len(vecs) != 3:
-        raise UnsupportedCount("exactly three points required")
+        raise UnsupportedCount(_THREE_POINTS)
     lv1, lv2 = _vec(l1), _vec(l2)
     p = _k.cross(lv1, lv2)
     if _k.norm3(p) <= tol.collinearity * _k.norm3(lv1) * _k.norm3(lv2):
@@ -507,7 +509,7 @@ def predict_count_3p2l(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> C
     negative; case 5 has four real conics exactly when all three points see
     the two lines with the same side-product sign, and none otherwise.
     """
-    return _predict_3p2l([_vec(p) for p in points], (_vec(l1), _vec(l2)), tol)
+    return _predict_3p2l(*_triples(points, (l1, l2), _THREE_POINTS), tol)
 
 
 def _predict_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> CountPrediction:
@@ -555,8 +557,7 @@ def solve_three_points_two_lines(
     case has its own closed form. Counts are one (cases 1 and 2), two or a
     complex pair (cases 3 and 4), and four or two complex pairs (case 5).
     """
-    vecs = [_vec(p) for p in points]
-    lvs = (_vec(l1), _vec(l2))
+    vecs, lvs = _triples(points, (l1, l2), _THREE_POINTS)
     return _with_residuals(_three_points_two_lines_core(vecs, lvs, tol), vecs, lvs)
 
 
@@ -693,16 +694,20 @@ _FAMILIES = {
 }
 
 
-def _triples(points: Sequence, lines: Sequence) -> tuple[list[Vec3], list[Vec3]]:
+def _triples(
+    points: Sequence, lines: Sequence, wrong_count: Optional[str] = None
+) -> tuple[list[Vec3], list[Vec3]]:
     """The coordinate triples of a five-element configuration, each element
     read once through _vec.
 
-    Raises UnsupportedCount when the total is not five and NonFiniteInput for
-    the first inf or NaN coordinate.
+    Raises UnsupportedCount when the total is not five, with the message
+    wrong_count if given, and NonFiniteInput for the first inf or NaN
+    coordinate.
     """
     if (len(points), len(lines)) not in KINDS:
         raise UnsupportedCount(
-            f"{len(points)} points and {len(lines)} lines do not form a "
+            wrong_count
+            or f"{len(points)} points and {len(lines)} lines do not form a "
             "five-element minimal configuration"
         )
     vecs: list[Vec3] = []
@@ -741,9 +746,10 @@ def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> 
 
     Lines become points and points become lines; the dual solutions are
     conics in the dual plane and their adjugates are the answers in the
-    original plane. Counts and case structure carry over unchanged.
+    original plane. Counts and case structure carry over unchanged. Raises
+    UnsupportedCount and NonFiniteInput as solve() does.
     """
-    return _solve_dual([_vec(p) for p in points], [_vec(l) for l in lines], tol)
+    return _solve_dual(*_triples(points, lines), tol)
 
 
 def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> SolutionSet:

@@ -1,12 +1,15 @@
 """Command-line interface: formats, exit codes, batch isolation."""
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import minconic
 from minconic import cli
 
-from conftest import NEAR_TIE_LINES, NEAR_TIE_POINTS
+from conftest import FIXTURES, NEAR_TIE_LINES, NEAR_TIE_POINTS
 
 
 def write_config(path, payload):
@@ -76,12 +79,13 @@ def test_check_passes_on_good_input(square_cfg, capsys):
 
 
 def test_check_exit_code_on_failure(square_cfg, capsys, monkeypatch):
+    import minconic.oracle
     from minconic.oracle import Certification, CheckResult
 
     def fake_certify(points, lines, sol, tol):
         return Certification((CheckResult("incidence[0]", False, 1.0, 1e-9),))
 
-    monkeypatch.setattr(cli.oracle, "certify", fake_certify)
+    monkeypatch.setattr(minconic.oracle, "certify", fake_certify)
     assert cli.main(["check", square_cfg]) == 5
     out = capsys.readouterr().out
     assert "FAIL incidence[0]" in out
@@ -209,3 +213,22 @@ def test_out_flag_writes_file(square_cfg, tmp_path):
     assert cli.main(["solve", square_cfg, "--format", "json", "--out", str(target)]) == 0
     doc = json.loads(target.read_text())
     assert doc["real_count"] == 2
+
+
+def test_solve_predict_and_batch_run_without_numpy():
+    # numpy is the oracle's and the plotter's; solving, predicting and
+    # batch reports must not need it
+    gallery = FIXTURES / "gallery"
+    script = f"""
+import os, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+sys.path.insert(0, {str(Path(minconic.__file__).parents[1])!r})
+from minconic import cli
+from pathlib import Path
+for f in sorted(Path({str(gallery)!r}).glob("*.json")):
+    for command in ("solve", "predict"):
+        assert cli.main([command, str(f), "--out", os.devnull]) == 0, (command, f.name)
+assert cli.main(["batch", {str(gallery)!r}, "--out", os.devnull]) == 0
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

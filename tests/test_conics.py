@@ -313,3 +313,69 @@ def test_split_decisions_agree_with_eigvalsh_near_the_rank_gate(ratio):
             m = q @ np.diag([1.0, second, 0.0]) @ q.T
             c = ConicMatrix.from_matrix(((m + m.T) / 2.0).tolist())
             assert split_decision(c) == eigvalsh_decision(c)
+
+
+def eigvalsh_rank_and_class(c: ConicMatrix, rank_zero=1e-9):
+    """rank() and the degenerate classes of classify(), read off numpy's
+    eigenvalues of the raw matrix: (rank, class), with class None at rank
+    3, or None when an eigenvalue is within numpy's own rounding of the gate
+    (the skip rule of eigvalsh_decision)."""
+    w = np.linalg.eigvalsh(np.array(c.matrix()))
+    top = float(np.abs(w).max())
+    gate = rank_zero * top
+    if any(abs(abs(x) - gate) <= 64.0 * sys.float_info.epsilon * top for x in w):
+        return None
+    nonzero = [float(x) for x in w if abs(x) > gate]
+    if len(nonzero) <= 1:
+        return len(nonzero), ConicClass.DOUBLE_LINE
+    if len(nonzero) == 2:
+        pair = ConicClass.LINE_PAIR if nonzero[0] * nonzero[1] < 0.0 else ConicClass.POINT
+        return 2, pair
+    return 3, None
+
+
+def rotation(quaternion):
+    w, x, y, z = (v / math.sqrt(sum(u * u for u in quaternion)) for v in quaternion)
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
+        (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
+        (2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)),
+    )
+
+
+quaternions = st.tuples(unit, unit, unit, unit).filter(lambda q: max(map(abs, q)) > 1e-2)
+#: log10 of the eigenvalue magnitudes beside the leading 1: both in the band
+#: around the 1e-9 rank gate, one of them, or neither
+spectra = st.one_of(
+    st.tuples(st.floats(-11.0, -7.0), st.floats(-11.0, -7.0)),
+    st.tuples(st.floats(-7.0, 0.0), st.floats(-11.0, -7.0)),
+    st.tuples(st.floats(-7.0, 0.0), st.floats(-7.0, 0.0)),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    quaternions,
+    spectra,
+    st.tuples(*[st.sampled_from([1.0, -1.0])] * 3),
+    st.integers(min_value=-100, max_value=100),
+)
+def test_rank_and_classify_agree_with_eigvalsh(q, logs, signs, k):
+    # rotations of diag(1, +-r, +-s) times 10^k; rank and classify read their
+    # eigenvalues off the closed form, and two eigenvalues at the gate are
+    # where the cubic alone resolves them only to about sqrt(eps)
+    d = (signs[0], signs[1] * 10.0 ** logs[0], signs[2] * 10.0 ** logs[1])
+    r = rotation(q)
+    scale = 10.0 ** k
+    # from_matrix reads the upper triangle, so c.matrix() is symmetric
+    c = ConicMatrix.from_matrix([
+        [scale * sum(r[i][n] * d[n] * r[j][n] for n in range(3)) for j in range(3)]
+        for i in range(3)
+    ])
+    want = eigvalsh_rank_and_class(c)
+    assume(want is not None)
+    assert rank(c) == want[0]
+    if want[1] is None:
+        assert not classify(c).is_degenerate
+    else:
+        assert classify(c) is want[1]

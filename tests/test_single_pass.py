@@ -1,7 +1,9 @@
 """Each solver family analyses its input once, and solve() reports exactly
 the prediction that predict() gives for the same input; the residuals it
 reports are those of the public residual functions, computed once per conic;
-solve() and predict() read each input element once."""
+solve() and predict() read each input element once, and the public family
+functions pass the same front door."""
+import math
 import random
 from collections import Counter
 
@@ -11,7 +13,9 @@ import minconic._kernels as _k
 from minconic import (
     HomogeneousPoint,
     MinconicError,
+    NonFiniteInput,
     ProjectiveLine,
+    UnsupportedCount,
     point_residual,
     predict,
     solve,
@@ -178,3 +182,65 @@ def test_each_element_is_read_once(api):
         READS.clear()
         api(points, lines)
         assert [READS[id(x)] for x in points + lines] == [1] * 5
+
+
+FIVE = [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (1.0, -1.0, 1.0), (2.0, 3.0, 1.0)]
+NAN_POINT = (math.nan, 0.5, 1.0)
+INF_LINE = (math.inf, 1.0, -3.0)
+L1, L2, L3, L4 = (1.0, 0.0, -3.0), (0.0, 1.0, -3.0), (1.0, 1.0, -7.0), (1.0, -1.0, 9.0)
+
+#: function, arguments with a wrong count, arguments with a non-finite
+#: coordinate, and the family's count message
+FAMILY_CALLS = {
+    "solve_five_points": (
+        solvers.solve_five_points,
+        (FIVE[:4],),
+        (FIVE[:4] + [NAN_POINT],),
+        "exactly five points required",
+    ),
+    "solve_four_points_line": (
+        solvers.solve_four_points_line,
+        (FIVE, L1),
+        (FIVE[:3] + [NAN_POINT], L1),
+        "exactly four points required",
+    ),
+    "predict_count_4p1l": (
+        solvers.predict_count_4p1l,
+        (FIVE, L1),
+        (FIVE[:3] + [NAN_POINT], L1),
+        "exactly four points required",
+    ),
+    "solve_three_points_two_lines": (
+        solvers.solve_three_points_two_lines,
+        (FIVE[:4], L1, L2),
+        (FIVE[:2] + [NAN_POINT], L1, L2),
+        "exactly three points required",
+    ),
+    "predict_count_3p2l": (
+        solvers.predict_count_3p2l,
+        (FIVE[:4], L1, L2),
+        (FIVE[:2] + [NAN_POINT], L1, L2),
+        "exactly three points required",
+    ),
+    "solve_dual": (
+        solvers.solve_dual,
+        ([], [L1, L2, L3, L4]),
+        (FIVE[:1], [L1, L2, L3, INF_LINE]),
+        "do not form a five-element",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ["wrong count", "non-finite"])
+@pytest.mark.parametrize("name", sorted(FAMILY_CALLS))
+def test_public_family_functions_pass_the_front_door(name, fault):
+    # a wrong count or an inf/NaN coordinate is named, as solve() names it,
+    # and not met later as a bare TypeError/IndexError, a wrong-case error or
+    # a prediction made from NaN signs
+    fn, wrong_count, non_finite, message = FAMILY_CALLS[name]
+    if fault == "wrong count":
+        with pytest.raises(UnsupportedCount, match=message):
+            fn(*wrong_count)
+    else:
+        with pytest.raises(NonFiniteInput):
+            fn(*non_finite)
