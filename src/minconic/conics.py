@@ -149,7 +149,7 @@ def adjugate(c: ConicMatrix) -> ConicMatrix:
 
 def rank(c: ConicMatrix, tol: Tolerances = DEFAULT) -> int:
     """Numeric rank: eigenvalues below rank_zero times the spectral radius are zero."""
-    w = _spectrum(c)
+    w = _spectrum(_equilibrated(c))
     if w is None:
         return 3
     top = max(abs(w[0]), abs(w[1]), abs(w[2]))
@@ -162,9 +162,12 @@ def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
     """Affine class of a conic.
 
     Degenerate cases are split by rank and by the signs of the nonzero
-    eigenvalues; non-degenerate ones by the leading 2x2 minor.
+    eigenvalues; non-degenerate ones by the leading 2x2 minor. Both read the
+    equilibrated entries, so huge and tiny matrices neither overflow nor
+    underflow.
     """
-    w = _spectrum(c)
+    m = _equilibrated(c)
+    w = _spectrum(m)
     if w is not None:
         top = max(abs(w[0]), abs(w[1]), abs(w[2]))
         if top == 0.0:
@@ -176,7 +179,7 @@ def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
             return ConicClass.LINE_PAIR if nonzero[0] * nonzero[1] < 0.0 else ConicClass.POINT
 
     # full rank: ellipse / parabola / hyperbola via the leading block
-    a, b, cc = c.a, c.b, c.c
+    a, b, cc = m[0], m[1], m[2]
     mean = 0.5 * (a + cc)
     rad = math.hypot(0.5 * (a - cc), b)
     big = max(abs(mean) + rad, 1e-300)
@@ -185,7 +188,7 @@ def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
         return ConicClass.PARABOLA
     if minor < 0.0:
         return ConicClass.HYPERBOLA
-    return ConicClass.REAL_ELLIPSE if c.det() * (a + cc) < 0.0 else ConicClass.IMAGINARY_ELLIPSE
+    return ConicClass.REAL_ELLIPSE if _k.sym_det(m) * (a + cc) < 0.0 else ConicClass.IMAGINARY_ELLIPSE
 
 
 def point_residual(c: ConicMatrix, p) -> float:
@@ -368,9 +371,9 @@ def _eigenvalues(m, adj, norm: float) -> Optional[tuple[float, float, float]]:
     return x, y1, y2
 
 
-def _spectrum(c: ConicMatrix) -> Optional[tuple[float, float, float]]:
-    """Eigenvalues of c times the power of two that brings its largest entry
-    into [1/2, 1), or None if none is near zero (see _eigenvalues).
+def _equilibrated(c: ConicMatrix) -> tuple[float, ...]:
+    """c's entries times the power of two that brings the largest into
+    [1/2, 1); a zero matrix stays zero.
 
     The scale is exact, so the signs and the ratios to the spectral radius,
     which decide rank and class, are those of c itself. Raises ValueError
@@ -381,9 +384,16 @@ def _spectrum(c: ConicMatrix) -> Optional[tuple[float, float, float]]:
         raise ValueError("conic matrix has a non-finite entry; it has no rank")
     top = max(abs(x) for x in v)
     if top == 0.0:
-        return 0.0, 0.0, 0.0
+        return v
     exp = math.frexp(top)[1]
-    m = tuple(math.ldexp(x, -exp) for x in v)
+    return tuple(math.ldexp(x, -exp) for x in v)
+
+
+def _spectrum(m) -> Optional[tuple[float, float, float]]:
+    """Eigenvalues of an equilibrated matrix m (see _equilibrated), or None
+    if none is near zero (see _eigenvalues)."""
+    if not any(m):
+        return 0.0, 0.0, 0.0
     return _eigenvalues(m, _k.sym_adjugate(m), _sym6_frobenius(m))
 
 

@@ -4,8 +4,10 @@ Every solver reduces its input to a conic pencil over a complete quadrangle:
 three or four of the quadrangle points are given, the remaining one moves
 along a line with parameter t, and the pencil parameter s picks the member.
 Tangency constraints then become low-degree polynomial equations in (s, t)
-that are solved in closed form. Configurations with more lines than points
-are handled through duality.
+that are solved in closed form, with at most three square roots and no
+eigenvalue solve: the generic three-point/two-line case eliminates one
+unknown between its two tangency quadratics. Configurations with more lines
+than points are handled through duality.
 
 Solution counts are exact: `real_count + complex_count` equals the number of
 non-degenerate solutions of the underlying polynomial system over the
@@ -14,6 +16,7 @@ complex numbers for the detected case.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,14 +26,13 @@ from .conics import (
     PencilEigenvalues,
     _stable_roots,
     _sym6_frobenius,
-    intersect_conic_pencil,
+    intersect_conic_pencil,  # noqa: F401  (kept importable here; no solver calls it)
     pencil_eigenvalues,
 )
 from .errors import (
     CaseDegeneracy,
     DegenerateCase,
     GeneralPositionError,
-    InconsistentPencil,
     NonFiniteInput,
     UnsupportedCount,
 )
@@ -480,15 +482,39 @@ def _scalars_3p2l(x1: Vec3, x2: Vec3, x3: Vec3, l1: Vec3, l2: Vec3):
     return p, A, B, C, D, a, b, c
 
 
-def _coord_matrix(A, B, C, D, ai, bi, ci):
-    """Tangency constraint for one line as a quadratic form in (s, t, 1)."""
-    c1 = A * A * ai * ai
-    c2 = D * ai * (C * ci - B * bi)
-    c3 = A * C * ai * ci
-    c4 = D * D * ai * ai
-    c5 = -C * D * ai * ci
-    c6 = C * C * ci * ci
-    return (c1, c2, c4, c3, c5, c6)  # sym6 layout (m11, m12, m22, m13, m23, m33)
+def _case5_roots(A, B, C, D, a, b, c) -> list[tuple[float, float]]:
+    """The four real pencil roots (s, t) of a generic input predicted real.
+
+    With X = A s, Y = D t, U = X - Y and P = X Y, tangency to line j reads
+    a_j^2 [(U + g_j)^2 - beta_j P] = 0, where g_j = C c_j / a_j and
+    beta_j = 4 B b_j / (A a_j); this uses A a_j + B b_j + C c_j = 0.
+    Eliminating P leaves a quadratic in U whose discriminant is exactly
+    4 beta_0 beta_1 (g_0 - g_1)^2; each U then gives P, and X and -Y are the
+    two roots of z^2 - U z - P. Three square roots in all.
+    """
+    g = (C * c[0] / a[0], C * c[1] / a[1])
+    beta = (4.0 * B * b[0] / (A * a[0]), 4.0 * B * b[1] / (A * a[1]))
+    q2 = beta[1] - beta[0]
+    q1 = 2.0 * (beta[1] * g[0] - beta[0] * g[1])
+    q0 = beta[1] * g[0] * g[0] - beta[0] * g[1] * g[1]
+    disc = 4.0 * beta[0] * beta[1] * (g[0] - g[1]) ** 2
+    # P from the tangency with the larger |beta|, the safer divisor
+    j = 0 if abs(beta[0]) >= abs(beta[1]) else 1
+    roots = []
+    for u in _stable_roots(q2, q1, q0, disc):
+        pp = (u + g[j]) ** 2 / beta[j]
+        z1, z2 = _stable_roots(1.0, -u, -pp, max(u * u + 4.0 * pp, 0.0))
+        roots.append((z1 / A, -z2 / D))
+        roots.append((z2 / A, -z1 / D))
+    return roots
+
+
+def _smallest_gap(lams: PencilEigenvalues) -> float:
+    """The smallest relative gap between two pencil eigenvalues."""
+    l1, l2, l3 = lams
+    return min(
+        abs(u - v) / max(abs(u), abs(v)) for u, v in ((l1, l2), (l1, l3), (l2, l3))
+    )
 
 
 def _normal_form_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
@@ -631,31 +657,22 @@ def _three_points_two_lines_core(
                 "point lies on a side of the point triangle"
             ) from exc
         diag.eigenvalues = lams
-        m1 = ConicMatrix.from_sym6(_coord_matrix(A, B, C, D, a[0], b[0], c[0]))
-        m2 = ConicMatrix.from_sym6(_coord_matrix(A, B, C, D, a[1], b[1], c[1]))
-        try:
-            inter = intersect_conic_pencil(m1, m2, lams, tol)
-        except ValueError as exc:
-            # split_line_pair found a member of full rank: two eigenvalues
-            # tie just outside the eigenvalue_tie band
-            raise CaseDegeneracy(
-                "generic-case pencil is degenerate: a member at a pencil "
-                "eigenvalue does not split into lines"
-            ) from exc
-        complex_count = inter.complex_count
-        if len(inter.real_points) + inter.complex_count != 4:
-            raise InconsistentPencil(
-                f"expected four pencil intersections, found "
-                f"{len(inter.real_points)} real and {inter.complex_count} complex"
-            )
-        if len(inter.real_points) == 2:
-            # the generic family only admits zero or four real solutions; a
-            # two-two split can only come from numerical breakdown
-            raise InconsistentPencil(
-                "two real and two complex intersections contradict the "
-                "all-or-nothing reality structure of the two-tangency pencil"
-            )
-        roots = sorted(inter.real_points)
+        # the generic family has four real solutions or none, and which is
+        # decided by the side-product signs, as the prediction reads them
+        if diag.prediction.predicted_real:
+            roots = _case5_roots(A, B, C, D, a, b, c)
+            # a root this close to a degenerate member is rounding off a
+            # near tie of the eigenvalues, whose gap bounds its accuracy
+            band = sys.float_info.epsilon / _smallest_gap(lams)
+            s = min((s for s, _ in roots), key=lambda s: min(abs(s), abs(1.0 - s)))
+            if min(abs(s), abs(1.0 - s)) <= band:
+                raise CaseDegeneracy(
+                    f"generic-case pencil is degenerate: root s={s!r} lies "
+                    f"within {band:.3g} of a degenerate member (s = 0 or 1), "
+                    "the rounding band of the nearest pencil eigenvalue tie"
+                )
+        else:
+            complex_count = 4
 
     conics: list[ConicMatrix] = []
     params: list[tuple[float, float]] = []

@@ -17,7 +17,8 @@ SQUARE = [
 
 # a 3-point/2-line case-5 input (a noisy RANSAC sample) whose pencil
 # eigenvalues lam2 and lam3 differ by 3.3e-9 relative, just outside
-# eigenvalue_tie: the lam1 member reads as full rank and does not split
+# eigenvalue_tie: one root lies 1.5e-12 from the degenerate member s = 0,
+# inside the rounding band that gap leaves
 NEAR_TIE_POINTS = [
     (-2.331610130967922, -3.553281695738844, 1.0),
     (-2.2417921437161192, -3.7005489688357103, 1.0),

@@ -161,8 +161,9 @@ def test_non_finite_input_exits_nonzero_without_traceback(tmp_path, capsys):
 
 
 def test_case5_member_that_does_not_split_exits_3_without_traceback(tmp_path, capsys):
-    # the failed line-pair split of a near-tie case-5 pencil is a case
-    # degeneracy, reported like any other special position
+    # a near-tie case-5 pencil, with a root inside the rounding band of a
+    # degenerate member, is a case degeneracy, reported like any other
+    # special position
     cfg = {"points": NEAR_TIE_POINTS, "lines": NEAR_TIE_LINES}
     assert cli.main(["solve", write_config(tmp_path / "tie.json", cfg)]) == 3
     err = capsys.readouterr().err

@@ -114,6 +114,12 @@ def test_classify_is_scale_blind():
         assert classify(CIRCLE.scaled(k)) is ConicClass.REAL_ELLIPSE
 
 
+@pytest.mark.parametrize("k", [1e-200, 1.0, 1e200])
+def test_classify_full_rank_is_blind_to_extreme_scales(k):
+    # the leading minor k^2 would underflow or overflow unscaled
+    assert classify(ConicMatrix(k, 0.0, k, 0.0, 0.0, -k)) is ConicClass.REAL_ELLIPSE
+
+
 def test_rank():
     assert rank(CIRCLE) == 3
     assert rank(ConicMatrix.from_coefficients((1.0, 0.0, -1.0, 0.0, 0.0, 0.0))) == 2

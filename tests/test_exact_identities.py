@@ -496,6 +496,38 @@ def test_case5_eigenvalues_are_side_ratios():
             assert mat_det(member) == 0
 
 
+def test_case5_tangency_form_factors():
+    # with X = A s, Y = D t, U = X - Y, P = X Y, g = C c_j / a_j and
+    # beta = 4 B b_j / (A a_j), tangency form j at (s, t, 1) equals
+    # a_j^2 [(U + g)^2 - beta P]; the barycentric identity makes it so
+    rng = Random(115)
+    for _ in range(6):
+        _, _, (p, A, B, C, D, a, b, c) = general_3p2l(rng)
+        for j in (0, 1):
+            m = coord_matrix(A, B, C, D, a[j], b[j], c[j])
+            g = C * c[j] / a[j]
+            beta = 4 * B * b[j] / (A * a[j])
+            for s, t in ((F(2), F(-1, 3)), (F(7, 5), F(3)), (F(-5, 2), F(1, 7))):
+                v = (s, t, F(1))
+                U, P = A * s - D * t, A * s * D * t
+                assert dot(v, tuple(dot(row, v) for row in m)) == a[j] ** 2 * ((U + g) ** 2 - beta * P)
+
+
+def test_case5_eliminant_discriminant():
+    # eliminating P between the two factored forms leaves
+    # (beta1 - beta0) U^2 + 2 (beta1 g0 - beta0 g1) U + (beta1 g0^2 - beta0 g1^2),
+    # whose discriminant is 4 beta0 beta1 (g0 - g1)^2: a sign product
+    rng = Random(116)
+    for _ in range(6):
+        _, _, (p, A, B, C, D, a, b, c) = general_3p2l(rng)
+        g = [C * c[j] / a[j] for j in (0, 1)]
+        beta = [4 * B * b[j] / (A * a[j]) for j in (0, 1)]
+        q2 = beta[1] - beta[0]
+        q1 = 2 * (beta[1] * g[0] - beta[0] * g[1])
+        q0 = beta[1] * g[0] ** 2 - beta[0] * g[1] ** 2
+        assert q1 * q1 - 4 * q2 * q0 == 4 * beta[0] * beta[1] * (g[0] - g[1]) ** 2
+
+
 def test_adjugate_involution():
     # adj(adj(M)) = det(M) M for 3x3 symmetric
     rng = Random(114)
