@@ -25,7 +25,7 @@ from .errors import (
     InconsistentPencil,
     RankOne,
 )
-from .projective import ProjectiveLine, Vec3, _vec
+from .projective import ProjectiveLine, Vec3, _incident, _vec
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -191,19 +191,23 @@ def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
     return ConicClass.REAL_ELLIPSE if _k.sym_det(m) * (a + cc) < 0.0 else ConicClass.IMAGINARY_ELLIPSE
 
 
+def _residual(m6: Sequence[float], norm: float, v: Vec3) -> float:
+    """|v^T M v| / (norm ||v||^2) for the symmetric matrix m6 of Frobenius
+    norm `norm`: the one residual expression behind both public residuals."""
+    n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    return abs(_k.sym_eval(m6, v)) / (norm * n2)
+
+
 def point_residual(c: ConicMatrix, p) -> float:
     """Normalized incidence residual |x^T C x| / (||C||_F ||x||^2)."""
-    v = _vec(p)
-    n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    return abs(c.point_value(v)) / (c.frobenius() * n2)
+    m = c.sym6()
+    return _residual(m, _sym6_frobenius(m), _vec(p))
 
 
 def tangency_residual(c: ConicMatrix, l) -> float:
     """Normalized tangency residual |l^T adj(C) l| / (||adj(C)||_F ||l||^2)."""
-    v = _vec(l)
-    adj = c.adjugate()
-    n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    return abs(_k.sym_eval(adj.sym6(), v)) / (adj.frobenius() * n2)
+    adj = _k.sym_adjugate(c.sym6())
+    return _residual(adj, _sym6_frobenius(adj), _vec(l))
 
 
 class PencilEigenvalues(NamedTuple):
@@ -231,8 +235,7 @@ def pencil_eigenvalues(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> P
     for idx, pt in enumerate(points):
         v = _vec(pt)
         for lv in (lv1, lv2):
-            val = _k.dot3(v, lv)
-            if abs(val) <= tol.incidence * _k.norm3(v) * _k.norm3(lv):
+            if _incident(v, lv, tol):
                 raise GeneralPositionError(
                     f"point {idx} lies on an input line; the generic pencil "
                     "construction does not apply",

@@ -76,6 +76,12 @@ def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
     return abs(_k.det3(u, v, w)) <= tol.collinearity * (_k.norm3(u) * _k.norm3(v) * _k.norm3(w))
 
 
+def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:
+    """Whether a point triple lies on a line triple: |x . l| within the
+    incidence tolerance times the product of the two norms."""
+    return abs(_k.dot3(x, l)) <= tol.incidence * _k.norm3(x) * _k.norm3(l)
+
+
 def cross(a: Sequence[float], b: Sequence[float]) -> Vec3:
     """Cross product of two homogeneous triples.
 
@@ -129,8 +135,7 @@ def side_sign(p: HomogeneousPoint, l: ProjectiveLine, tol: Tolerances = DEFAULT)
 
     Zero means incident within the relative incidence tolerance.
     """
-    v = _k.dot3(p.vec(), l.vec())
-    scale = _k.norm3(p.vec()) * _k.norm3(l.vec())
-    if abs(v) <= tol.incidence * scale:
+    u, lv = p.vec(), l.vec()
+    if _incident(u, lv, tol):
         return 0
-    return 1 if v > 0.0 else -1
+    return 1 if _k.dot3(u, lv) > 0.0 else -1

@@ -11,7 +11,10 @@ than points are handled through duality.
 
 Solution counts are exact: `real_count + complex_count` equals the number of
 non-degenerate solutions of the underlying polynomial system over the
-complex numbers for the detected case.
+complex numbers for the detected case. Every solver core takes its real and
+complex counts from the family's count prediction, the sign products that
+predict() returns, so prediction and realization agree by construction; a
+sign product that underflows to exactly 0.0 raises DegenerateCase from both.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from . import _kernels as _k
 from .conics import (
     ConicMatrix,
     PencilEigenvalues,
+    _residual,
     _stable_roots,
     _sym6_frobenius,
     intersect_conic_pencil,  # noqa: F401  (kept importable here; no solver calls it)
@@ -36,7 +40,7 @@ from .errors import (
     NonFiniteInput,
     UnsupportedCount,
 )
-from .projective import Vec3, _collinear, _vec
+from .projective import Vec3, _collinear, _incident, _vec
 from .selfpolar import _five_point_fit, require_no_collinear_triple
 from .tolerances import DEFAULT, Tolerances
 
@@ -52,10 +56,6 @@ KINDS = {
 #: the count errors of the families whose functions take a fixed number of lines
 _FOUR_POINTS = "exactly four points required"
 _THREE_POINTS = "exactly three points required"
-
-
-def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:
-    return abs(_k.dot3(x, l)) <= tol.incidence * _k.norm3(x) * _k.norm3(l)
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,7 @@ def _with_residuals(sol: SolutionSet, vecs: Sequence[Vec3], lvs: Sequence[Vec3])
     adjugated conics against the original input instead of measuring the
     dual-plane conics it never returns. vecs and lvs are the triples _vec
     read, as point_residual and tangency_residual read them. Each conic's
-    norm and adjugate are computed once; every residual is the same
-    expression, evaluated in the same order, as those public functions.
+    norm and adjugate are computed once.
     """
     pin = 0.0
     tan = 0.0
@@ -147,14 +146,12 @@ def _with_residuals(sol: SolutionSet, vecs: Sequence[Vec3], lvs: Sequence[Vec3])
         m = cm.sym6()
         norm = _sym6_frobenius(m)
         for v in vecs:
-            n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-            pin = max(pin, abs(_k.sym_eval(m, v)) / (norm * n2))
+            pin = max(pin, _residual(m, norm, v))
         if lvs:
             adj = _k.sym_adjugate(m)
             adj_norm = _sym6_frobenius(adj)
             for v in lvs:
-                n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-                tan = max(tan, abs(_k.sym_eval(adj, v)) / (adj_norm * n2))
+                tan = max(tan, _residual(adj, adj_norm, v))
     sol.diagnostics.max_incidence_residual = pin
     sol.diagnostics.max_tangency_residual = tan
     return sol
@@ -196,36 +193,17 @@ def _tangency_quadratic(xi: tuple[Vec3, Vec3, Vec3], l: Vec3) -> tuple[float, fl
     Roots are the pencil parameters of members tangent to l; only the three
     squared vertex incidences enter.
     """
-    L1 = _k.dot3(xi[0], l) ** 2
-    L2 = _k.dot3(xi[1], l) ** 2
-    L3 = _k.dot3(xi[2], l) ** 2
-    return (L3, -(L1 - L2 + L3), L1)
+    d1, d2, d3 = _k.dot3(xi[0], l), _k.dot3(xi[1], l), _k.dot3(xi[2], l)
+    return (d3 * d3, -(d1 * d1 - d2 * d2 + d3 * d3), d1 * d1)
 
 
-def _quadratic_roots(
-    q2: float, q1: float, q0: float, tol: Tolerances
-) -> tuple[list[float], int, float, bool]:
-    """Stable real roots of q2 x^2 + q1 x + q0 = 0.
-
-    Returns (roots, complex_count, discriminant, double). A discriminant
-    inside the relative zero band counts as a double root (reported once); a
-    vanishing leading coefficient drops to the linear equation.
-    """
-    scale = max(abs(q2), abs(q1), abs(q0))
-    if scale == 0.0:
-        raise DegenerateCase("tangency condition vanished identically")
-    if abs(q2) <= 1e-14 * scale:
-        if abs(q1) <= 1e-14 * scale:
-            raise DegenerateCase("tangency condition is constant and nonzero")
-        return ([-q0 / q1], 0, q1 * q1, False)
-    disc = q1 * q1 - 4.0 * q2 * q0
-    # relative to the cancelling terms, not the raw coefficient magnitudes
-    band = tol.discriminant * max(q1 * q1, abs(4.0 * q2 * q0))
-    if disc < -band:
-        return ([], 2, disc, False)
-    if disc <= band:
-        return ([-q1 / (2.0 * q2)], 0, disc, True)
-    return (sorted(_stable_roots(q2, q1, q0, disc)), 0, disc, False)
+def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float, tol: Tolerances) -> ConicMatrix:
+    """The normalized pencil member at parameter s of the diagonal triangle
+    (xi1, xi2, xi3); DegenerateCase within tol.parameter of the line pairs at
+    s = 0 and s = 1."""
+    if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
+        raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
+    return ConicMatrix.from_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s)).normalized()
 
 
 def _sign_product_4p1l(vecs: Sequence[Vec3], lv: Vec3) -> float:
@@ -243,6 +221,15 @@ def _sign_product_4p1l(vecs: Sequence[Vec3], lv: Vec3) -> float:
     return pred
 
 
+def _undecided(what: str) -> DegenerateCase:
+    """The error for a sign product that came out exactly zero: one of its
+    factors is zero or underflowed, so its sign decides nothing."""
+    return DegenerateCase(
+        f"{what} is exactly 0.0: a factor vanished or underflowed, so the "
+        "real/complex count is undecided"
+    )
+
+
 def _prediction_4p1l(pred: float, on_line: bool, on_vertex: bool) -> CountPrediction:
     if on_line:
         return CountPrediction(1, 0, "unique: line through a quadrangle point", pred)
@@ -250,6 +237,8 @@ def _prediction_4p1l(pred: float, on_line: bool, on_vertex: bool) -> CountPredic
         return CountPrediction(
             1, 0, "unique: line through a diagonal-triangle vertex", pred
         )
+    if pred == 0.0:
+        raise _undecided("orientation/side sign product")
     if pred > 0.0:
         return CountPrediction(2, 0, "orientation/side sign product positive", pred)
     return CountPrediction(0, 2, "orientation/side sign product negative", pred)
@@ -320,59 +309,45 @@ def _four_points_line_core(
     prediction = _prediction_4p1l(
         _sign_product_4p1l(vecs, lv), bool(on_line), bool(on_vertex)
     )
-    double = False
 
     if on_line:
         # tangency is pinned at the incident point: the two roots coincide
         scale = max(abs(q2), abs(q1), abs(q0))
         roots = [-q0 / q1] if abs(q2) <= 1e-14 * scale else [-q1 / (2.0 * q2)]
-        complex_count, disc, double = 0, 0.0, True
+        disc = 0.0
         label = "4p1l/point-on-line"
     elif on_vertex:
-        # one root belongs to a degenerate pencil member; drop it
-        all_roots, complex_count, disc, double = _quadratic_roots(q2, q1, q0, tol)
-        gap = math.sqrt(tol.parameter)
-        roots = [s for s in all_roots if abs(s) > gap and abs(s - 1.0) > gap]
-        if len(roots) != 1:
+        # the line through vertex k pins one root at the degenerate member
+        # s = 0, 1 or infinity; the other follows from the roots' sum or
+        # product
+        k = on_vertex[0]
+        disc = q1 * q1 if k == 2 else q1 * q1 - 4.0 * q2 * q0
+        num, den = ((-q1, q2), (q0, q2), (-q0, q1))[k]
+        if den == 0.0:
             raise DegenerateCase(
                 "line through a triangle vertex did not leave exactly one "
                 "non-degenerate tangent member"
             )
-        complex_count = 0
+        roots = [num / den]
         label = "4p1l/diagonal-vertex"
     else:
         # the discriminant equals 16 times the determinant/incidence product
-        # exactly, so the real-versus-complex decision is a pure sign product
-        # with no cancellation and always matches the count prediction
+        # exactly, so the prediction's sign decides real versus complex
         disc = 16.0 * prediction.predicate
-        if disc > 0.0:
-            roots, complex_count = sorted(_stable_roots(q2, q1, q0, disc)), 0
-        elif disc < 0.0:
-            roots, complex_count = [], 2
-        else:
-            roots, complex_count, double = [-q1 / (2.0 * q2)], 0, True
+        roots = sorted(_stable_roots(q2, q1, q0, disc)) if prediction.predicted_real else []
         label = "4p1l/generic"
 
-    conics = []
-    params = []
-    for s in roots:
-        if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
-            raise DegenerateCase(f"tangent pencil member at s={s!r} is degenerate")
-        conics.append(
-            ConicMatrix.from_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s)).normalized()
-        )
-        params.append((s, math.nan))
-
+    conics = [_pencil_member(xi1, xi2, xi3, s, tol) for s in roots]
     diag = SolveDiagnostics(
         case_label=label,
         allocation=(0, 1, 2, 3),
         discriminant=disc,
-        parameters=tuple(params),
+        parameters=tuple((s, math.nan) for s in roots),
         prediction=prediction,
         triangle_deviation=dev,
-        double_root=double,
+        double_root=bool(on_line),
     )
-    return SolutionSet(tuple(conics), complex_count, label, diag)
+    return SolutionSet(tuple(conics), prediction.predicted_complex, label, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +472,14 @@ def _case5_roots(A, B, C, D, a, b, c) -> list[tuple[float, float]]:
     q2 = beta[1] - beta[0]
     q1 = 2.0 * (beta[1] * g[0] - beta[0] * g[1])
     q0 = beta[1] * g[0] * g[0] - beta[0] * g[1] * g[1]
-    disc = 4.0 * beta[0] * beta[1] * (g[0] - g[1]) ** 2
+    dg = g[0] - g[1]
+    disc = 4.0 * beta[0] * beta[1] * (dg * dg)
     # P from the tangency with the larger |beta|, the safer divisor
     j = 0 if abs(beta[0]) >= abs(beta[1]) else 1
     roots = []
     for u in _stable_roots(q2, q1, q0, disc):
-        pp = (u + g[j]) ** 2 / beta[j]
+        w = u + g[j]
+        pp = w * w / beta[j]
         z1, z2 = _stable_roots(1.0, -u, -pp, max(u * u + 4.0 * pp, 0.0))
         roots.append((z1 / A, -z2 / D))
         roots.append((z2 / A, -z1 / D))
@@ -554,11 +531,15 @@ def _prediction_3p2l(case: int, A, B, a, b, c) -> CountPrediction:
         )
     if case == 3:
         pred = (a[0] * c[0]) * (a[1] * c[1])
+        if pred == 0.0:
+            raise _undecided("case 3 side-product product")
         if pred > 0.0:
             return CountPrediction(2, 0, "case 3: side products agree in sign", pred)
         return CountPrediction(0, 2, "case 3: side products differ in sign", pred)
     if case == 4:
         pred = -A * B * a[1] * b[1]
+        if pred == 0.0:
+            raise _undecided("case 4 determinant/incidence product")
         if pred > 0.0:
             return CountPrediction(
                 2, 0, "case 4: determinant/incidence product negative", pred
@@ -567,6 +548,8 @@ def _prediction_3p2l(case: int, A, B, a, b, c) -> CountPrediction:
             0, 2, "case 4: determinant/incidence product positive", pred
         )
     sides = (a[0] * a[1], b[0] * b[1], c[0] * c[1])
+    if 0.0 in sides:
+        raise _undecided("a case 5 side product")
     pred = sides[0] * sides[1] * sides[2]
     same = all(s > 0.0 for s in sides) or all(s < 0.0 for s in sides)
     if same:
@@ -604,7 +587,6 @@ def _three_points_two_lines_core(
     # is x4 = t*anchor + offset
     anchor, offset = x1, p
     roots: list[tuple[Optional[float], float]] = []
-    complex_count = 0
 
     if alloc.case == 1:
         # tangency is pinned at the two incident points
@@ -622,31 +604,24 @@ def _three_points_two_lines_core(
 
     elif alloc.case == 3:
         # second and third points are collinear with the line crossing; s is
-        # read off the triangle of each root t below
+        # read off the triangle of each root t below. t^2 = rhs, whose sign
+        # is that of the prediction's side-product product
         rhs = (C * C * c[0] * c[1]) / (D * D * a[0] * a[1])
         diag.discriminant = rhs
-        if rhs <= 0.0:
-            complex_count = 2
-        else:
+        if diag.prediction.predicted_real:
             roots = [(None, math.sqrt(rhs)), (None, -math.sqrt(rhs))]
 
     elif alloc.case == 4:
         # third point rides the first line; tangency to the second is quadratic
-        # in t, and its discriminant reduces exactly to a sign product, so the
-        # reality decision always matches the count prediction
+        # in t, and its discriminant reduces exactly to 16 D^2 times the
+        # prediction's sign product, so the prediction decides its reality
         q2 = 4.0 * D * D * a[1]
         q1 = 4.0 * D * A * a[1]
         q0 = -A * C * c[1]
         disc = -16.0 * D * D * A * B * a[1] * b[1]
         diag.discriminant = disc
-        if disc > 0.0:
-            ts = _stable_roots(q2, q1, q0, disc)
-        elif disc < 0.0:
-            ts, complex_count = (), 2
-        else:
-            ts = (-q1 / (2.0 * q2),)
-            diag.double_root = True
-        roots = [(-(D / A) * t, t) for t in ts]
+        if diag.prediction.predicted_real:
+            roots = [(-(D / A) * t, t) for t in _stable_roots(q2, q1, q0, disc)]
 
     else:
         try:
@@ -671,8 +646,6 @@ def _three_points_two_lines_core(
                     f"within {band:.3g} of a degenerate member (s = 0 or 1), "
                     "the rounding band of the nearest pencil eigenvalue tie"
                 )
-        else:
-            complex_count = 4
 
     conics: list[ConicMatrix] = []
     params: list[tuple[float, float]] = []
@@ -680,22 +653,16 @@ def _three_points_two_lines_core(
         x4 = tuple(t * u + v for u, v in zip(anchor, offset))
         xi1, xi2, xi3, dev = _k.diag_triangle(x1, x2, x3, x4)
         if s is None:
-            L1 = _k.dot3(xi1, lv1) ** 2
-            L2 = _k.dot3(xi2, lv1) ** 2
-            s = L1 / (L1 - L2)
-        if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
-            raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
-        conics.append(
-            ConicMatrix.from_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s)).normalized()
-        )
+            d1, d2 = _k.dot3(xi1, lv1), _k.dot3(xi2, lv1)
+            s = d1 * d1 / (d1 * d1 - d2 * d2)
+        conics.append(_pencil_member(xi1, xi2, xi3, s, tol))
         params.append((s, t))
         diag.triangle_deviation = dev
 
     order = sorted(range(len(conics)), key=lambda i: params[i])
     diag.parameters = tuple(params[i] for i in order)
-    return SolutionSet(
-        tuple(conics[i] for i in order), complex_count, alloc.label, diag
-    )
+    complex_count = diag.prediction.predicted_complex
+    return SolutionSet(tuple(conics[i] for i in order), complex_count, alloc.label, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,19 @@ def test_any_solver_error_exits_1_without_traceback(square_cfg, capsys, monkeypa
 
 SQUARE_FIFTH_POINT = {"points": SQUARE_TANGENT["points"] + [[2, 0.5]]}
 
+#: the gallery's 3p2l_case5_real_b, four real conics at unit scale
+CASE5_REAL = {"points": [[0, 0], [-2, 0], [0, -2]], "lines": [[1, 0, -1], [0, 1, -1]]}
 
-@pytest.mark.parametrize("config", [SQUARE_TANGENT, SQUARE_FIFTH_POINT], ids=["4p1l", "5p"])
+
+@pytest.mark.parametrize(
+    "config", [SQUARE_TANGENT, SQUARE_FIFTH_POINT, CASE5_REAL], ids=["4p1l", "5p", "3p2l_c5"]
+)
 def test_overflowing_input_exits_nonzero_without_traceback(tmp_path, capsys, config):
-    # the README square with every homogeneous coordinate scaled by 1e40:
-    # with the tangent it reads as special position, and with a fifth point
-    # the five-point conic overflows to non-finite entries
+    # the input with every homogeneous coordinate scaled by 1e40: the README
+    # square with its tangent reads as special position, with a fifth point
+    # the five-point conic overflows to non-finite entries, and the case-5
+    # eliminant's squares overflow to inf, which must end in the same named
+    # error and not in an OverflowError
     scaled = {
         "points": [[1e40 * x for x in p + [1]] for p in config["points"]],
         "lines": [[1e40 * x for x in l] for l in config.get("lines", [])],

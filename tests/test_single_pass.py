@@ -11,6 +11,7 @@ import pytest
 
 import minconic._kernels as _k
 from minconic import (
+    DegenerateCase,
     HomogeneousPoint,
     MinconicError,
     NonFiniteInput,
@@ -244,3 +245,38 @@ def test_public_family_functions_pass_the_front_door(name, fault):
     else:
         with pytest.raises(NonFiniteInput):
             fn(*non_finite)
+
+
+def scaled_gallery_case(name, scale):
+    """A gallery input with every homogeneous coordinate multiplied by scale."""
+    points, lines, _ = load_gallery_case(name)
+    return (
+        [tuple(scale * v for v in p.vec()) for p in points],
+        [tuple(scale * v for v in l.vec()) for l in lines],
+    )
+
+
+@pytest.mark.parametrize(
+    "name, scale",
+    [("4p1l_generic_real_a", 1e-40), ("3p2l_case3_real_a", 1e-50), ("3p2l_case4_real_a", 1e-40)],
+)
+def test_underflowed_sign_product_fails_predict_and_solve_alike(name, scale):
+    # scaled down until the prediction's sign product underflows to 0.0: its
+    # sign then decides nothing, so both entry points refuse the input with
+    # the same named error instead of a count or a bare ZeroDivisionError
+    points, lines = scaled_gallery_case(name, scale)
+    with pytest.raises(DegenerateCase) as from_predict:
+        predict(points, lines)
+    with pytest.raises(DegenerateCase) as from_solve:
+        solve(points, lines)
+    assert str(from_predict.value) == str(from_solve.value)
+    assert "exactly 0.0" in str(from_solve.value)
+
+
+def test_case5_prediction_reads_its_side_products_not_their_product():
+    # at 1e-40 the product of the three side products underflows to 0.0, but
+    # each side product is still a normal float whose sign decides the count
+    points, lines = scaled_gallery_case("3p2l_case5_real_a", 1e-40)
+    pred = predict(points, lines)
+    assert pred.predicate == 0.0
+    assert (pred.predicted_real, pred.predicted_complex) == (4, 0)

@@ -1,6 +1,7 @@
 """Four points + one tangent line: branches, anchors, invariances."""
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,54 @@ def test_vertex_line_gives_the_known_member(square):
     assert six_vector_angle(sol.real_conics[0], want) < 1e-14
     pred = predict_count_4p1l(square, line)
     assert pred.rule == "unique: line through a diagonal-triangle vertex"
+    assert (pred.predicted_real, pred.predicted_complex) == (1, 0)
+
+
+#: a quadrangle without symmetry, so the lines through its three diagonal
+#: vertices exercise three different root formulas; every coordinate,
+#: vertex and incidence here is an exact integer
+SKEW_QUADRANGLE = [(0, 0, 1), (5, 1, 1), (4, 4, 1), (1, 3, 1)]
+
+
+def int_cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def exact_free_root(xi, line):
+    """The tangency root other than the pinned s = 0, 1 or infinity, read off
+    the exact quadratic q2 s^2 + q1 s + q0 of the squared vertex incidences."""
+    L1, L2, L3 = (sum(u * v for u, v in zip(x, line)) ** 2 for x in xi)
+    q2, q1, q0 = L3, -(L1 - L2 + L3), L1
+    if q2 == 0:
+        return Fraction(-q0, q1)
+    disc = q1 * q1 - 4 * q2 * q0
+    rt = math.isqrt(disc)
+    assert rt * rt == disc  # one root is rational, so both are
+    roots = {Fraction(-q1 + sign * rt, 2 * q2) for sign in (1, -1)} - {0, 1}
+    assert len(roots) == 1
+    return roots.pop()
+
+
+@pytest.mark.parametrize("k, other", [(0, (2, 0, 1)), (1, (3, 0, 1)), (2, (0, 2, 1))])
+def test_line_through_each_vertex_gives_the_exact_root(k, other):
+    p1, p2, p3, p4 = SKEW_QUADRANGLE
+    xi = (
+        int_cross(int_cross(p1, p2), int_cross(p3, p4)),
+        int_cross(int_cross(p1, p3), int_cross(p2, p4)),
+        int_cross(int_cross(p1, p4), int_cross(p2, p3)),
+    )
+    line = int_cross(xi[k], other)
+    points = [tuple(map(float, p)) for p in SKEW_QUADRANGLE]
+    sol = solve_four_points_line(points, tuple(map(float, line)))
+    assert sol.case_label == "4p1l/diagonal-vertex"
+    assert (sol.real_count, sol.complex_count) == (1, 0)
+    want = exact_free_root(xi, line)
+    assert sol.diagnostics.parameters[0][0] == pytest.approx(float(want), rel=1e-15)
+    conic = sol.real_conics[0]
+    for p in points:
+        assert point_residual(conic, p) < 1e-14
+    assert tangency_residual(conic, line) < 1e-12
+    pred = predict_count_4p1l(points, line)
     assert (pred.predicted_real, pred.predicted_complex) == (1, 0)
 
 
