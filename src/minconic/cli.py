@@ -54,6 +54,13 @@ def _num(x) -> float:
     return float(x)
 
 
+def _items(doc: dict, key: str) -> list:
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise ParseError(f"{key} must be a list")
+    return items
+
+
 def load_config(path: str) -> dict:
     try:
         raw = Path(path).read_text()
@@ -67,7 +74,7 @@ def load_config(path: str) -> dict:
         raise ParseError(f"{path}: top level must be an object")
 
     points = []
-    for i, item in enumerate(doc.get("points", [])):
+    for i, item in enumerate(_items(doc, "points")):
         if not isinstance(item, list) or len(item) not in (2, 3):
             raise ParseError(f"points[{i}] must be [x, y] or [x, y, w]")
         nums = [_num(v) for v in item]
@@ -75,7 +82,7 @@ def load_config(path: str) -> dict:
             nums.append(1.0)
         points.append(HomogeneousPoint(*nums))
     lines = []
-    for i, item in enumerate(doc.get("lines", [])):
+    for i, item in enumerate(_items(doc, "lines")):
         if not isinstance(item, list) or len(item) != 3:
             raise ParseError(f"lines[{i}] must be [a, b, c]")
         lines.append(ProjectiveLine(*(_num(v) for v in item)))
@@ -241,7 +248,11 @@ def _viewport(args, options: dict) -> plotting.Viewport:
         parts = raw.split(",")
         if len(parts) != 4:
             raise ParseError("viewport must be xmin,ymin,xmax,ymax")
-        vals = [_num(float(p)) for p in parts]
+        try:
+            floats = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"viewport must be four numbers, got {raw!r}") from None
+        vals = [_num(v) for v in floats]
     else:
         if not isinstance(raw, list) or len(raw) != 4:
             raise ParseError("viewport must be a list of four numbers")

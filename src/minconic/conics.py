@@ -242,6 +242,12 @@ def pencil_eigenvalues(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> P
                     (idx,),
                 )
         incs.append((_k.dot3(v, lv1), _k.dot3(v, lv2)))
+    return _pencil_eigenvalues(incs, tol)
+
+
+def _pencil_eigenvalues(incs: Sequence, tol: Tolerances) -> PencilEigenvalues:
+    """pencil_eigenvalues from the incidences (x . l1, x . l2) of the three
+    points, none of them zero; DegenerateCase on a near-tie."""
     (a1, a2), (b1, b2), (c1, c2) = incs
     lams = PencilEigenvalues(
         (a2 * b2) / (a1 * b1),

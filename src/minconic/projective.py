@@ -71,9 +71,14 @@ def _vec(p) -> Vec3:
 
 def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
     """Whether three homogeneous triples are dependent (collinear points or
-    concurrent lines): |det| within the collinearity tolerance times the
-    product of the three norms."""
-    return abs(_k.det3(u, v, w)) <= tol.collinearity * (_k.norm3(u) * _k.norm3(v) * _k.norm3(w))
+    concurrent lines)."""
+    return _dependent(_k.det3(u, v, w), _k.norm3(u) * _k.norm3(v) * _k.norm3(w), tol)
+
+
+def _dependent(det: float, norms: float, tol: Tolerances) -> bool:
+    """Whether a triple's determinant is zero within the collinearity
+    tolerance times norms, the product of the three norms."""
+    return abs(det) <= tol.collinearity * norms
 
 
 def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:

@@ -8,26 +8,31 @@ is what the minimal solvers exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from . import _kernels as _k
 from .conics import ConicMatrix
 from .errors import DegenerateParameter, GeneralPositionError, UnsupportedCount
-from .projective import Vec3, _collinear, _vec
+from .projective import Vec3, _dependent, _vec
 from .tolerances import DEFAULT, Tolerances
 
 
-def require_no_collinear_triple(points: Sequence, tol: Tolerances = DEFAULT) -> None:
-    """Raise GeneralPositionError naming the first collinear triple found."""
+def require_no_collinear_triple(points: Sequence, tol: Tolerances = DEFAULT) -> list[float]:
+    """Raise GeneralPositionError naming the first collinear triple found.
+
+    Otherwise return the determinants of the triples i < j < k in
+    lexicographic order, (0, 1, 2), (0, 1, 3), ...
+    """
     vecs = [_vec(p) for p in points]
-    n = len(vecs)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                if _collinear(vecs[i], vecs[j], vecs[k], tol):
-                    raise GeneralPositionError(
-                        f"points {i}, {j}, {k} are collinear", (i, j, k)
-                    )
+    norms = [_k.norm3(v) for v in vecs]
+    dets = []
+    for i, j, k in combinations(range(len(vecs)), 3):
+        d = _k.det3(vecs[i], vecs[j], vecs[k])
+        if _dependent(d, norms[i] * norms[j] * norms[k], tol):
+            raise GeneralPositionError(f"points {i}, {j}, {k} are collinear", (i, j, k))
+        dets.append(d)
+    return dets
 
 
 @dataclass(frozen=True)
@@ -147,14 +152,8 @@ def pencil_conic(tri: DiagonalTriangle, s: float, tol: Tolerances = DEFAULT) -> 
 
 def conic_through_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatrix:
     """The unique conic through five points, no three collinear."""
-    return _five_point_fit([_vec(p) for p in points], tol)[0]
-
-
-def _five_point_fit(vecs: Sequence[Vec3], tol: Tolerances) -> tuple[ConicMatrix, float]:
-    """The conic through five point triples and the deviation of the diagonal
-    triangle of the first four, which the fit is built on."""
+    vecs = [_vec(p) for p in points]
     if len(vecs) != 5:
         raise UnsupportedCount("exactly five points required")
     require_no_collinear_triple(vecs, tol)
-    m6, _beta, dev = _k.conic_from_five_points(*vecs)
-    return ConicMatrix.from_sym6(m6), dev
+    return ConicMatrix.from_sym6(_k.conic_from_five_points(*vecs)[0])

@@ -11,27 +11,36 @@ than points are handled through duality.
 
 Solution counts are exact: `real_count + complex_count` equals the number of
 non-degenerate solutions of the underlying polynomial system over the
-complex numbers for the detected case. Every solver core takes its real and
-complex counts from the family's count prediction, the sign products that
-predict() returns, so prediction and realization agree by construction; a
-sign product that underflows to exactly 0.0 raises DegenerateCase from both.
+complex numbers for the detected case.
+
+Each family is an analysis and a builder. The analysis reads only the input:
+it raises every refusal that needs nothing more (collinear points, a line
+through two quadrangle points or two diagonal-triangle vertices, the
+three-point/two-line special positions, a sign product that underflows to
+exactly 0.0, the case-2 denominator, the case-5 eigenvalue tie) and returns
+the family's count prediction, made from sign products, with the state the
+builder needs. The builder finds the pencil roots and members and takes its
+real and complex counts from that prediction. One front door dualizes a
+lines-heavy input and runs the analysis for predict() and solve() alike, so
+predict() refuses every input that solve()'s analysis refuses, and
+prediction and realization agree by construction.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import _kernels as _k
 from .conics import (
     ConicMatrix,
     PencilEigenvalues,
+    _pencil_eigenvalues,
     _residual,
     _stable_roots,
     _sym6_frobenius,
     intersect_conic_pencil,  # noqa: F401  (kept importable here; no solver calls it)
-    pencil_eigenvalues,
 )
 from .errors import (
     CaseDegeneracy,
@@ -41,7 +50,7 @@ from .errors import (
     UnsupportedCount,
 )
 from .projective import Vec3, _collinear, _incident, _vec
-from .selfpolar import _five_point_fit, require_no_collinear_triple
+from .selfpolar import require_no_collinear_triple
 from .tolerances import DEFAULT, Tolerances
 
 KINDS = {
@@ -167,20 +176,19 @@ def solve_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatri
     Returns the normalized conic matrix; use solve() for the SolutionSet
     wrapper with diagnostics.
     """
-    vecs, _ = _triples(points, (), "exactly five points required")
-    return _five_point_fit(vecs, tol)[0].normalized()
+    return _solve(*_triples(points, (), "exactly five points required"), tol).real_conics[0]
 
 
-def _five_points_core(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> SolutionSet:
-    conic, dev = _five_point_fit(vecs, tol)
-    diag = SolveDiagnostics(
-        case_label="5p", triangle_deviation=dev, prediction=_FIVE_POINT_PREDICTION
-    )
-    return SolutionSet((conic.normalized(),), 0, "5p", diag)
+def _analyse_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
+    require_no_collinear_triple(vecs, tol)
+    return _FIVE_POINT_PREDICTION, vecs
 
 
-def _predict_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> CountPrediction:
-    return _FIVE_POINT_PREDICTION
+def _build_5p(vecs: Sequence[Vec3], prediction: CountPrediction, tol: Tolerances) -> SolutionSet:
+    # the conic is fitted on the diagonal triangle of the first four points
+    m6, _beta, dev = _k.conic_from_five_points(*vecs)
+    diag = SolveDiagnostics(case_label="5p", triangle_deviation=dev, prediction=prediction)
+    return SolutionSet((ConicMatrix.from_sym6(m6).normalized(),), 0, "5p", diag)
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +214,6 @@ def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float, tol: Tolerances) -
     return ConicMatrix.from_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s)).normalized()
 
 
-def _sign_product_4p1l(vecs: Sequence[Vec3], lv: Vec3) -> float:
-    """Product of the four point-triple determinants and the four incidences."""
-    pred = 1.0
-    for d in (
-        _k.det3(vecs[0], vecs[1], vecs[2]),
-        _k.det3(vecs[0], vecs[1], vecs[3]),
-        _k.det3(vecs[0], vecs[2], vecs[3]),
-        _k.det3(vecs[1], vecs[2], vecs[3]),
-    ):
-        pred *= d
-    for v in vecs:
-        pred *= _k.dot3(v, lv)
-    return pred
-
-
 def _undecided(what: str) -> DegenerateCase:
     """The error for a sign product that came out exactly zero: one of its
     factors is zero or underflowed, so its sign decides nothing."""
@@ -228,20 +221,6 @@ def _undecided(what: str) -> DegenerateCase:
         f"{what} is exactly 0.0: a factor vanished or underflowed, so the "
         "real/complex count is undecided"
     )
-
-
-def _prediction_4p1l(pred: float, on_line: bool, on_vertex: bool) -> CountPrediction:
-    if on_line:
-        return CountPrediction(1, 0, "unique: line through a quadrangle point", pred)
-    if on_vertex:
-        return CountPrediction(
-            1, 0, "unique: line through a diagonal-triangle vertex", pred
-        )
-    if pred == 0.0:
-        raise _undecided("orientation/side sign product")
-    if pred > 0.0:
-        return CountPrediction(2, 0, "orientation/side sign product positive", pred)
-    return CountPrediction(0, 2, "orientation/side sign product negative", pred)
 
 
 def predict_count_4p1l(points: Sequence, line, tol: Tolerances = DEFAULT) -> CountPrediction:
@@ -254,18 +233,7 @@ def predict_count_4p1l(points: Sequence, line, tol: Tolerances = DEFAULT) -> Cou
     special points (four quadrangle points, three diagonal-triangle
     vertices) forces a unique solution.
     """
-    return _predict_4p1l(*_triples(points, (line,), _FOUR_POINTS), tol)
-
-
-def _predict_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> CountPrediction:
-    lv = lvs[0]
-    pred = _sign_product_4p1l(vecs, lv)
-    if any(_incident(v, lv, tol) for v in vecs):
-        # a unique solution whatever the triangle: skip building it
-        return _prediction_4p1l(pred, True, False)
-    xi1, xi2, xi3, _ = _k.diag_triangle(*vecs)
-    on_vertex = any(_incident(x, lv, tol) for x in (xi1, xi2, xi3))
-    return _prediction_4p1l(pred, False, on_vertex)
+    return _front_door(*_triples(points, (line,), _FOUR_POINTS), tol)[0]
 
 
 def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) -> SolutionSet:
@@ -277,15 +245,12 @@ def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) ->
     admits no non-degenerate solution and is rejected as a general-position
     failure.
     """
-    vecs, lvs = _triples(points, (line,), _FOUR_POINTS)
-    return _with_residuals(_four_points_line_core(vecs, lvs, tol), vecs, lvs)
+    return _solve(*_triples(points, (line,), _FOUR_POINTS), tol)
 
 
-def _four_points_line_core(
-    vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances
-) -> SolutionSet:
+def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
     lv = lvs[0]
-    require_no_collinear_triple(vecs, tol)
+    dets = require_no_collinear_triple(vecs, tol)
 
     on_line = [i for i, v in enumerate(vecs) if _incident(v, lv, tol)]
     if len(on_line) >= 2:
@@ -295,8 +260,7 @@ def _four_points_line_core(
             tuple(on_line[:2]),
         )
 
-    xi1, xi2, xi3, dev = _k.diag_triangle(*vecs)
-    xi = (xi1, xi2, xi3)
+    *xi, dev = _k.diag_triangle(*vecs)
     on_vertex = [j for j, x in enumerate(xi) if _incident(x, lv, tol)]
     if len(on_vertex) >= 2:
         raise GeneralPositionError(
@@ -305,11 +269,29 @@ def _four_points_line_core(
             tuple(on_vertex[:2]),
         )
 
-    q2, q1, q0 = _tangency_quadratic(xi, lv)
-    prediction = _prediction_4p1l(
-        _sign_product_4p1l(vecs, lv), bool(on_line), bool(on_vertex)
-    )
+    # the product of the four point-triple determinants and the four
+    # incidences
+    pred = 1.0
+    for d in dets:
+        pred *= d
+    for v in vecs:
+        pred *= _k.dot3(v, lv)
+    if on_line:
+        prediction = CountPrediction(1, 0, "unique: line through a quadrangle point", pred)
+    elif on_vertex:
+        prediction = CountPrediction(1, 0, "unique: line through a diagonal-triangle vertex", pred)
+    elif pred == 0.0:
+        raise _undecided("orientation/side sign product")
+    elif pred > 0.0:
+        prediction = CountPrediction(2, 0, "orientation/side sign product positive", pred)
+    else:
+        prediction = CountPrediction(0, 2, "orientation/side sign product negative", pred)
+    return prediction, (lv, xi, dev, on_line, on_vertex)
 
+
+def _build_4p1l(state, prediction: CountPrediction, tol: Tolerances) -> SolutionSet:
+    lv, xi, dev, on_line, on_vertex = state
+    q2, q1, q0 = _tangency_quadratic(xi, lv)
     if on_line:
         # tangency is pinned at the incident point: the two roots coincide
         scale = max(abs(q2), abs(q1), abs(q0))
@@ -337,7 +319,7 @@ def _four_points_line_core(
         roots = sorted(_stable_roots(q2, q1, q0, disc)) if prediction.predicted_real else []
         label = "4p1l/generic"
 
-    conics = [_pencil_member(xi1, xi2, xi3, s, tol) for s in roots]
+    conics = [_pencil_member(*xi, s, tol) for s in roots]
     diag = SolveDiagnostics(
         case_label=label,
         allocation=(0, 1, 2, 3),
@@ -494,15 +476,6 @@ def _smallest_gap(lams: PencilEigenvalues) -> float:
     )
 
 
-def _normal_form_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
-    """Classify the triples and relabel them into their case's normal form:
-    (allocation, (x1, x2, x3, l1, l2))."""
-    alloc = classify_3p2l_case(vecs, lvs[0], lvs[1], tol)
-    x1, x2, x3 = (vecs[i] for i in alloc.order)
-    lv1, lv2 = (lvs[1], lvs[0]) if alloc.swap_lines else (lvs[0], lvs[1])
-    return alloc, (x1, x2, x3, lv1, lv2)
-
-
 def predict_count_3p2l(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> CountPrediction:
     """Real-count prediction for three points and two lines from sign tests.
 
@@ -512,13 +485,31 @@ def predict_count_3p2l(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> C
     negative; case 5 has four real conics exactly when all three points see
     the two lines with the same side-product sign, and none otherwise.
     """
-    return _predict_3p2l(*_triples(points, (l1, l2), _THREE_POINTS), tol)
+    return _front_door(*_triples(points, (l1, l2), _THREE_POINTS), tol)[0]
 
 
-def _predict_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances) -> CountPrediction:
-    alloc, frame = _normal_form_3p2l(vecs, lvs, tol)
-    _, A, B, _, _, a, b, c = _scalars_3p2l(*frame)
-    return _prediction_3p2l(alloc.case, A, B, a, b, c)
+def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
+    """Classify the triples, relabel them into their case's normal form and
+    predict; the state is (allocation, (x1, x2, x3, l1, l2), the scalars,
+    the case-5 pencil eigenvalues or None)."""
+    alloc = classify_3p2l_case(vecs, lvs[0], lvs[1], tol)
+    x1, x2, x3 = (vecs[i] for i in alloc.order)
+    lv1, lv2 = (lvs[1], lvs[0]) if alloc.swap_lines else (lvs[0], lvs[1])
+    scalars = _scalars_3p2l(x1, x2, x3, lv1, lv2)
+    _, A, B, _, _, a, b, c = scalars
+    prediction = _prediction_3p2l(alloc.case, A, B, a, b, c)
+    if alloc.case == 2 and 2.0 * B * b[1] == 0.0:
+        raise CaseDegeneracy("collinear-pair case denominator vanished")
+    lams = None
+    if alloc.case == 5:
+        try:
+            lams = _pencil_eigenvalues((a, b, c), tol)
+        except DegenerateCase as exc:
+            raise CaseDegeneracy(
+                "generic-case pencil is degenerate: the line intersection "
+                "point lies on a side of the point triangle"
+            ) from exc
+    return prediction, (alloc, (x1, x2, x3, lv1, lv2), scalars, lams)
 
 
 def _prediction_3p2l(case: int, A, B, a, b, c) -> CountPrediction:
@@ -566,20 +557,17 @@ def solve_three_points_two_lines(
     case has its own closed form. Counts are one (cases 1 and 2), two or a
     complex pair (cases 3 and 4), and four or two complex pairs (case 5).
     """
-    vecs, lvs = _triples(points, (l1, l2), _THREE_POINTS)
-    return _with_residuals(_three_points_two_lines_core(vecs, lvs, tol), vecs, lvs)
+    return _solve(*_triples(points, (l1, l2), _THREE_POINTS), tol)
 
 
-def _three_points_two_lines_core(
-    vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances
-) -> SolutionSet:
-    alloc, (x1, x2, x3, lv1, lv2) = _normal_form_3p2l(vecs, lvs, tol)
-    p, A, B, C, D, a, b, c = _scalars_3p2l(x1, x2, x3, lv1, lv2)
+def _build_3p2l(state, prediction: CountPrediction, tol: Tolerances) -> SolutionSet:
+    alloc, (x1, x2, x3, lv1, lv2), (p, A, B, C, D, a, b, c), lams = state
     diag = SolveDiagnostics(
         case_label=alloc.label,
         allocation=alloc.order,
         lines_swapped=alloc.swap_lines,
-        prediction=_prediction_3p2l(alloc.case, A, B, a, b, c),
+        eigenvalues=lams,
+        prediction=prediction,
         context=CaseContext(p, None, "t*x1+p"),
     )
 
@@ -596,10 +584,7 @@ def _three_points_two_lines_core(
         q = _k.cross(p, lv2)
         diag.context = CaseContext(p, q, "t*p+q")
         anchor, offset = p, q
-        denom = 2.0 * B * b[1]
-        if denom == 0.0:
-            raise CaseDegeneracy("collinear-pair case denominator vanished")
-        t = (_k.det3(q, x2, x3) * a[1] - _k.det3(x1, q, x3) * b[1]) / denom
+        t = (_k.det3(q, x2, x3) * a[1] - _k.det3(x1, q, x3) * b[1]) / (2.0 * B * b[1])
         roots = [(2.0, t)]
 
     elif alloc.case == 3:
@@ -608,7 +593,7 @@ def _three_points_two_lines_core(
         # is that of the prediction's side-product product
         rhs = (C * C * c[0] * c[1]) / (D * D * a[0] * a[1])
         diag.discriminant = rhs
-        if diag.prediction.predicted_real:
+        if prediction.predicted_real:
             roots = [(None, math.sqrt(rhs)), (None, -math.sqrt(rhs))]
 
     elif alloc.case == 4:
@@ -620,21 +605,13 @@ def _three_points_two_lines_core(
         q0 = -A * C * c[1]
         disc = -16.0 * D * D * A * B * a[1] * b[1]
         diag.discriminant = disc
-        if diag.prediction.predicted_real:
+        if prediction.predicted_real:
             roots = [(-(D / A) * t, t) for t in _stable_roots(q2, q1, q0, disc)]
 
     else:
-        try:
-            lams = pencil_eigenvalues((x1, x2, x3), lv1, lv2, tol)
-        except DegenerateCase as exc:
-            raise CaseDegeneracy(
-                "generic-case pencil is degenerate: the line intersection "
-                "point lies on a side of the point triangle"
-            ) from exc
-        diag.eigenvalues = lams
         # the generic family has four real solutions or none, and which is
         # decided by the side-product signs, as the prediction reads them
-        if diag.prediction.predicted_real:
+        if prediction.predicted_real:
             roots = _case5_roots(A, B, C, D, a, b, c)
             # a root this close to a degenerate member is rounding off a
             # near tie of the eigenvalues, whose gap bounds its accuracy
@@ -661,7 +638,7 @@ def _three_points_two_lines_core(
 
     order = sorted(range(len(conics)), key=lambda i: params[i])
     diag.parameters = tuple(params[i] for i in order)
-    complex_count = diag.prediction.predicted_complex
+    complex_count = prediction.predicted_complex
     return SolutionSet(tuple(conics[i] for i in order), complex_count, alloc.label, diag)
 
 
@@ -669,12 +646,14 @@ def _three_points_two_lines_core(
 # entry points
 
 #: the family a configuration belongs to, by its number of points once a
-#: lines-heavy one is dualized: (solver core, count predictor), both taking
-#: (point triples, line triples, tolerances)
+#: lines-heavy one is dualized: (analysis, builder). The analysis takes
+#: (point triples, line triples, tolerances) and returns (prediction,
+#: state); the builder takes (state, prediction, tolerances) and returns the
+#: SolutionSet
 _FAMILIES = {
-    5: (_five_points_core, _predict_5p),
-    4: (_four_points_line_core, _predict_4p1l),
-    3: (_three_points_two_lines_core, _predict_3p2l),
+    5: (_analyse_5p, _build_5p),
+    4: (_analyse_4p1l, _build_4p1l),
+    3: (_analyse_3p2l, _build_3p2l),
 }
 
 
@@ -705,23 +684,39 @@ def _triples(
     return vecs, lvs
 
 
-def _solve_dual(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances) -> SolutionSet:
-    family = _FAMILIES.get(len(lvs))
-    if family is None:
-        raise UnsupportedCount("dual configuration is not lines-heavy")
+def _front_door(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances):
+    """The family analysis of the triples that _triples read: (prediction,
+    state, builder, dual).
+
+    A lines-heavy input is analysed as its dual, with lines as points and
+    points as lines, and a GeneralPositionError of the dual says so.
+    """
+    dual = len(vecs) < len(lvs)
+    if dual:
+        vecs, lvs = lvs, vecs
+    analyse, build = _FAMILIES[len(vecs)]
     try:
-        # lines become points and points become lines
-        inner = family[0](lvs, vecs, tol)
+        prediction, state = analyse(vecs, lvs, tol)
     except GeneralPositionError as exc:
+        if not dual:
+            raise
         raise GeneralPositionError(
             f"dual configuration degenerate (lines and points exchanged): {exc}",
             exc.indices,
         ) from exc
-    label = "dual:" + inner.case_label
-    diag = inner.diagnostics
-    diag.case_label = label
-    conics = tuple(cm.adjugate().normalized() for cm in inner.real_conics)
-    sol = SolutionSet(conics, inner.complex_count, label, diag)
+    return prediction, state, build, dual
+
+
+def _solve(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances) -> SolutionSet:
+    prediction, state, build, dual = _front_door(vecs, lvs, tol)
+    sol = build(state, prediction, tol)
+    if dual:
+        # the dual solutions are conics in the dual plane; their adjugates
+        # are the answers in the original plane
+        label = "dual:" + sol.case_label
+        sol.diagnostics.case_label = label
+        conics = tuple(cm.adjugate().normalized() for cm in sol.real_conics)
+        sol = SolutionSet(conics, sol.complex_count, label, sol.diagnostics)
     return _with_residuals(sol, vecs, lvs)
 
 
@@ -733,7 +728,10 @@ def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> 
     original plane. Counts and case structure carry over unchanged. Raises
     UnsupportedCount and NonFiniteInput as solve() does.
     """
-    return _solve_dual(*_triples(points, lines), tol)
+    vecs, lvs = _triples(points, lines)
+    if len(vecs) >= len(lvs):
+        raise UnsupportedCount("dual configuration is not lines-heavy")
+    return _solve(vecs, lvs, tol)
 
 
 def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> SolutionSet:
@@ -742,21 +740,15 @@ def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> 
     Dispatches on the point/line split; raises UnsupportedCount when the
     total is not five and NonFiniteInput for an inf or NaN coordinate.
     """
-    vecs, lvs = _triples(points, lines)
-    if len(vecs) < len(lvs):
-        return _solve_dual(vecs, lvs, tol)
-    return _with_residuals(_FAMILIES[len(vecs)][0](vecs, lvs, tol), vecs, lvs)
+    return _solve(*_triples(points, lines), tol)
 
 
 def predict(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> CountPrediction:
     """Predict real/complex solution counts without solving.
 
-    Raises UnsupportedCount and NonFiniteInput as solve() does.
+    Runs the analysis that solve() runs, so it raises every error that
+    solve() raises before finding the pencil roots, UnsupportedCount and
+    NonFiniteInput included.
     """
-    vecs, lvs = _triples(points, lines)
-    if len(vecs) >= len(lvs):
-        return _FAMILIES[len(vecs)][1](vecs, lvs, tol)
-    inner = _FAMILIES[len(lvs)][1](lvs, vecs, tol)
-    return CountPrediction(
-        inner.predicted_real, inner.predicted_complex, "dual: " + inner.rule, inner.predicate
-    )
+    prediction, _, _, dual = _front_door(*_triples(points, lines), tol)
+    return replace(prediction, rule="dual: " + prediction.rule) if dual else prediction

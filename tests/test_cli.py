@@ -107,6 +107,42 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert cli.main(["solve", bad_value]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"points": 5, "lines": []}, {"points": SQUARE_TANGENT["points"], "lines": None}],
+    ids=["points", "lines"],
+)
+def test_points_or_lines_that_are_not_a_list_exit_2(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path / "notlist.json", payload)
+    assert cli.main(["solve", cfg]) == 2
+    err = capsys.readouterr().err
+    key = "points" if payload["points"] == 5 else "lines"
+    assert err == f"error: {key} must be a list\n"
+    # batch reports the file with the parse code, not as an unexpected error
+    assert cli.main(["batch", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == f"notlist.json: error[2] {key} must be a list\n"
+
+
+def test_viewport_that_is_not_numbers_exits_2(square_cfg, tmp_path, capsys):
+    out = tmp_path / "fig.svg"
+    assert cli.main(["plot", square_cfg, "--viewport=a,b,c,d", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: viewport must be four numbers")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["5p_collinear", "4p1l_side"])
+def test_predict_refuses_what_solve_refuses(capsys, name):
+    # predict runs solve's analysis, so a special-position input exits 3
+    # from both with the same error line instead of a count from predict
+    cfg = FIXTURES / "special" / f"{name}.json"
+    expected = json.loads(cfg.read_text())["expected"]["error"]
+    for command in ("solve", "predict"):
+        assert cli.main([command, str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {expected}\n")
+
+
 def test_general_position_exit_3(tmp_path):
     cfg = write_config(
         tmp_path / "gp.json",

@@ -1,8 +1,10 @@
 """Diagonal triangle, self-polar basis, and the quadrangle pencil."""
+import itertools
 import math
 
 import pytest
 
+import minconic._kernels
 from minconic import (
     ConicClass,
     classify,
@@ -54,6 +56,14 @@ def test_collinear_triple_is_named():
     assert err.value.indices == (0, 1, 2)
     with pytest.raises(GeneralPositionError):
         diagonal_triangle(*pts)
+
+
+def test_no_collinear_triple_returns_the_triple_determinants_in_order():
+    pts = [(0.0, 0.0, 1.0), (1.0, 0.5, 1.0), (2.0, 3.0, 1.0), (0.0, 5.0, 1.0), (-3.0, 1.0, 2.0)]
+    # bit for bit: the 4p1l sign product multiplies exactly these values
+    det3 = minconic._kernels.det3
+    expected = [det3(pts[i], pts[j], pts[m]) for i, j, m in itertools.combinations(range(5), 3)]
+    assert require_no_collinear_triple(pts) == expected
 
 
 def test_triangle_coords_reproduce_the_point(square):

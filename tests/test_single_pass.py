@@ -1,8 +1,11 @@
 """Each solver family analyses its input once, and solve() reports exactly
-the prediction that predict() gives for the same input; the residuals it
-reports are those of the public residual functions, computed once per conic;
-solve() and predict() read each input element once, and the public family
-functions pass the same front door."""
+the prediction that predict() gives for the same input; predict() runs the
+analysis that solve() runs, so it refuses every special-position input that
+solve() refuses; the residuals solve() reports are those of the public
+residual functions, computed once per conic; solve() and predict() read each
+input element once, and the public family functions pass the same front
+door."""
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -12,11 +15,13 @@ import pytest
 import minconic._kernels as _k
 from minconic import (
     DegenerateCase,
+    GeneralPositionError,
     HomogeneousPoint,
     MinconicError,
     NonFiniteInput,
     ProjectiveLine,
     UnsupportedCount,
+    pencil_eigenvalues,
     point_residual,
     predict,
     solve,
@@ -91,19 +96,63 @@ def corpus(seed=20):
 
 def test_solve_reports_the_prediction_of_predict(monkeypatch):
     # solve() derives its prediction from its own analysis, not by calling
-    # the predictors, and the two still agree field for field
+    # the predictors, and the two still agree field for field; on a dual
+    # input predict() prefixes the rule with "dual: " and solve() does not
     calls = counted(monkeypatch, solvers, "predict_count_4p1l")
     calls += counted(monkeypatch, solvers, "predict_count_3p2l")
-    primal = 0
+    primal = dual = 0
     for points, lines in corpus():
-        if len(points) < len(lines):
-            continue  # dual predictions carry a "dual: " prefix that solve() does not
-        primal += 1
         n = len(calls)
         sol = solve(points, lines)
         assert len(calls) == n
-        assert sol.diagnostics.prediction == predict(points, lines)
+        expected = sol.diagnostics.prediction
+        if len(points) < len(lines):
+            dual += 1
+            expected = dataclasses.replace(expected, rule="dual: " + expected.rule)
+        else:
+            primal += 1
+        assert predict(points, lines) == expected
     assert primal >= 7 * 40
+    assert dual >= 3 * 40
+
+
+SQUARE = [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (1.0, -1.0, 1.0)]
+
+#: special-position inputs that solve() refuses on the input alone: points
+#: 0, 2 and 4 collinear, the line y = 1 through points 0 and 1, and y = 0
+#: through two vertices of the square's diagonal triangle, (1, 0, 0),
+#: (0, 0, 1) and (0, 1, 0). predict() used to answer "1 real" for each of
+#: them and for each of their duals
+REFUSED = {
+    "5p_collinear": (SQUARE + [(0.0, 0.0, 1.0)], []),
+    "4p1l_quadrangle_side": (SQUARE, [(0.0, 1.0, -1.0)]),
+    "4p1l_diagonal_side": (SQUARE, [(0.0, 1.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_predict_refuses_what_solve_refuses(name, dual):
+    points, lines = REFUSED[name]
+    if dual:
+        points, lines = lines, points  # 5l and 1p4l
+    with pytest.raises(GeneralPositionError) as from_solve:
+        solve(points, lines)
+    with pytest.raises(GeneralPositionError) as from_predict:
+        predict(points, lines)
+    assert type(from_predict.value) is type(from_solve.value)
+    assert str(from_predict.value) == str(from_solve.value)
+    assert str(from_solve.value).startswith("dual configuration") == dual
+
+
+def test_case5_eigenvalues_are_those_of_pencil_eigenvalues():
+    # the analysis reads the pencil eigenvalues off the incidences it holds,
+    # through the core that the public function calls after its own checks
+    rng = random.Random(5)
+    for _ in range(20):
+        pts, l1, l2 = random_3p2l_case(rng, 5)
+        sol = solve(pts, [l1, l2])
+        assert sol.diagnostics.eigenvalues == pencil_eigenvalues(pts, l1, l2)
 
 
 def residuals_match(points, lines) -> bool:
