@@ -1,8 +1,11 @@
 """Fixed-size kernels of the solvers: float math on plain tuples.
 
 The diagonal (self-polar) triangle, the pencil member and the five-point
-conic are closed forms in a handful of cross and dot products. Symmetric 3x3
-matrices travel as 6-tuples (m11, m12, m22, m13, m23, m33).
+conic are closed forms in a handful of cross and dot products. The triangle
+comes bare (diag_vertices) or with its cancellation alarm (diag_triangle),
+which is most of the cost of diag_triangle; a caller that builds several
+triangles of one input can take the alarm once. Symmetric 3x3 matrices
+travel as 6-tuples (m11, m12, m22, m13, m23, m33).
 """
 
 #: the kernel implementation, reported in every SolveDiagnostics
@@ -49,24 +52,27 @@ def solve3(a, b, c, r):
     return (dot3(u, r) / d, dot3(v, r) / d, dot3(w, r) / d), d
 
 
+def diag_vertices(x1, x2, x3, x4):
+    """Diagonal-triangle vertices (xi1, xi2, xi3) of the quadrangle x1 x2 x3 x4:
+    each the meet of two opposite sides, nine cross products in all."""
+    return (
+        cross(cross(x1, x2), cross(x3, x4)),
+        cross(cross(x1, x3), cross(x2, x4)),
+        cross(cross(x1, x4), cross(x2, x3)),
+    )
+
+
 def diag_triangle(x1, x2, x3, x4):
     """Diagonal-triangle vertices of the quadrangle x1 x2 x3 x4.
 
-    Returns (xi1, xi2, xi3, dev) where dev is the worst relative deviation
-    between the cross-product construction (the one returned) and the
+    Returns (xi1, xi2, xi3, dev): the vertices of diag_vertices, and dev, the
+    worst relative deviation between that cross-product construction and the
     equivalent determinant combination. dev is a cancellation alarm: it stays
     near machine epsilon for healthy quadrangles.
     """
+    xi1, xi2, xi3 = diag_vertices(x1, x2, x3, x4)
     s12 = cross(x1, x2)
-    s34 = cross(x3, x4)
     s13 = cross(x1, x3)
-    s24 = cross(x2, x4)
-    s14 = cross(x1, x4)
-    s23 = cross(x2, x3)
-    xi1 = cross(s12, s34)
-    xi2 = cross(s13, s24)
-    xi3 = cross(s14, s23)
-
     d123 = dot3(s12, x3)
     d124 = dot3(s12, x4)
     d134 = dot3(s13, x4)
@@ -120,13 +126,17 @@ def conic_from_five_points(x1, x2, x3, x4, x5):
     between two |beta_i| means x5 sits on a side of the quadrangle and the
     result is degenerate (callers are expected to have screened for that).
     dev is the deviation of the diagonal triangle of x1..x4 (see
-    diag_triangle).
+    diag_triangle). sym6 and beta are None when the triangle's determinant,
+    their divisor, is exactly 0.0 (an underflow); callers decide what that
+    means.
     """
     xi1, xi2, xi3, dev = diag_triangle(x1, x2, x3, x4)
     u = cross(xi2, xi3)
     v = cross(xi3, xi1)
     w = cross(xi1, xi2)
     d = dot3(u, xi1)
+    if d == 0.0:
+        return None, None, dev
     b1 = dot3(u, x5) / d
     b2 = dot3(v, x5) / d
     b3 = dot3(w, x5) / d

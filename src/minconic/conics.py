@@ -123,24 +123,33 @@ class ConicMatrix:
         Raises DegenerateCase for a zero matrix or one with an inf or NaN
         entry (an overflowed construction).
         """
-        v = self.sym6()
-        n = math.sqrt(sum(x * x for x in v))
-        if n == 0.0:
-            raise DegenerateCase("zero conic matrix cannot be normalized")
-        if not n < math.inf:
-            if not all(map(math.isfinite, v)):
-                raise DegenerateCase(
-                    "conic matrix has a non-finite entry (overflow or NaN); it "
-                    "cannot be normalized"
-                )
-            # finite entries whose squares overflow: bring the largest to
-            # [0.5, 1) by a power of two, which is exact and keeps the lead
-            _, exp = math.frexp(max(abs(x) for x in v))
-            return ConicMatrix(*(math.ldexp(x, -exp) for x in v)).normalized()
-        top = max(abs(x) for x in v)
-        lead = next(x for x in v if abs(x) == top)
-        sign = 1.0 if lead > 0.0 else -1.0
-        return self.scaled(sign / n)
+        return _normalized_conic(self.sym6())
+
+
+def _normalized_conic(m: Sequence[float]) -> ConicMatrix:
+    """ConicMatrix.normalized of a sym6 tuple, unrolled: the sum of squares
+    left to right, the first largest-magnitude entry as the lead, and one
+    scale sign / n times each entry."""
+    a, b, c, d, e, f = m
+    n = math.sqrt(a * a + b * b + c * c + d * d + e * e + f * f)
+    if n == 0.0:
+        raise DegenerateCase("zero conic matrix cannot be normalized")
+    if not n < math.inf:
+        if not all(map(math.isfinite, m)):
+            raise DegenerateCase(
+                "conic matrix has a non-finite entry (overflow or NaN); it "
+                "cannot be normalized"
+            )
+        # finite entries whose squares overflow: bring the largest to
+        # [0.5, 1) by a power of two, which is exact and keeps the lead
+        _, exp = math.frexp(max(abs(x) for x in m))
+        return _normalized_conic([math.ldexp(x, -exp) for x in m])
+    lead = a
+    for x in (b, c, d, e, f):
+        if abs(x) > abs(lead):
+            lead = x
+    k = (1.0 if lead > 0.0 else -1.0) / n
+    return ConicMatrix(k * a, k * b, k * c, k * d, k * e, k * f)
 
 
 def adjugate(c: ConicMatrix) -> ConicMatrix:

@@ -84,7 +84,13 @@ def _dependent(det: float, norms: float, tol: Tolerances) -> bool:
 def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:
     """Whether a point triple lies on a line triple: |x . l| within the
     incidence tolerance times the product of the two norms."""
-    return abs(_k.dot3(x, l)) <= tol.incidence * _k.norm3(x) * _k.norm3(l)
+    return _incident_dot(_k.dot3(x, l), _k.norm3(x), _k.norm3(l), tol)
+
+
+def _incident_dot(dot: float, nx: float, nl: float, tol: Tolerances) -> bool:
+    """_incident from the dot product x . l and the norms |x| and |l|, for
+    callers that hold them already."""
+    return abs(dot) <= tol.incidence * nx * nl
 
 
 def cross(a: Sequence[float], b: Sequence[float]) -> Vec3:

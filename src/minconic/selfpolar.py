@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 from . import _kernels as _k
 from .conics import ConicMatrix
-from .errors import DegenerateParameter, GeneralPositionError, UnsupportedCount
+from .errors import DegenerateCase, DegenerateParameter, GeneralPositionError, UnsupportedCount
 from .projective import Vec3, _dependent, _vec
 from .tolerances import DEFAULT, Tolerances
 
@@ -156,4 +156,7 @@ def conic_through_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> Co
     if len(vecs) != 5:
         raise UnsupportedCount("exactly five points required")
     require_no_collinear_triple(vecs, tol)
-    return ConicMatrix.from_sym6(_k.conic_from_five_points(*vecs)[0])
+    m6 = _k.conic_from_five_points(*vecs)[0]
+    if m6 is None:
+        raise DegenerateCase("five-point fit: the diagonal triangle's determinant is exactly 0.0")
+    return ConicMatrix.from_sym6(m6)

@@ -17,12 +17,13 @@ Each family is an analysis and a builder. The analysis reads only the input:
 it raises every refusal that needs nothing more (collinear points, a line
 through two quadrangle points or two diagonal-triangle vertices, the
 three-point/two-line special positions, a sign product that underflows to
-exactly 0.0, the case-2 denominator, the case-5 eigenvalue tie) and returns
-the family's count prediction, made from sign products, with the state the
-builder needs. The builder finds the pencil roots and members and takes its
-real and complex counts from that prediction. One front door dualizes a
-lines-heavy input and runs the analysis for predict() and solve() alike, so
-predict() refuses every input that solve()'s analysis refuses, and
+exactly 0.0, the case-2 and case-3 denominators, the case-5 eigenvalue tie)
+and returns the family's count prediction, made from sign products, with the
+state the builder needs. The builder finds the pencil roots and members and
+takes its real and complex counts from that prediction; a divisor of its own
+that underflows to exactly 0.0 raises a named DegenerateCase. One front door
+dualizes a lines-heavy input and runs the analysis for predict() and solve()
+alike, so predict() refuses every input that solve()'s analysis refuses, and
 prediction and realization agree by construction.
 """
 from __future__ import annotations
@@ -36,6 +37,7 @@ from . import _kernels as _k
 from .conics import (
     ConicMatrix,
     PencilEigenvalues,
+    _normalized_conic,
     _pencil_eigenvalues,
     _residual,
     _stable_roots,
@@ -49,7 +51,7 @@ from .errors import (
     NonFiniteInput,
     UnsupportedCount,
 )
-from .projective import Vec3, _collinear, _incident, _vec
+from .projective import Vec3, _dependent, _incident_dot, _vec
 from .selfpolar import require_no_collinear_triple
 from .tolerances import DEFAULT, Tolerances
 
@@ -107,6 +109,11 @@ class SolveDiagnostics:
     parameters: tuple[tuple[float, float], ...] = ()
     prediction: Optional[CountPrediction] = None
     context: Optional[CaseContext] = None
+    #: the cancellation alarm of one diagonal triangle (see
+    #: _kernels.diag_triangle): for 4p1l that of the four points, for 5p that
+    #: of the first four points, for 3p2l that of the quadrangle of the last
+    #: root built (None when no conic is real); a dual family reports the
+    #: triangle of its dual-plane problem
     triangle_deviation: Optional[float] = None
     double_root: bool = False
     max_incidence_residual: float = 0.0
@@ -187,21 +194,23 @@ def _analyse_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
 def _build_5p(vecs: Sequence[Vec3], prediction: CountPrediction, tol: Tolerances) -> SolutionSet:
     # the conic is fitted on the diagonal triangle of the first four points
     m6, _beta, dev = _k.conic_from_five_points(*vecs)
+    if m6 is None:
+        raise DegenerateCase("five-point fit: the diagonal triangle's determinant is exactly 0.0")
     diag = SolveDiagnostics(case_label="5p", triangle_deviation=dev, prediction=prediction)
-    return SolutionSet((ConicMatrix.from_sym6(m6).normalized(),), 0, "5p", diag)
+    return SolutionSet((_normalized_conic(m6),), 0, "5p", diag)
 
 
 # ---------------------------------------------------------------------------
 # four points + one line
 
 
-def _tangency_quadratic(xi: tuple[Vec3, Vec3, Vec3], l: Vec3) -> tuple[float, float, float]:
+def _tangency_quadratic(d: Vec3) -> tuple[float, float, float]:
     """Coefficients (q2, q1, q0) of the pencil-parameter tangency quadratic.
 
-    Roots are the pencil parameters of members tangent to l; only the three
-    squared vertex incidences enter.
+    Roots are the pencil parameters of members tangent to a line l; only the
+    three squared vertex incidences d = (xi1 . l, xi2 . l, xi3 . l) enter.
     """
-    d1, d2, d3 = _k.dot3(xi[0], l), _k.dot3(xi[1], l), _k.dot3(xi[2], l)
+    d1, d2, d3 = d
     return (d3 * d3, -(d1 * d1 - d2 * d2 + d3 * d3), d1 * d1)
 
 
@@ -211,7 +220,7 @@ def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float, tol: Tolerances) -
     s = 0 and s = 1."""
     if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
         raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
-    return ConicMatrix.from_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s)).normalized()
+    return _normalized_conic(_k.conic_from_pencil(xi1, xi2, xi3, s))
 
 
 def _undecided(what: str) -> DegenerateCase:
@@ -252,7 +261,10 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
     lv = lvs[0]
     dets = require_no_collinear_triple(vecs, tol)
 
-    on_line = [i for i, v in enumerate(vecs) if _incident(v, lv, tol)]
+    # each point-line and vertex-line dot, and each norm, once
+    nl = _k.norm3(lv)
+    dots = [_k.dot3(v, lv) for v in vecs]
+    on_line = [i for i, v in enumerate(vecs) if _incident_dot(dots[i], _k.norm3(v), nl, tol)]
     if len(on_line) >= 2:
         raise GeneralPositionError(
             f"line is a side of the quadrangle: it contains points "
@@ -261,7 +273,8 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
         )
 
     *xi, dev = _k.diag_triangle(*vecs)
-    on_vertex = [j for j, x in enumerate(xi) if _incident(x, lv, tol)]
+    vdots = tuple(_k.dot3(x, lv) for x in xi)
+    on_vertex = [j for j, x in enumerate(xi) if _incident_dot(vdots[j], _k.norm3(x), nl, tol)]
     if len(on_vertex) >= 2:
         raise GeneralPositionError(
             "line is a side of the diagonal triangle (through two of its "
@@ -274,8 +287,8 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
     pred = 1.0
     for d in dets:
         pred *= d
-    for v in vecs:
-        pred *= _k.dot3(v, lv)
+    for d in dots:
+        pred *= d
     if on_line:
         prediction = CountPrediction(1, 0, "unique: line through a quadrangle point", pred)
     elif on_vertex:
@@ -286,16 +299,22 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
         prediction = CountPrediction(2, 0, "orientation/side sign product positive", pred)
     else:
         prediction = CountPrediction(0, 2, "orientation/side sign product negative", pred)
-    return prediction, (lv, xi, dev, on_line, on_vertex)
+    return prediction, (vdots, xi, dev, on_line, on_vertex)
 
 
 def _build_4p1l(state, prediction: CountPrediction, tol: Tolerances) -> SolutionSet:
-    lv, xi, dev, on_line, on_vertex = state
-    q2, q1, q0 = _tangency_quadratic(xi, lv)
+    vdots, xi, dev, on_line, on_vertex = state
+    q2, q1, q0 = _tangency_quadratic(vdots)
     if on_line:
         # tangency is pinned at the incident point: the two roots coincide
         scale = max(abs(q2), abs(q1), abs(q0))
-        roots = [-q0 / q1] if abs(q2) <= 1e-14 * scale else [-q1 / (2.0 * q2)]
+        num, den = (-q0, q1) if abs(q2) <= 1e-14 * scale else (-q1, 2.0 * q2)
+        if den == 0.0:
+            raise DegenerateCase(
+                "line through a quadrangle point: the tangency quadratic's "
+                "coefficients are exactly 0.0 (underflow)"
+            )
+        roots = [num / den]
         disc = 0.0
         label = "4p1l/point-on-line"
     elif on_vertex:
@@ -376,13 +395,20 @@ def classify_3p2l_case(
     if len(vecs) != 3:
         raise UnsupportedCount(_THREE_POINTS)
     lv1, lv2 = _vec(l1), _vec(l2)
+    # each norm once: the three points, the two lines and their meet p
+    n = [_k.norm3(v) for v in vecs]
+    n1, n2 = _k.norm3(lv1), _k.norm3(lv2)
     p = _k.cross(lv1, lv2)
-    if _k.norm3(p) <= tol.collinearity * _k.norm3(lv1) * _k.norm3(lv2):
+    np_ = _k.norm3(p)
+    if np_ <= tol.collinearity * n1 * n2:
         raise GeneralPositionError("the two lines coincide", (0, 1))
-    if _collinear(vecs[0], vecs[1], vecs[2], tol):
+    if _dependent(_k.det3(vecs[0], vecs[1], vecs[2]), n[0] * n[1] * n[2], tol):
         raise GeneralPositionError("the three points are collinear", (0, 1, 2))
 
-    inc = [[_incident(v, lv1, tol), _incident(v, lv2, tol)] for v in vecs]
+    inc = [
+        [_incident_dot(_k.dot3(v, lv1), nv, n1, tol), _incident_dot(_k.dot3(v, lv2), nv, n2, tol)]
+        for v, nv in zip(vecs, n)
+    ]
     for i, (on1, on2) in enumerate(inc):
         if on1 and on2:
             raise GeneralPositionError(
@@ -402,7 +428,7 @@ def classify_3p2l_case(
         (i, j)
         for i in range(3)
         for j in range(i + 1, 3)
-        if _collinear(vecs[i], vecs[j], p, tol)
+        if _dependent(_k.det3(vecs[i], vecs[j], p), n[i] * n[j] * np_, tol)
     ]
 
     if len(incident_pts) == 2:
@@ -449,6 +475,10 @@ def _case5_roots(A, B, C, D, a, b, c) -> list[tuple[float, float]]:
     4 beta_0 beta_1 (g_0 - g_1)^2; each U then gives P, and X and -Y are the
     two roots of z^2 - U z - P. Three square roots in all.
     """
+    if A * a[0] == 0.0 or A * a[1] == 0.0:
+        raise CaseDegeneracy(
+            "generic case: a denominator A*a_j of beta_j is exactly 0.0 (underflow)"
+        )
     g = (C * c[0] / a[0], C * c[1] / a[1])
     beta = (4.0 * B * b[0] / (A * a[0]), 4.0 * B * b[1] / (A * a[1]))
     q2 = beta[1] - beta[0]
@@ -462,7 +492,13 @@ def _case5_roots(A, B, C, D, a, b, c) -> list[tuple[float, float]]:
     for u in _stable_roots(q2, q1, q0, disc):
         w = u + g[j]
         pp = w * w / beta[j]
-        z1, z2 = _stable_roots(1.0, -u, -pp, max(u * u + 4.0 * pp, 0.0))
+        dz = max(u * u + 4.0 * pp, 0.0)
+        # the larger root's magnitude, by which _stable_roots divides
+        if (abs(u) + math.sqrt(dz)) / 2.0 == 0.0:
+            raise CaseDegeneracy(
+                "generic case: both roots of z^2 - U z - P are exactly 0.0 (underflow)"
+            )
+        z1, z2 = _stable_roots(1.0, -u, -pp, dz)
         roots.append((z1 / A, -z2 / D))
         roots.append((z2 / A, -z1 / D))
     return roots
@@ -496,10 +532,14 @@ def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
     x1, x2, x3 = (vecs[i] for i in alloc.order)
     lv1, lv2 = (lvs[1], lvs[0]) if alloc.swap_lines else (lvs[0], lvs[1])
     scalars = _scalars_3p2l(x1, x2, x3, lv1, lv2)
-    _, A, B, _, _, a, b, c = scalars
+    _, A, B, _, D, a, b, c = scalars
     prediction = _prediction_3p2l(alloc.case, A, B, a, b, c)
     if alloc.case == 2 and 2.0 * B * b[1] == 0.0:
         raise CaseDegeneracy("collinear-pair case denominator vanished")
+    if alloc.case == 3 and D * D * a[0] * a[1] == 0.0:
+        raise CaseDegeneracy(
+            "case 3 denominator D*D*a0*a1 is exactly 0.0: a factor underflowed"
+        )
     lams = None
     if alloc.case == 5:
         try:
@@ -626,15 +666,25 @@ def _build_3p2l(state, prediction: CountPrediction, tol: Tolerances) -> Solution
 
     conics: list[ConicMatrix] = []
     params: list[tuple[float, float]] = []
-    for s, t in roots:
+    last = len(roots) - 1
+    for k, (s, t) in enumerate(roots):
         x4 = tuple(t * u + v for u, v in zip(anchor, offset))
-        xi1, xi2, xi3, dev = _k.diag_triangle(x1, x2, x3, x4)
+        if k < last:
+            xi1, xi2, xi3 = _k.diag_vertices(x1, x2, x3, x4)
+        else:
+            # the cancellation alarm once, for the last root's quadrangle
+            xi1, xi2, xi3, diag.triangle_deviation = _k.diag_triangle(x1, x2, x3, x4)
         if s is None:
             d1, d2 = _k.dot3(xi1, lv1), _k.dot3(xi2, lv1)
-            s = d1 * d1 / (d1 * d1 - d2 * d2)
+            den = d1 * d1 - d2 * d2
+            if den == 0.0:
+                raise CaseDegeneracy(
+                    f"case 3 root t={t!r}: the denominator of s is exactly 0.0 "
+                    "(underflow)"
+                )
+            s = d1 * d1 / den
         conics.append(_pencil_member(xi1, xi2, xi3, s, tol))
         params.append((s, t))
-        diag.triangle_deviation = dev
 
     order = sorted(range(len(conics)), key=lambda i: params[i])
     diag.parameters = tuple(params[i] for i in order)
@@ -715,7 +765,7 @@ def _solve(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances) -> SolutionSet:
         # are the answers in the original plane
         label = "dual:" + sol.case_label
         sol.diagnostics.case_label = label
-        conics = tuple(cm.adjugate().normalized() for cm in sol.real_conics)
+        conics = tuple(_normalized_conic(_k.sym_adjugate(cm.sym6())) for cm in sol.real_conics)
         sol = SolutionSet(conics, sol.complex_count, label, sol.diagnostics)
     return _with_residuals(sol, vecs, lvs)
 

@@ -93,7 +93,7 @@ def test_criterion_04_discriminant_identity_bulk(square):
     vecs = [p.vec() for p in square]
     lv = (1.0, 1.0, -3.0)
     xi = _k.diag_triangle(*vecs)[:3]
-    q2, q1, q0 = _tangency_quadratic(xi, lv)
+    q2, q1, q0 = _tangency_quadratic([_k.dot3(x, lv) for x in xi])
     assert q1 * q1 - 4.0 * q2 * q0 == 184320.0
     prod = 16.0
     for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
@@ -109,7 +109,7 @@ def test_criterion_04_discriminant_identity_bulk(square):
         pv = [p.vec() for p in pts]
         lv = line.vec()
         xi = _k.diag_triangle(*pv)[:3]
-        q2, q1, q0 = _tangency_quadratic(xi, lv)
+        q2, q1, q0 = _tangency_quadratic([_k.dot3(x, lv) for x in xi])
         disc = q1 * q1 - 4.0 * q2 * q0
         prod = 16.0
         for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):

@@ -194,6 +194,22 @@ def test_overflowing_input_exits_nonzero_without_traceback(tmp_path, capsys, con
     assert "Traceback" not in err
 
 
+UNDERFLOW = FIXTURES / "underflow" / "5p_square_1e-40.json"
+
+
+def test_underflowing_five_point_fit_exits_3_without_traceback(capsys):
+    # SQUARE_FIFTH_POINT scaled by 1e-40: the five-point fit's divisor
+    # underflows to 0.0, which solve names as a degenerate case (exit 3)
+    # instead of dividing by it
+    expected = json.loads(UNDERFLOW.read_text())["expected"]["error"]
+    assert cli.main(["solve", str(UNDERFLOW)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {expected}\n")
+    # and batch reports it with that code, not as an unexpected error[1]
+    assert cli.main(["batch", str(UNDERFLOW.parent)]) == 3
+    assert capsys.readouterr().out == f"{UNDERFLOW.name}: error[3] {expected}\n"
+
+
 def test_non_finite_input_exits_nonzero_without_traceback(tmp_path, capsys):
     # json.dumps writes inf as the JSON extension literal Infinity
     cfg = {"points": [[0, 0], [4, 1], [1, 3]], "lines": [[1, 0, 5], [0, 1, float("inf")]]}

@@ -4,7 +4,9 @@ Example counts are kept modest; the heavy statistical sweeps live in the
 acceptance tests.
 """
 import math
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import minconic._kernels as _k
@@ -17,7 +19,7 @@ from minconic import (
     solve_four_points_line,
     tangency_residual,
 )
-from minconic.errors import MinconicError
+from minconic.errors import DegenerateCase, MinconicError
 from minconic.solvers import _tangency_quadratic
 
 from conftest import six_vector_angle
@@ -62,7 +64,7 @@ def test_discriminant_identity_floats(pts, line):
     # both computed from the same raw homogeneous data
     vecs = [(x, y, 1.0) for x, y in pts]
     xi1, xi2, xi3, _ = _k.diag_triangle(*vecs)
-    q2, q1, q0 = _tangency_quadratic((xi1, xi2, xi3), line)
+    q2, q1, q0 = _tangency_quadratic([_k.dot3(x, line) for x in (xi1, xi2, xi3)])
     disc = q1 * q1 - 4.0 * q2 * q0
     prod = 16.0
     for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
@@ -173,3 +175,83 @@ def test_classify_total_on_nonzero_matrices(m6):
         return
     cm = ConicMatrix.from_sym6(m6)
     assert classify(cm) is not None
+
+
+def reference_normalized(v):
+    """ConicMatrix.normalized as it was written with generator expressions,
+    kept here as the yardstick of the unrolled form: the sum of squares, the
+    first largest-magnitude entry as the lead, and the scale sign / n."""
+    n = math.sqrt(sum(x * x for x in v))
+    if n == 0.0:
+        raise DegenerateCase("zero conic matrix cannot be normalized")
+    if not n < math.inf:
+        if not all(map(math.isfinite, v)):
+            raise DegenerateCase(
+                "conic matrix has a non-finite entry (overflow or NaN); it "
+                "cannot be normalized"
+            )
+        _, exp = math.frexp(max(abs(x) for x in v))
+        return reference_normalized(tuple(math.ldexp(x, -exp) for x in v))
+    top = max(abs(x) for x in v)
+    lead = next(x for x in v if abs(x) == top)
+    k = (1.0 if lead > 0.0 else -1.0) / n
+    return tuple(k * x for x in v)
+
+
+def outcome(fn, v):
+    """The bits of fn(v), or the type and message of what it raised."""
+    try:
+        return tuple(x.hex() for x in fn(v))
+    except MinconicError as exc:
+        return type(exc), str(exc)
+
+
+def six(entries):
+    return st.tuples(*([entries] * 6))
+
+
+def magnitudes(lo, hi):
+    return st.builds(
+        lambda m, s: s * m, st.floats(min_value=lo, max_value=hi), st.sampled_from((1.0, -1.0))
+    )
+
+
+#: random entries; huge ones whose squares overflow; tiny ones whose squares
+#: underflow, alone or beside a normal lead; entries tied in magnitude with
+#: mixed signs, so that the first of the tie decides the sign
+sym6_vectors = st.one_of(
+    six(st.floats(allow_nan=False, allow_infinity=False, width=64)),
+    six(st.floats(min_value=-1e6, max_value=1e6)),
+    six(st.one_of(magnitudes(1e155, 1.7e308), st.just(0.0))),
+    six(st.one_of(magnitudes(5e-324, 1e-150), st.just(0.0), st.just(-0.0))),
+    st.tuples(magnitudes(1e-3, 1e3), six(magnitudes(5e-324, 1e-160))).map(
+        lambda lv: (lv[1][0], lv[0]) + lv[1][2:]
+    ),
+    st.tuples(magnitudes(1e-300, 1e300), six(st.sampled_from((1.0, -1.0, 0.0, 0.5)))).map(
+        lambda mv: tuple(mv[0] * s for s in mv[1])
+    ),
+)
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="from Python 3.12 sum() adds floats with compensation, so the "
+    "generator-form reference no longer sums left to right",
+)
+@settings(max_examples=400, deadline=None)
+@given(sym6_vectors)
+def test_normalized_matches_the_generator_form_bit_for_bit(v):
+    assert outcome(lambda m: ConicMatrix(*m).normalized().sym6(), v) == outcome(
+        reference_normalized, v
+    )
+
+
+@pytest.mark.parametrize(
+    "v",
+    [(0.0,) * 6, (-0.0, 0.0, -0.0, 0.0, 0.0, -0.0), (1.0, math.inf, 0.0, 0.0, 0.0, 1.0),
+     (math.nan, 1.0, 1.0, 0.0, 0.0, 1.0), (1e300, 0.0, -math.inf, 0.0, 0.0, 0.0)],
+)
+def test_normalized_refuses_zero_and_non_finite_with_the_reference_message(v):
+    with pytest.raises(DegenerateCase) as exc:
+        ConicMatrix(*v).normalized()
+    assert outcome(reference_normalized, v) == (DegenerateCase, str(exc.value))

@@ -8,12 +8,14 @@ door."""
 import dataclasses
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 
 import minconic._kernels as _k
 from minconic import (
+    CaseDegeneracy,
     DegenerateCase,
     GeneralPositionError,
     HomogeneousPoint,
@@ -62,15 +64,68 @@ def one_input(family):
     return (pts, []) if family == "5p" else dualize_input(pts, [])
 
 
-@pytest.mark.parametrize("family", ["4p1l", "5p", "5l"])
+#: 3-point/2-line families of one case each, primal and dual
+CASES_3P2L = [f"{kind}_c{case}" for kind in ("3p2l", "2p3l") for case in range(1, 6)]
+
+
+def inputs_of(family):
+    """The one input of one_input for 4p1l, 5p and 5l; twelve inputs of one
+    3-point/2-line case, primal or dual, otherwise."""
+    if family not in CASES_3P2L:
+        return [one_input(family)]
+    case = int(family[-1])
+    rng = random.Random(case)
+    out = []
+    for _ in range(12):
+        pts, l1, l2 = random_3p2l_case(rng, case)
+        out.append(dualize_input(pts, [l1, l2]) if family[0] == "2" else (pts, [l1, l2]))
+    return out
+
+
+@pytest.mark.parametrize("family", ["4p1l", "5p", "5l"] + CASES_3P2L)
 def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
-    points, lines = one_input(family)
+    # the reported deviation is that of the one triangle whose alarm is
+    # taken: for 5p and 5l the triangle of the first four points the conic
+    # is fitted on; for 3p2l and 2p3l every root gets its vertices and the
+    # alarm runs once, on the quadrangle of the last root built, whose fourth
+    # point is one that the context and parameters give, and with no real
+    # root there is neither
     calls = counted(monkeypatch, _k, "diag_triangle")
-    sol = solve(points, lines)
-    assert len(calls) == 1
-    # the reported deviation is that of the one triangle built (for 5p and
-    # 5l, the triangle of the first four points the conic is fitted on)
-    assert sol.diagnostics.triangle_deviation == _k.diag_triangle(*calls[0])[3]
+    real = []
+    for points, lines in inputs_of(family):
+        calls.clear()
+        sol = solve(points, lines)
+        real.append(sol.real_count > 0)
+        if family in CASES_3P2L and sol.real_count == 0:
+            assert calls == [] and sol.diagnostics.triangle_deviation is None
+            continue
+        assert len(calls) == 1
+        quad = calls[0]
+        assert sol.diagnostics.triangle_deviation == _k.diag_triangle(*quad)[3]
+        if family in CASES_3P2L:
+            ctx = sol.diagnostics.context
+            anchor, offset = (quad[0], ctx.p) if ctx.q is None else (ctx.p, ctx.q)
+            ts = [t for _, t in sol.diagnostics.parameters]
+            assert quad[3] in [tuple(t * u + v for u, v in zip(anchor, offset)) for t in ts]
+    if family in CASES_3P2L:
+        # cases 3-5 have inputs with and without real conics
+        assert any(real) and (family[-1] in "12" or not all(real))
+
+
+def test_predict_computes_each_norm_once(monkeypatch):
+    # each point, line, vertex and line meet has its norm taken once per
+    # predict (the four point norms of require_no_collinear_triple aside); the
+    # single-pass analyses took 18 on a 4p1l input and 27 on a 3p2l one
+    rng = random.Random(3)
+    pts, line = random_4p1l(rng)
+    generic = [random_3p2l_case(rng, 5) for _ in range(3)]
+    calls = counted(monkeypatch, _k, "norm3")
+    predict(pts, [line])
+    assert len(calls) <= 12
+    for pts, l1, l2 in generic:
+        calls.clear()
+        predict(pts, [l1, l2])
+        assert len(calls) <= 6
 
 
 def corpus(seed=20):
@@ -329,3 +384,51 @@ def test_case5_prediction_reads_its_side_products_not_their_product():
     pred = predict(points, lines)
     assert pred.predicate == 0.0
     assert (pred.predicted_real, pred.predicted_complex) == (4, 0)
+
+
+SQUARE_FIFTH_POINT = SQUARE + [(2.0, 0.5, 1.0)]
+
+#: inputs whose scaling underflows a denominator the builder divides by: the
+#: five-point fit's diagonal-triangle determinant, the case-3 s of each root,
+#: the case-5 quadratic for X and -Y and the case-5 beta_j divisors A*a_j;
+#: (name, scale, dual, message fragment)
+BUILDER_UNDERFLOWS = [
+    ("5p", 1e-30, False, "five-point fit"),
+    ("5p", 1e-30, True, "five-point fit"),
+    ("3p2l_case3_real_a", 1e-30, False, "the denominator of s is exactly 0.0"),
+    ("3p2l_case5_real_a", 1e-50, False, "both roots of z^2 - U z - P"),
+    ("3p2l_case5_real_a", 1e-60, False, "beta_j is exactly 0.0"),
+    ("4p1l_point_on_line", 1e-40, False, "coefficients are exactly 0.0"),
+]
+
+
+def underflow_input(name, scale, dual):
+    if name == "5p":
+        points, lines = [tuple(scale * v for v in p) for p in SQUARE_FIFTH_POINT], []
+    else:
+        points, lines = scaled_gallery_case(name, scale)
+    return (lines, points) if dual else (points, lines)
+
+
+@pytest.mark.parametrize("name, scale, dual, message", BUILDER_UNDERFLOWS)
+def test_underflowed_builder_denominator_is_a_named_error(name, scale, dual, message):
+    # the analysis still decides the count, so predict answers; the builder
+    # meets a denominator that underflowed to 0.0 and names it, instead of
+    # dividing by it and raising a bare ZeroDivisionError
+    points, lines = underflow_input(name, scale, dual)
+    assert predict(points, lines).total > 0
+    with pytest.raises(DegenerateCase, match=re.escape(message)):
+        solve(points, lines)
+
+
+@pytest.mark.parametrize("name", ["3p2l_case3_real_a", "3p2l_case3_complex"])
+def test_underflowed_case3_denominator_fails_predict_and_solve_alike(name):
+    # D*D*a0*a1 reads only the input, so the analysis gates it, beside the
+    # case-2 denominator: both entry points refuse with one CaseDegeneracy
+    points, lines = scaled_gallery_case(name, 1e-35)
+    with pytest.raises(CaseDegeneracy) as from_predict:
+        predict(points, lines)
+    with pytest.raises(CaseDegeneracy) as from_solve:
+        solve(points, lines)
+    assert str(from_predict.value) == str(from_solve.value)
+    assert "D*D*a0*a1 is exactly 0.0" in str(from_solve.value)
