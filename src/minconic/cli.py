@@ -10,9 +10,12 @@ Configurations are single JSON documents:
     }
 
 Reports are byte-stable: fixed field order, floats at 15 significant digits,
-no timestamps. Exit codes: 0 ok, 1 any other solver error, 2 parse error,
-3 general-position or degeneracy error, 4 unsupported element count,
-5 certification failure.
+no timestamps. Exit codes: 0 ok, 1 any other solver error or a missing
+numpy, 2 parse error, 3 general-position or degeneracy error, 4 unsupported
+element count, 5 certification failure.
+
+`check` and `plot` need numpy, the `check` and `plot` extras; the other
+commands run without it.
 """
 from __future__ import annotations
 
@@ -357,6 +360,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, MinconicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(
+            f"error: minconic {args.command} needs numpy; install it with "
+            f"pip install 'minconic[{args.command}]'",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 Nothing here shares formulas with the closed-form solvers: the five-point
 fit goes through a null-space computation on the design matrix, tangency
 roots are isolated by sign-change bisection on the actual matrix pencil,
-the rank of a solved conic comes from LAPACK's eigenvalues (numpy), not from
-the solvers' closed-form ones, and certification recomputes every
-constraint residual itself. These are the ground truth the solver tests
-compare against.
+the ranks of a solution set's conics come from LAPACK's eigenvalues, one
+numpy call on the stacked matrices per set, not from the solvers'
+closed-form ones, and certification recomputes every constraint residual
+itself. These are the ground truth the solver tests compare against.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels as _k
-from .conics import ConicMatrix, point_residual, tangency_residual
+from .conics import ConicMatrix, _residual, _sym6_frobenius
 from .errors import RankDeficient
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
 from .selfpolar import DiagonalTriangle
@@ -139,14 +139,28 @@ def scan_tangency_roots(
 # certification
 
 
-def _rank(c: ConicMatrix, tol: Tolerances) -> int:
-    """Numeric rank from numpy's eigenvalues: those below rank_zero times the
-    spectral radius are zero."""
-    w = np.abs(np.linalg.eigvalsh(np.array(c.matrix(), dtype=float)))
-    top = float(w.max())
-    if top == 0.0:
-        return 0
-    return int((w > tol.rank_zero * top).sum())
+def _ranks(m6s: Sequence[Sequence[float]], tol: Tolerances) -> list[int]:
+    """Numeric rank of each sym6 conic from one LAPACK call on the stacked
+    matrices: eigenvalues below rank_zero times the spectral radius are zero.
+
+    The thresholds run on plain floats. A NaN eigenvalue makes the spectral
+    radius NaN, as ndarray.max does, so no eigenvalue clears it: rank 0.
+    An unconverged eigenvalue problem raises numpy's LinAlgError.
+    """
+    if not m6s:
+        return []
+    flat = [x for a, b, c, d, e, f in m6s for x in (a, b, d, b, c, e, d, e, f)]
+    mats = np.array(flat, dtype=float).reshape(len(m6s), 3, 3)
+    ranks = []
+    for w in np.linalg.eigvalsh(mats).tolist():
+        x, y, z = abs(w[0]), abs(w[1]), abs(w[2])
+        top = max(x, y, z)
+        if top == 0.0 or math.isnan(x + y + z):
+            ranks.append(0)
+        else:
+            limit = tol.rank_zero * top
+            ranks.append((x > limit) + (y > limit) + (z > limit))
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -169,27 +183,34 @@ class Certification:
         return [c for c in self.checks if not c.passed]
 
 
-def _self_polar_quadrangles(points, lines, sol: SolutionSet):
-    """Reconstruct the quadrangle behind each solution, when possible."""
+def _triangle(x1: Vec3, x2: Vec3, x3: Vec3, x4: Vec3):
+    """Diagonal-triangle vertices of a quadrangle and their norms."""
+    xi = _k.diag_vertices(x1, x2, x3, x4)
+    return xi, (_k.norm3(xi[0]), _k.norm3(xi[1]), _k.norm3(xi[2]))
+
+
+def _self_polar_triangles(vecs: list[Vec3], sol: SolutionSet):
+    """The diagonal triangle behind each solution, when its quadrangle can be
+    rebuilt from the diagnostics: one triangle for every conic of a 5p or
+    4p1l set, one per root for 3p2l."""
     diag = sol.diagnostics
-    vecs = [_vec(p) for p in points]
+    n = len(sol.real_conics)
     if sol.case_label.startswith("dual:"):
         return None
     if len(vecs) >= 4:
-        quad = vecs[:4]
-        return [quad for _ in sol.real_conics]
+        return [_triangle(*vecs[:4])] * n if n else []
     ctx = diag.context
-    if ctx is None or len(diag.parameters) != len(sol.real_conics):
+    if ctx is None or len(diag.parameters) != n:
         return None
     x1, x2, x3 = (vecs[i] for i in diag.allocation)
-    quads = []
+    tris = []
     for s, t in diag.parameters:
         if ctx.parameterization == "t*p+q":
             x4 = tuple(t * u + v for u, v in zip(ctx.p, ctx.q))
         else:
             x4 = tuple(t * u + v for u, v in zip(x1, ctx.p))
-        quads.append([x1, x2, x3, x4])
-    return quads
+        tris.append(_triangle(x1, x2, x3, x4))
+    return tris
 
 
 def certify(
@@ -200,32 +221,46 @@ def certify(
     Covers incidence and tangency residuals, non-degeneracy of each conic,
     self-polarity of the reconstructed quadrangle triangle where the
     diagnostics allow it, and count consistency against the sign predictors.
+    Each point, line and conic is read once: a conic's norm and adjugate
+    serve all its residuals, and the ranks of the whole set come from one
+    LAPACK call.
     """
     checks: list[CheckResult] = []
     vecs = [_vec(p) for p in points]
     lvs = [_vec(l) for l in lines]
+    limit = tol.residual
 
-    for i, cm in enumerate(sol.real_conics):
-        pin = max((point_residual(cm, v) for v in vecs), default=0.0)
-        checks.append(CheckResult(f"incidence[{i}]", pin <= tol.residual, pin, tol.residual))
-        tan = max((tangency_residual(cm, l) for l in lvs), default=0.0)
-        checks.append(CheckResult(f"tangency[{i}]", tan <= tol.residual, tan, tol.residual))
-        r = _rank(cm, tol)
+    rows = []  # per conic: sym6, Frobenius norm, worst incidence, worst tangency
+    try:
+        for cm in sol.real_conics:
+            m6 = cm.sym6()
+            fro = _sym6_frobenius(m6)
+            pin = max([_residual(m6, fro, v) for v in vecs], default=0.0)
+            tan = 0.0
+            if lvs:
+                adj = _k.sym_adjugate(m6)
+                adj_fro = _sym6_frobenius(adj)
+                tan = max([_residual(adj, adj_fro, l) for l in lvs], default=0.0)
+            rows.append((m6, fro, pin, tan))
+    except Exception:
+        # checked conic by conic, every earlier conic's rank came first
+        _ranks([row[0] for row in rows], tol)
+        raise
+    ranks = _ranks([row[0] for row in rows], tol)
+    for i, ((_, _, pin, tan), r) in enumerate(zip(rows, ranks)):
+        checks.append(CheckResult(f"incidence[{i}]", pin <= limit, pin, limit))
+        checks.append(CheckResult(f"tangency[{i}]", tan <= limit, tan, limit))
         checks.append(CheckResult(f"nondegenerate[{i}]", r == 3, float(r), 3.0))
 
-    quads = _self_polar_quadrangles(points, lines, sol)
-    if quads is not None:
-        for i, (cm, quad) in enumerate(zip(sol.real_conics, quads)):
-            xi1, xi2, xi3, _ = _k.diag_triangle(*quad)
-            m6 = cm.sym6()
+    tris = _self_polar_triangles(vecs, sol)
+    if tris is not None:
+        for i, ((m6, fro, _, _), ((u1, u2, u3), (n1, n2, n3))) in enumerate(zip(rows, tris)):
+            f1 = fro * n1
             worst = 0.0
-            fro = cm.frobenius()
-            for u, v in ((xi1, xi2), (xi1, xi3), (xi2, xi3)):
-                num = abs(_sym_bilinear(m6, u, v))
-                worst = max(worst, num / (fro * _k.norm3(u) * _k.norm3(v)))
-            checks.append(
-                CheckResult(f"self-polar[{i}]", worst <= tol.residual, worst, tol.residual)
-            )
+            worst = max(worst, abs(_sym_bilinear(m6, u1, u2)) / (f1 * n2))
+            worst = max(worst, abs(_sym_bilinear(m6, u1, u3)) / (f1 * n3))
+            worst = max(worst, abs(_sym_bilinear(m6, u2, u3)) / (fro * n2 * n3))
+            checks.append(CheckResult(f"self-polar[{i}]", worst <= limit, worst, limit))
 
     try:
         pred = predict(points, lines, tol)

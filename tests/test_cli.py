@@ -292,3 +292,22 @@ assert cli.main(["batch", {str(gallery)!r}, "--out", os.devnull]) == 0
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "plot"])
+def test_check_and_plot_without_numpy_exit_1_with_an_error_line(command):
+    # numpy is the `check` and `plot` extra: without it the command names
+    # the extra on one error line instead of dying in a traceback
+    script = f"""
+import os, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+sys.path.insert(0, {str(Path(minconic.__file__).parents[1])!r})
+from minconic import cli
+sys.exit(cli.main([{command!r}, {str(FIXTURES / "gallery" / "4p1l_generic_real_a.json")!r}, "--out", os.devnull]))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: minconic {command} needs numpy; install it with "
+        f"pip install 'minconic[{command}]'\n"
+    )
