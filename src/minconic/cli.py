@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -52,9 +53,18 @@ class ParseError(ValueError):
 
 
 def _num(x) -> float:
-    if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
-        raise ParseError(f"expected a finite number, got {x!r}")
-    return float(x)
+    # the JSON decoder gives every non-integer number as a float; x - x is
+    # 0.0 exactly when it is finite (inf - inf and nan - nan are nan)
+    if type(x) is float and x - x == 0.0:
+        return x
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:
+            raise ParseError("expected a finite number, got an integer beyond the float range") from None
+        if math.isfinite(value):
+            return value
+    raise ParseError(f"expected a finite number, got {x!r}")
 
 
 def _items(doc: dict, key: str) -> list:
@@ -66,12 +76,13 @@ def _items(doc: dict, key: str) -> list:
 
 def load_config(path: str) -> dict:
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        with open(path) as fh:  # text mode: locale decoding, universal newlines
+            raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer too long, nesting too deep
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -275,27 +286,34 @@ def cmd_plot(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    root = Path(args.directory)
-    if not root.is_dir():
-        raise ParseError(f"{args.directory} is not a directory")
-    files = sorted(root.glob("*.json"))
-    if not files:
+    # Every entry whose name ends in .json, files or not, sorted by name: what
+    # Path.glob("*.json") listed. Each path is str(Path(directory) / name).
+    root = str(Path(args.directory))
+    try:
+        with os.scandir(root) as entries:
+            names = sorted(e.name for e in entries if e.name.endswith(".json"))
+    except (OSError, ValueError):
+        if not os.path.isdir(root):
+            raise ParseError(f"{args.directory} is not a directory") from None
+        names = []  # a directory that cannot be listed holds no configurations
+    if not names:
         raise ParseError(f"no .json configurations in {args.directory}")
+    prefix = "" if root == "." else os.path.join(root, "")
     worst = EXIT_OK
     rows = []
-    for f in files:
+    for name in names:
         try:
-            cfg = load_config(str(f))
+            cfg = load_config(prefix + name)
             tol = _tolerances(cfg["options"], args.tolerance)
             sol = solve(cfg["points"], cfg["lines"], tol)
             rows.append(
-                f"{f.name}: ok case={sol.case_label} real={sol.real_count} "
+                f"{name}: ok case={sol.case_label} real={sol.real_count} "
                 f"complex={sol.complex_count}"
             )
         except Exception as exc:  # per-file isolation; the run continues
             code = _exit_code_for(exc)
             worst = max(worst, code)
-            rows.append(f"{f.name}: error[{code}] {exc}")
+            rows.append(f"{name}: error[{code}] {exc}")
     _emit("\n".join(rows) + "\n", args.out)
     return worst
 

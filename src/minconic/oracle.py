@@ -235,12 +235,11 @@ def certify(
         for cm in sol.real_conics:
             m6 = cm.sym6()
             fro = _sym6_frobenius(m6)
-            pin = max([_residual(m6, fro, v) for v in vecs], default=0.0)
+            pin = _worst_residual(m6, fro, vecs)
             tan = 0.0
             if lvs:
                 adj = _k.sym_adjugate(m6)
-                adj_fro = _sym6_frobenius(adj)
-                tan = max([_residual(adj, adj_fro, l) for l in lvs], default=0.0)
+                tan = _worst_residual(adj, _sym6_frobenius(adj), lvs)
             rows.append((m6, fro, pin, tan))
     except Exception:
         # checked conic by conic, every earlier conic's rank came first
@@ -255,6 +254,9 @@ def certify(
     tris = _self_polar_triangles(vecs, sol)
     if tris is not None:
         for i, ((m6, fro, _, _), ((u1, u2, u3), (n1, n2, n3))) in enumerate(zip(rows, tris)):
+            if fro == 0.0:  # as for the residuals: nothing to measure against
+                checks.append(CheckResult(f"self-polar[{i}]", False, math.nan, limit))
+                continue
             f1 = fro * n1
             worst = 0.0
             worst = max(worst, abs(_sym_bilinear(m6, u1, u2)) / (f1 * n2))
@@ -275,6 +277,18 @@ def certify(
         checks.append(CheckResult("count-consistency", False, math.nan, math.nan))
 
     return Certification(tuple(checks))
+
+
+def _worst_residual(m6, norm: float, vecs: list[Vec3]) -> float:
+    """The largest residual of vecs against the symmetric matrix m6 of
+    Frobenius norm `norm`. A zero norm (a zero conic, the adjugate of a conic
+    of rank 1 or 0, or entries whose squares underflow) leaves every residual
+    a division by zero: NaN, a failed check."""
+    if not vecs:
+        return 0.0
+    if norm == 0.0:
+        return math.nan
+    return max([_residual(m6, norm, v) for v in vecs])
 
 
 def _sym_bilinear(m6, u: Vec3, v: Vec3) -> float:

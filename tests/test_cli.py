@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, batch isolation."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -311,3 +312,136 @@ sys.exit(cli.main([{command!r}, {str(FIXTURES / "gallery" / "4p1l_generic_real_a
         f"error: minconic {command} needs numpy; install it with "
         f"pip install 'minconic[{command}]'\n"
     )
+
+
+def _undecodable(path):
+    path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark, not UTF-8 text
+
+
+def _nested_too_deeply(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+
+
+def _integer_beyond_float(path):
+    path.write_text(json.dumps({"points": [[10**400, 1], [0, 1], [1, 0], [2, 2], [3, 5]]}))
+
+
+def _integer_too_long(path):
+    # beyond the decoder's 4,300-digit limit for integers, where it has one
+    path.write_text('{"points": [[' + "1" * 5000 + ", 1], [0, 1], [1, 0], [2, 2], [3, 5]]}")
+
+
+UNREADABLE_AS_CONFIGS = {
+    "undecodable.json": _undecodable,
+    "nested.json": _nested_too_deeply,
+    "bigint.json": _integer_beyond_float,
+    "longint.json": _integer_too_long,
+}
+
+
+@pytest.fixture()
+def unreadable_dir(tmp_path):
+    d = tmp_path / "unreadable"
+    d.mkdir()
+    for name, write in UNREADABLE_AS_CONFIGS.items():
+        write(d / name)
+    return d
+
+
+@pytest.mark.parametrize("command", ["solve", "predict", "check", "plot"])
+def test_undecodable_deep_or_huge_input_exits_2_without_traceback(unreadable_dir, capsys, command):
+    # each input used to escape load_config as a bare exception: a decode
+    # error, a RecursionError from the JSON decoder, an OverflowError from a
+    # 401-digit integer coordinate and the decoder's ValueError for an
+    # integer too long to convert
+    for name in UNREADABLE_AS_CONFIGS:
+        assert cli.main([command, str(unreadable_dir / name)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, name
+        assert "Traceback" not in captured.err
+
+
+def test_batch_reports_undecodable_deep_or_huge_input_as_parse_errors(unreadable_dir, capsys):
+    assert cli.main(["batch", str(unreadable_dir)]) == 2
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(": ", 1)[0] for row in rows] == sorted(UNREADABLE_AS_CONFIGS)
+    assert all(row.split(": ", 1)[1].startswith("error[2] ") for row in rows)
+    assert rows[0] == "bigint.json: error[2] expected a finite number, got an integer beyond the float range"
+
+
+OK_ROW = "ok case=4p1l/generic real=2 complex=0"
+
+
+def test_batch_lists_every_name_ending_in_json(tmp_path, capsys):
+    # as Path.glob("*.json") did: dotfiles and directories are listed, the
+    # match is case-sensitive and whole-suffix, and names sort as strings
+    d = tmp_path / "d"
+    d.mkdir()
+    for name in (".hidden.json", "B.json", "a.json"):
+        write_config(d / name, SQUARE_TANGENT)
+    (d / "sub.json").mkdir()
+    (d / "X.JSON").write_text("{oops")
+    (d / "x.json.bak").write_text("{oops")
+    assert cli.main(["batch", str(d)]) == 2
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[:3] == [f".hidden.json: {OK_ROW}", f"B.json: {OK_ROW}", f"a.json: {OK_ROW}"]
+    assert rows[3].startswith(f"sub.json: error[2] cannot read {d / 'sub.json'}: ")
+    assert len(rows) == 4
+
+
+@pytest.mark.parametrize(
+    "given, cwd, shown",
+    [
+        ("d", "parent", "d/"),
+        ("d/", "parent", "d/"),
+        ("d//", "parent", "d/"),
+        ("./d", "parent", "d/"),
+        (".", "d", ""),
+        ("absolute", None, "absolute/"),
+    ],
+)
+def test_batch_names_each_file_by_its_path_under_the_given_directory(
+    tmp_path, capsys, monkeypatch, given, cwd, shown
+):
+    d = tmp_path / "d"
+    d.mkdir()
+    write_config(d / "a.json", SQUARE_TANGENT)
+    (d / "b.json").write_text("[]")
+    if cwd is not None:
+        monkeypatch.chdir(tmp_path if cwd == "parent" else d)
+    if given == "absolute":
+        given, shown = str(d), f"{d}/"
+    assert cli.main(["batch", given]) == 2
+    assert capsys.readouterr().out == (
+        f"a.json: {OK_ROW}\nb.json: error[2] {shown}b.json: top level must be an object\n"
+    )
+
+
+def test_batch_refuses_a_missing_path_or_a_file(tmp_path, capsys):
+    cfg = write_config(tmp_path / "sq.json", SQUARE_TANGENT)
+    for target in (str(tmp_path / "missing"), cfg):
+        assert cli.main(["batch", target]) == 2
+        assert capsys.readouterr().err == f"error: {target} is not a directory\n"
+
+
+def test_batch_refuses_an_empty_or_unlistable_directory(tmp_path, capsys, monkeypatch):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["batch", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: no .json configurations in {empty}\n"
+
+    d = tmp_path / "d"
+    d.mkdir()
+    write_config(d / "a.json", SQUARE_TANGENT)
+    scandir = os.scandir
+
+    def refuse(path="."):
+        # the suite runs as root, so chmod cannot make a directory unlistable
+        if os.fspath(path) == str(d):
+            raise PermissionError(13, "Permission denied", str(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refuse)
+    assert cli.main(["batch", str(d)]) == 2
+    assert capsys.readouterr().err == f"error: no .json configurations in {d}\n"

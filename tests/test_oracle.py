@@ -14,6 +14,7 @@ from minconic import (
     solve,
     solve_five_points,
 )
+from minconic import oracle
 from minconic.errors import RankDeficient
 from minconic.oracle import (
     certify,
@@ -169,19 +170,59 @@ def test_rank_of_non_finite_conics():
 def test_eigenvalue_failure_keeps_its_place_in_the_check_order(monkeypatch):
     # conic by conic, conic 0's rank came before conic 1's residuals: an
     # unconverged eigenvalue problem raises LinAlgError, even when a later
-    # conic's residual would divide by zero
+    # conic's residual raises
     def unconverged(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     points, lines, sol = _case5_four_real()
-    zero = ConicMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ZeroDivisionError):
-        certify(points, lines, _with_conic(sol, 0, zero))
+    marked = ConicMatrix(2.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+    residual = oracle._residual
+
+    def failing(m6, norm, v):
+        if tuple(m6) == marked.sym6():
+            raise ArithmeticError("residual failed")
+        return residual(m6, norm, v)
+
+    monkeypatch.setattr(oracle, "_residual", failing)
+    with pytest.raises(ArithmeticError):
+        certify(points, lines, _with_conic(sol, 0, marked))
     monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
     with pytest.raises(np.linalg.LinAlgError):
-        certify(points, lines, _with_conic(sol, 1, zero))
-    with pytest.raises(ZeroDivisionError):
-        certify(points, lines, _with_conic(sol, 0, zero))
+        certify(points, lines, _with_conic(sol, 1, marked))
+    with pytest.raises(ArithmeticError):
+        certify(points, lines, _with_conic(sol, 0, marked))
+
+
+def _checks_by_slot(cert, slot):
+    mine = {c.name: c for c in cert.checks if c.name.endswith(f"[{slot}]")}
+    others = [c for c in cert.checks if c.name not in mine]
+    return mine, others
+
+
+@pytest.mark.parametrize("slot", [0, 3])
+@pytest.mark.parametrize(
+    "conic, rank, undefined",
+    [
+        # the double line x^2 = 0: rank 1 and a zero adjugate, so its
+        # tangency residuals would divide 0 by 0
+        (ConicMatrix(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1.0, ("tangency",)),
+        (ConicMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0, ("incidence", "tangency", "self-polar")),
+    ],
+    ids=["double_line", "zero"],
+)
+def test_rank_deficient_conic_fails_its_checks_instead_of_raising(conic, rank, undefined, slot):
+    # the undefined residuals fail as NaN, and the checks of the other
+    # conics are those of the untouched set
+    points, lines, sol = _case5_four_real()
+    mine, others = _checks_by_slot(certify(points, lines, _with_conic(sol, slot, conic)), slot)
+    _, untouched = _checks_by_slot(certify(points, lines, sol), slot)
+    assert others == untouched and all(c.passed for c in untouched)
+    for name in ("incidence", "tangency", "nondegenerate"):
+        assert not mine[f"{name}[{slot}]"].passed, name
+    assert mine[f"nondegenerate[{slot}]"].magnitude == rank
+    for name in undefined:
+        check = mine[f"{name}[{slot}]"]
+        assert not check.passed and math.isnan(check.magnitude), name
 
 
 def test_random_generators_produce_the_requested_case():
