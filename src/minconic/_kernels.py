@@ -120,15 +120,11 @@ def conic_from_pencil(xi1, xi2, xi3, s):
 
 
 def conic_from_five_points(x1, x2, x3, x4, x5):
-    """Unique conic through five points; returns (sym6, beta, dev).
+    """Unique conic through five points; returns (sym6, dev).
 
-    beta holds the coordinates of x5 in the diagonal-triangle basis; a tie
-    between two |beta_i| means x5 sits on a side of the quadrangle and the
-    result is degenerate (callers are expected to have screened for that).
     dev is the deviation of the diagonal triangle of x1..x4 (see
-    diag_triangle). sym6 and beta are None when the triangle's determinant,
-    their divisor, is exactly 0.0 (an underflow); callers decide what that
-    means.
+    diag_triangle). sym6 is None when the triangle's determinant, its
+    divisor, is exactly 0.0 (an underflow); callers decide what that means.
     """
     xi1, xi2, xi3, dev = diag_triangle(x1, x2, x3, x4)
     u = cross(xi2, xi3)
@@ -136,7 +132,7 @@ def conic_from_five_points(x1, x2, x3, x4, x5):
     w = cross(xi1, xi2)
     d = dot3(u, xi1)
     if d == 0.0:
-        return None, None, dev
+        return None, dev
     b1 = dot3(u, x5) / d
     b2 = dot3(v, x5) / d
     b3 = dot3(w, x5) / d
@@ -144,7 +140,7 @@ def conic_from_five_points(x1, x2, x3, x4, x5):
     m = _axpy_outer(m, b3 * b3 - b2 * b2, u)
     m = _axpy_outer(m, b1 * b1 - b3 * b3, v)
     m = _axpy_outer(m, b2 * b2 - b1 * b1, w)
-    return m, (b1, b2, b3), dev
+    return m, dev
 
 
 def sym_adjugate(m):

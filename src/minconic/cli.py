@@ -109,9 +109,7 @@ def load_config(path: str) -> dict:
 
 def _tolerances(options: dict, override: Optional[float]) -> Tolerances:
     tau = override if override is not None else options.get("tolerance")
-    if tau is None:
-        return DEFAULT
-    return DEFAULT.with_geometry(_num(tau))
+    return DEFAULT if tau is None else Tolerances(_num(tau))
 
 
 def _g(x: float) -> str:
@@ -129,13 +127,13 @@ def _prediction_dict(pred: CountPrediction) -> dict:
     }
 
 
-def _solution_dict(sol: SolutionSet, tol: Tolerances) -> dict:
+def _solution_dict(sol: SolutionSet) -> dict:
     diag = sol.diagnostics
     conics = []
     for i, cm in enumerate(sol.real_conics):
         entry = {
             "index": i,
-            "class": classify(cm, tol).value,
+            "class": classify(cm).value,
             "six_vector": [float(_g(v)) for v in cm.six_vector()],
         }
         if i < len(diag.parameters):
@@ -165,7 +163,7 @@ def _solution_dict(sol: SolutionSet, tol: Tolerances) -> dict:
     return out
 
 
-def _solution_text(sol: SolutionSet, tol: Tolerances) -> str:
+def _solution_text(sol: SolutionSet) -> str:
     diag = sol.diagnostics
     rows = [
         f"case: {sol.case_label}",
@@ -185,7 +183,7 @@ def _solution_text(sol: SolutionSet, tol: Tolerances) -> str:
             + ", ".join(_g(v) for v in diag.eigenvalues)
         )
     for i, cm in enumerate(sol.real_conics):
-        rows.append(f"conic[{i}]: class={classify(cm, tol).value}")
+        rows.append(f"conic[{i}]: class={classify(cm).value}")
         rows.append(
             "  six-vector: [" + ", ".join(_g(v) for v in cm.six_vector()) + "]"
         )
@@ -216,9 +214,9 @@ def cmd_solve(args) -> int:
     sol = solve(cfg["points"], cfg["lines"], tol)
     fmt = args.format or cfg["options"].get("format", "text")
     if fmt == "json":
-        _emit(json.dumps(_solution_dict(sol, tol), indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(_solution_dict(sol), indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _emit(_solution_text(sol, tol), args.out)
+        _emit(_solution_text(sol), args.out)
     return EXIT_OK
 
 
@@ -279,7 +277,7 @@ def cmd_plot(args) -> int:
     tol = _tolerances(cfg["options"], args.tolerance)
     sol = solve(cfg["points"], cfg["lines"], tol)
     svg = plotting.render_svg(
-        cfg["points"], cfg["lines"], sol.real_conics, _viewport(args, cfg["options"]), tol
+        cfg["points"], cfg["lines"], sol.real_conics, _viewport(args, cfg["options"])
     )
     _emit(svg, args.out)
     return EXIT_OK
@@ -337,19 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("config", help="JSON configuration file")
+    def common(p):
+        p.add_argument("config", help="JSON configuration file")
         p.add_argument("--tolerance", type=float, default=None, help="geometric predicate tolerance")
-        p.add_argument("--format", choices=("text", "json"), default=None)
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p = sub.add_parser("solve", help="solve a configuration for its conics")
     common(p)
+    p.add_argument("--format", choices=("text", "json"), default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("predict", help="predict real/complex counts from sign tests")
     common(p)
+    p.add_argument("--format", choices=("text", "json"), default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("check", help="solve and certify against the oracle")

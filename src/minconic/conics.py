@@ -25,8 +25,8 @@ from .errors import (
     InconsistentPencil,
     RankOne,
 )
-from .projective import ProjectiveLine, Vec3, _incident, _vec
-from .tolerances import DEFAULT, Tolerances
+from .projective import ProjectiveLine, Vec3, _finite, _incident, _vec
+from .tolerances import DEFAULT, DISCRIMINANT, EIGENVALUE_TIE, RANK_ZERO, RESIDUAL, Tolerances
 
 
 def _sym6_frobenius(m: Sequence[float]) -> float:
@@ -156,18 +156,22 @@ def adjugate(c: ConicMatrix) -> ConicMatrix:
     return c.adjugate()
 
 
-def rank(c: ConicMatrix, tol: Tolerances = DEFAULT) -> int:
-    """Numeric rank: eigenvalues below rank_zero times the spectral radius are zero."""
+def _nonzero(w: Sequence[float]) -> list[float]:
+    """The eigenvalues w that clear the rank cut: above RANK_ZERO times the
+    spectral radius in magnitude. None of them does when all are zero."""
+    top = max(abs(w[0]), abs(w[1]), abs(w[2]))
+    return [x for x in w if abs(x) > RANK_ZERO * top]
+
+
+def rank(c: ConicMatrix) -> int:
+    """Numeric rank: eigenvalues below RANK_ZERO times the spectral radius are zero."""
     w = _spectrum(_equilibrated(c))
     if w is None:
         return 3
-    top = max(abs(w[0]), abs(w[1]), abs(w[2]))
-    if top == 0.0:
-        return 0
-    return sum(abs(x) > tol.rank_zero * top for x in w)
+    return len(_nonzero(w))
 
 
-def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
+def classify(c: ConicMatrix) -> ConicClass:
     """Affine class of a conic.
 
     Degenerate cases are split by rank and by the signs of the nonzero
@@ -178,11 +182,10 @@ def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
     m = _equilibrated(c)
     w = _spectrum(m)
     if w is not None:
-        top = max(abs(w[0]), abs(w[1]), abs(w[2]))
-        if top == 0.0:
+        nonzero = _nonzero(w)
+        if not nonzero:
             raise ValueError("zero conic matrix has no class")
-        nonzero = [x for x in w if abs(x) > tol.rank_zero * top]
-        if len(nonzero) <= 1:
+        if len(nonzero) == 1:
             return ConicClass.DOUBLE_LINE
         if len(nonzero) == 2:
             return ConicClass.LINE_PAIR if nonzero[0] * nonzero[1] < 0.0 else ConicClass.POINT
@@ -193,7 +196,7 @@ def classify(c: ConicMatrix, tol: Tolerances = DEFAULT) -> ConicClass:
     rad = math.hypot(0.5 * (a - cc), b)
     big = max(abs(mean) + rad, 1e-300)
     minor = a * cc - b * b
-    if abs(minor) <= tol.rank_zero * big * big:
+    if abs(minor) <= RANK_ZERO * big * big:
         return ConicClass.PARABOLA
     if minor < 0.0:
         return ConicClass.HYPERBOLA
@@ -251,10 +254,10 @@ def pencil_eigenvalues(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> P
                     (idx,),
                 )
         incs.append((_k.dot3(v, lv1), _k.dot3(v, lv2)))
-    return _pencil_eigenvalues(incs, tol)
+    return _pencil_eigenvalues(incs)
 
 
-def _pencil_eigenvalues(incs: Sequence, tol: Tolerances) -> PencilEigenvalues:
+def _pencil_eigenvalues(incs: Sequence) -> PencilEigenvalues:
     """pencil_eigenvalues from the incidences (x . l1, x . l2) of the three
     points, none of them zero; DegenerateCase on a near-tie."""
     (a1, a2), (b1, b2), (c1, c2) = incs
@@ -265,7 +268,7 @@ def _pencil_eigenvalues(incs: Sequence, tol: Tolerances) -> PencilEigenvalues:
     )
     pairs = ((lams.lam1, lams.lam2), (lams.lam1, lams.lam3), (lams.lam2, lams.lam3))
     for u, v in pairs:
-        if abs(u - v) <= tol.eigenvalue_tie * max(abs(u), abs(v)):
+        if abs(u - v) <= EIGENVALUE_TIE * max(abs(u), abs(v)):
             raise DegenerateCase(
                 "two pencil eigenvalues coincide; the line intersection point "
                 "lies on a side of the point triangle"
@@ -415,9 +418,7 @@ def _spectrum(m) -> Optional[tuple[float, float, float]]:
     return _eigenvalues(m, _k.sym_adjugate(m), _sym6_frobenius(m))
 
 
-def split_line_pair(
-    c: ConicMatrix, tol: Tolerances = DEFAULT
-) -> tuple[ProjectiveLine, ProjectiveLine]:
+def split_line_pair(c: ConicMatrix) -> tuple[ProjectiveLine, ProjectiveLine]:
     """Split a rank-2 conic into its two real lines.
 
     The singular point is read off the adjugate (which is a rank-1 outer
@@ -425,8 +426,8 @@ def split_line_pair(
     coordinate and leaves a binary quadratic that factors directly.
 
     The rank and sign decisions use closed-form eigenvalues of the
-    equilibrated matrix (see _eigenvalues), gated at rank_zero times the
-    spectral radius.
+    equilibrated matrix (see _eigenvalues), gated by the rank cut of rank
+    and classify (see _nonzero).
 
     Raises ComplexLinePair when the two lines are complex conjugates, RankOne
     for a double line, ValueError if the matrix is not degenerate, and
@@ -454,8 +455,7 @@ def split_line_pair(
     w = _eigenvalues(m, adj, norm)
     if w is None:
         raise ValueError("conic is not degenerate; it does not split into lines")
-    top = max(abs(w[0]), abs(w[1]), abs(w[2]))
-    nonzero = [x for x in w if abs(x) > tol.rank_zero * top]
+    nonzero = _nonzero(w)
     if len(nonzero) == 3:
         raise ValueError("conic is not degenerate; it does not split into lines")
     if len(nonzero) <= 1:
@@ -473,9 +473,9 @@ def split_line_pair(
         disc = 0.0
     rt = math.sqrt(disc)
     scale = max(abs(alpha), abs(beta), abs(gamma), 1e-300)
-    if abs(alpha) >= abs(beta) and abs(alpha) > tol.rank_zero * scale:
+    if abs(alpha) >= abs(beta) and abs(alpha) > RANK_ZERO * scale:
         pairs2 = ((alpha, gamma - rt), (alpha, gamma + rt))
-    elif abs(beta) > tol.rank_zero * scale:
+    elif abs(beta) > RANK_ZERO * scale:
         pairs2 = ((gamma - rt, beta), (gamma + rt, beta))
     else:
         pairs2 = ((1.0, 0.0), (0.0, 2.0 * gamma))
@@ -502,7 +502,7 @@ def _line_points(l: Vec3) -> tuple[Vec3, Vec3]:
     return p0, p1
 
 
-def _intersect_line_conic(l: Vec3, m6, tol: Tolerances):
+def _intersect_line_conic(l: Vec3, m6):
     """Intersections of one line with a conic: (real pts, complex count)."""
     p0, p1 = _line_points(l)
     q2 = _k.sym_eval(m6, p1)
@@ -529,7 +529,7 @@ def _intersect_line_conic(l: Vec3, m6, tol: Tolerances):
     # the zero band must be relative to the two cancelling terms, not to the
     # raw coefficients: an unbalanced quadratic (|q0| >> |q1|) would otherwise
     # swallow a decisively negative discriminant
-    band = tol.discriminant * max(q1 * q1, abs(4.0 * q2 * q0))
+    band = DISCRIMINANT * max(q1 * q1, abs(4.0 * q2 * q0))
     if disc < -band:
         return [], 2
     if disc <= band:
@@ -542,10 +542,7 @@ def _intersect_line_conic(l: Vec3, m6, tol: Tolerances):
 
 
 def intersect_conic_pencil(
-    c1: ConicMatrix,
-    c2: ConicMatrix,
-    lams: PencilEigenvalues,
-    tol: Tolerances = DEFAULT,
+    c1: ConicMatrix, c2: ConicMatrix, lams: PencilEigenvalues
 ) -> PencilIntersection:
     """Common points of two conics via the degenerate pencil members.
 
@@ -559,7 +556,7 @@ def intersect_conic_pencil(
     for lam in lams:
         member = ConicMatrix.from_sym6(_sym6_combo(lam, m1, -1.0, m2))
         try:
-            pairs.append(split_line_pair(member, tol))
+            pairs.append(split_line_pair(member))
         except ComplexLinePair:
             pairs.append(None)
     real_pairs = [p for p in pairs if p is not None]
@@ -581,8 +578,8 @@ def intersect_conic_pencil(
                 v1 = _k.dot3(checker[0].vec(), pt)
                 v2 = _k.dot3(checker[1].vec(), pt)
                 n = _k.norm3(pt)
-                ok1 = abs(v1) <= math.sqrt(tol.residual) * _k.norm3(checker[0].vec()) * n
-                ok2 = abs(v2) <= math.sqrt(tol.residual) * _k.norm3(checker[1].vec()) * n
+                ok1 = abs(v1) <= math.sqrt(RESIDUAL) * _k.norm3(checker[0].vec()) * n
+                ok2 = abs(v2) <= math.sqrt(RESIDUAL) * _k.norm3(checker[1].vec()) * n
                 if not (ok1 or ok2):
                     raise InconsistentPencil(
                         "third line pair does not pass through a computed intersection"
@@ -590,14 +587,13 @@ def intersect_conic_pencil(
     else:
         la, lb = real_pairs[0]
         for l in (la, lb):
-            pts, cc = _intersect_line_conic(l.vec(), m1, tol)
+            pts, cc = _intersect_line_conic(l.vec(), m1)
             raw_pts.extend(pts)
             complex_count += cc
 
     out: list[tuple[float, float]] = []
     for pt in raw_pts:
-        n = _k.norm3(pt)
-        if n == 0.0 or abs(pt[2]) < tol.infinity * n:
+        if not _finite(pt):
             raise DegenerateCase("pencil intersection escaped to infinity")
         st = (pt[0] / pt[2], pt[1] / pt[2])
         if not any(math.hypot(st[0] - o[0], st[1] - o[1]) <= 1e-9 * max(1.0, abs(st[0]), abs(st[1])) for o in out):

@@ -23,7 +23,7 @@ from .errors import RankDeficient
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
 from .selfpolar import DiagonalTriangle
 from .solvers import SolutionSet, predict
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, RANK_ZERO, RESIDUAL, Tolerances
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def _design_row(v: Vec3) -> list[float]:
     return [x * x, x * y, y * y, x * w, y * w, w * w]
 
 
-def nullspace_five_point(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatrix:
+def nullspace_five_point(points: Sequence) -> ConicMatrix:
     """Classical five-point conic fit via the null space of the design matrix.
 
     Rows are the monomial vectors (x^2, xy, y^2, xw, yw, w^2); the one
@@ -139,9 +139,9 @@ def scan_tangency_roots(
 # certification
 
 
-def _ranks(m6s: Sequence[Sequence[float]], tol: Tolerances) -> list[int]:
+def _ranks(m6s: Sequence[Sequence[float]]) -> list[int]:
     """Numeric rank of each sym6 conic from one LAPACK call on the stacked
-    matrices: eigenvalues below rank_zero times the spectral radius are zero.
+    matrices: eigenvalues below RANK_ZERO times the spectral radius are zero.
 
     The thresholds run on plain floats. A NaN eigenvalue makes the spectral
     radius NaN, as ndarray.max does, so no eigenvalue clears it: rank 0.
@@ -158,7 +158,7 @@ def _ranks(m6s: Sequence[Sequence[float]], tol: Tolerances) -> list[int]:
         if top == 0.0 or math.isnan(x + y + z):
             ranks.append(0)
         else:
-            limit = tol.rank_zero * top
+            limit = RANK_ZERO * top
             ranks.append((x > limit) + (y > limit) + (z > limit))
     return ranks
 
@@ -205,10 +205,7 @@ def _self_polar_triangles(vecs: list[Vec3], sol: SolutionSet):
     x1, x2, x3 = (vecs[i] for i in diag.allocation)
     tris = []
     for s, t in diag.parameters:
-        if ctx.parameterization == "t*p+q":
-            x4 = tuple(t * u + v for u, v in zip(ctx.p, ctx.q))
-        else:
-            x4 = tuple(t * u + v for u, v in zip(x1, ctx.p))
+        x4 = tuple(t * u + v for u, v in zip(ctx.anchor, ctx.offset))
         tris.append(_triangle(x1, x2, x3, x4))
     return tris
 
@@ -228,7 +225,7 @@ def certify(
     checks: list[CheckResult] = []
     vecs = [_vec(p) for p in points]
     lvs = [_vec(l) for l in lines]
-    limit = tol.residual
+    limit = RESIDUAL
 
     rows = []  # per conic: sym6, Frobenius norm, worst incidence, worst tangency
     try:
@@ -243,9 +240,9 @@ def certify(
             rows.append((m6, fro, pin, tan))
     except Exception:
         # checked conic by conic, every earlier conic's rank came first
-        _ranks([row[0] for row in rows], tol)
+        _ranks([row[0] for row in rows])
         raise
-    ranks = _ranks([row[0] for row in rows], tol)
+    ranks = _ranks([row[0] for row in rows])
     for i, ((_, _, pin, tan), r) in enumerate(zip(rows, ranks)):
         checks.append(CheckResult(f"incidence[{i}]", pin <= limit, pin, limit))
         checks.append(CheckResult(f"tangency[{i}]", tan <= limit, tan, limit))
@@ -334,7 +331,7 @@ def _rel_det(u: Vec3, v: Vec3, w: Vec3) -> float:
 
 def _triples_ok(vecs, tol: Tolerances, margin: float) -> bool:
     n = len(vecs)
-    floor = margin * tol.collinearity
+    floor = margin * tol.geometry
     for i in range(n - 2):
         for j in range(i + 1, n - 1):
             for k in range(j + 1, n):
@@ -357,7 +354,7 @@ def random_4p1l(
     rng: random.Random, tol: Tolerances = DEFAULT, margin: float = MARGIN
 ) -> tuple[list[HomogeneousPoint], ProjectiveLine]:
     """Generic four-point/one-line input away from every special incidence."""
-    floor = margin * tol.incidence
+    floor = margin * tol.geometry
     for _ in range(MAX_TRIES):
         pts = [_rand_point(rng) for _ in range(4)]
         vecs = [p.vec() for p in pts]
@@ -376,7 +373,7 @@ def random_4p1l(
 
 def _lines_ok(l1: Vec3, l2: Vec3, tol: Tolerances, margin: float) -> bool:
     sep = _k.norm3(_k.cross(l1, l2)) / (_k.norm3(l1) * _k.norm3(l2))
-    return sep > margin * tol.collinearity
+    return sep > margin * tol.geometry
 
 
 def _point_on_line(rng: random.Random, l: Vec3, lim: float = 10.0) -> Optional[HomogeneousPoint]:
@@ -393,7 +390,7 @@ def _point_on_line(rng: random.Random, l: Vec3, lim: float = 10.0) -> Optional[H
     return None
 
 
-def _margins_3p2l(vecs, l1: Vec3, l2: Vec3, tol: Tolerances, margin: float):
+def _margins_3p2l(vecs, l1: Vec3, l2: Vec3):
     """Relative magnitudes of every dispatch predicate for a 3p2l input."""
     p = _k.cross(l1, l2)
     incs = [[_rel_inc(v, l1), _rel_inc(v, l2)] for v in vecs]
@@ -402,7 +399,7 @@ def _margins_3p2l(vecs, l1: Vec3, l2: Vec3, tol: Tolerances, margin: float):
         for i in range(3)
         for j in range(i + 1, 3)
     ]
-    return p, incs, colls
+    return incs, colls
 
 
 def random_3p2l_case(
@@ -417,8 +414,7 @@ def random_3p2l_case(
     dispatch predicate is kept at least `margin` times its tolerance away
     from zero so classification is unambiguous.
     """
-    inc_floor = margin * tol.incidence
-    coll_floor = margin * tol.collinearity
+    floor = margin * tol.geometry
     for _ in range(MAX_TRIES):
         l1 = _rand_line(rng)
         l2 = _rand_line(rng)
@@ -478,23 +474,23 @@ def random_3p2l_case(
             raise ValueError(f"unknown case {case}")
 
         vecs = [pt.vec() for pt in pts]
-        if _rel_det(*vecs) < coll_floor:
+        if _rel_det(*vecs) < floor:
             continue
-        _, incs, colls = _margins_3p2l(vecs, lv1, lv2, tol, margin)
+        incs, colls = _margins_3p2l(vecs, lv1, lv2)
         ok = True
         for i in range(3):
             for j in range(2):
                 if (i, j) in exact_inc:
-                    if incs[i][j] > tol.incidence:
+                    if incs[i][j] > tol.geometry:
                         ok = False
-                elif incs[i][j] < inc_floor:
+                elif incs[i][j] < floor:
                     ok = False
         pair_order = [(0, 1), (0, 2), (1, 2)]
         for idx, pr in enumerate(pair_order):
             if pr in exact_coll:
-                if colls[idx] > tol.collinearity:
+                if colls[idx] > tol.geometry:
                     ok = False
-            elif colls[idx] < coll_floor:
+            elif colls[idx] < floor:
                 ok = False
         if not ok:
             continue

@@ -12,7 +12,6 @@ from typing import Iterable, Optional, Sequence
 
 from .conics import ConicClass, ConicMatrix, classify
 from .projective import HomogeneousPoint, ProjectiveLine
-from .tolerances import DEFAULT, Tolerances
 
 SAMPLES = 512
 CANVAS_W = 640.0
@@ -68,7 +67,7 @@ def _conic_center(cm: ConicMatrix) -> Optional[tuple[float, float]]:
 
 
 def sample_conic(
-    cm: ConicMatrix, viewport: Viewport, samples: int = SAMPLES, tol: Tolerances = DEFAULT
+    cm: ConicMatrix, viewport: Viewport, samples: int = SAMPLES
 ) -> list[list[tuple[float, float]]]:
     """Sample a non-degenerate conic into one or more polyline branches.
 
@@ -80,7 +79,7 @@ def sample_conic(
     # the bytes of the SVG; imported here, numpy is loaded only to plot
     import numpy as np
 
-    kind = classify(cm, tol)
+    kind = classify(cm)
     xmin, ymin, xmax, ymax = viewport
     reach = 2.0 * math.hypot(xmax - xmin, ymax - ymin)
     block = np.array([[cm.a, cm.b], [cm.b, cm.c]])
@@ -188,7 +187,6 @@ def render_svg(
     lines: Sequence,
     conics: Iterable[ConicMatrix],
     viewport: Viewport = DEFAULT_VIEWPORT,
-    tol: Tolerances = DEFAULT,
 ) -> str:
     """Render a configuration and its solution conics as an SVG document."""
     mapper = _Mapper(viewport)
@@ -203,7 +201,7 @@ def render_svg(
     conic_list = list(conics)
     for ci, cm in enumerate(conic_list):
         color = PALETTE[ci % len(PALETTE)]
-        for branch in sample_conic(cm, viewport, tol=tol):
+        for branch in sample_conic(cm, viewport):
             coords = " ".join(
                 f"{_fmt(sx)},{_fmt(sy)}"
                 for sx, sy in (mapper.to_screen(x, y) for x, y in branch)

@@ -8,12 +8,13 @@ tolerance so that later stages can dispatch on exact special cases.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels as _k
-from .errors import PointAtInfinity
-from .tolerances import DEFAULT, Tolerances
+from .errors import NonFiniteInput, PointAtInfinity
+from .tolerances import DEFAULT, INFINITY, Tolerances
 
 Vec3 = tuple[float, float, float]
 
@@ -44,8 +45,8 @@ class HomogeneousPoint:
     def vec(self) -> Vec3:
         return (self.x, self.y, self.w)
 
-    def is_finite(self, tol: Tolerances = DEFAULT) -> bool:
-        return abs(self.w) >= tol.infinity * _k.norm3(self.vec())
+    def is_finite(self) -> bool:
+        return _finite(self.vec())
 
 
 @dataclass(frozen=True)
@@ -76,21 +77,21 @@ def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
 
 
 def _dependent(det: float, norms: float, tol: Tolerances) -> bool:
-    """Whether a triple's determinant is zero within the collinearity
+    """Whether a triple's determinant is zero within the geometric
     tolerance times norms, the product of the three norms."""
-    return abs(det) <= tol.collinearity * norms
+    return abs(det) <= tol.geometry * norms
 
 
 def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:
     """Whether a point triple lies on a line triple: |x . l| within the
-    incidence tolerance times the product of the two norms."""
+    geometric tolerance times the product of the two norms."""
     return _incident_dot(_k.dot3(x, l), _k.norm3(x), _k.norm3(l), tol)
 
 
 def _incident_dot(dot: float, nx: float, nl: float, tol: Tolerances) -> bool:
     """_incident from the dot product x . l and the norms |x| and |l|, for
     callers that hold them already."""
-    return abs(dot) <= tol.incidence * nx * nl
+    return abs(dot) <= tol.geometry * nx * nl
 
 
 def cross(a: Sequence[float], b: Sequence[float]) -> Vec3:
@@ -110,15 +111,25 @@ def det3(m: Sequence[Sequence[float]]) -> float:
     return _k.det3(c0, c1, c2)
 
 
-def normalize_point(v: Sequence[float], tol: Tolerances = DEFAULT) -> HomogeneousPoint:
+def _finite(v: Vec3) -> bool:
+    """Whether a homogeneous triple has a finite representative: a nonzero,
+    finite norm and |w| at least INFINITY times it. False for the zero
+    triple, for an inf or NaN coordinate and for a norm that overflows."""
+    n = _k.norm3(v)
+    return 0.0 < n < math.inf and abs(v[2]) >= INFINITY * n
+
+
+def normalize_point(v: Sequence[float]) -> HomogeneousPoint:
     """Scale a homogeneous triple to w = 1.
 
-    Raises PointAtInfinity when |w| falls below the infinity tolerance times
-    the norm of the triple, in which case no finite representative exists.
+    Raises NonFiniteInput for an inf or NaN coordinate, and PointAtInfinity
+    when the triple is zero or |w| falls below INFINITY times its norm, in
+    which case no finite representative exists.
     """
     vec = (float(v[0]), float(v[1]), float(v[2]))
-    n = _k.norm3(vec)
-    if n == 0.0 or abs(vec[2]) < tol.infinity * n:
+    if not all(map(math.isfinite, vec)):
+        raise NonFiniteInput(f"homogeneous point {vec} has a non-finite coordinate")
+    if not _finite(vec):
         raise PointAtInfinity(f"homogeneous point {vec} has no finite representative")
     return HomogeneousPoint(vec[0] / vec[2], vec[1] / vec[2], 1.0)
 
@@ -132,7 +143,7 @@ def orientation(
     """Turn direction of the ordered triple of normalized finite points.
 
     The sign of det([p1 p2 p3]) with the points as columns: positive means
-    anticlockwise. Determinants smaller than the collinearity tolerance times
+    anticlockwise. Determinants smaller than the geometric tolerance times
     the product of the three norms report COLLINEAR.
     """
     u, v, w = p1.vec(), p2.vec(), p3.vec()
@@ -144,7 +155,7 @@ def orientation(
 def side_sign(p: HomogeneousPoint, l: ProjectiveLine, tol: Tolerances = DEFAULT) -> int:
     """Which side of l the normalized finite point p lies on: -1, 0, or +1.
 
-    Zero means incident within the relative incidence tolerance.
+    Zero means incident within the relative geometric tolerance.
     """
     u, lv = p.vec(), l.vec()
     if _incident(u, lv, tol):

@@ -15,7 +15,7 @@ from . import _kernels as _k
 from .conics import ConicMatrix
 from .errors import DegenerateCase, DegenerateParameter, GeneralPositionError, UnsupportedCount
 from .projective import Vec3, _dependent, _vec
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import COORDINATE_TIE, DEFAULT, PARAMETER, Tolerances
 
 
 def require_no_collinear_triple(points: Sequence, tol: Tolerances = DEFAULT) -> list[float]:
@@ -97,8 +97,7 @@ def triangle_coords(tri: DiagonalTriangle, p, tol: Tolerances = DEFAULT) -> Tria
     """Expand p in the vertex basis: p = beta1*xi1 + beta2*xi2 + beta3*xi3."""
     v = _vec(p)
     (sol, det) = _k.solve3(tri.xi1, tri.xi2, tri.xi3, v)
-    scale = _k.norm3(tri.xi1) * _k.norm3(tri.xi2) * _k.norm3(tri.xi3)
-    if abs(det) <= tol.collinearity * scale:
+    if _dependent(det, _k.norm3(tri.xi1) * _k.norm3(tri.xi2) * _k.norm3(tri.xi3), tol):
         raise GeneralPositionError("diagonal triangle is numerically flat", (0, 1, 2))
     return TriangleCoords(*sol)
 
@@ -115,7 +114,7 @@ def lies_on_quadrangle_side(tri: DiagonalTriangle, p, tol: Tolerances = DEFAULT)
     top = max(mags)
     for i in range(3):
         for j in range(i + 1, 3):
-            if abs(mags[i] - mags[j]) <= tol.coordinate_tie * top:
+            if abs(mags[i] - mags[j]) <= COORDINATE_TIE * top:
                 return True
     return False
 
@@ -136,14 +135,20 @@ def self_polar_basis(tri: DiagonalTriangle) -> tuple[ConicMatrix, ConicMatrix, C
     return (out[0], out[1], out[2])
 
 
-def pencil_conic(tri: DiagonalTriangle, s: float, tol: Tolerances = DEFAULT) -> ConicMatrix:
+def _near_line_pair(s: float) -> bool:
+    """Whether the pencil parameter s is within PARAMETER of 0 or 1, whose
+    members are the degenerate line pairs."""
+    return abs(s) <= PARAMETER or abs(s - 1.0) <= PARAMETER
+
+
+def pencil_conic(tri: DiagonalTriangle, s: float) -> ConicMatrix:
     """Member of the conic pencil through the quadrangle at parameter s.
 
     Every member passes through all four source points and is self-polar with
     respect to the triangle. Parameters 0 and 1 give the degenerate line-pair
     members and are rejected.
     """
-    if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
+    if _near_line_pair(s):
         raise DegenerateParameter(
             f"pencil parameter {s!r} gives a degenerate line-pair member"
         )
@@ -156,7 +161,7 @@ def conic_through_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> Co
     if len(vecs) != 5:
         raise UnsupportedCount("exactly five points required")
     require_no_collinear_triple(vecs, tol)
-    m6 = _k.conic_from_five_points(*vecs)[0]
+    m6, _ = _k.conic_from_five_points(*vecs)
     if m6 is None:
         raise DegenerateCase("five-point fit: the diagonal triangle's determinant is exactly 0.0")
     return ConicMatrix.from_sym6(m6)

@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedCount,
 )
 from .projective import Vec3, _dependent, _incident_dot, _vec
-from .selfpolar import require_no_collinear_triple
+from .selfpolar import _near_line_pair, require_no_collinear_triple
 from .tolerances import DEFAULT, Tolerances
 
 KINDS = {
@@ -88,14 +88,13 @@ class CaseContext:
     """How the moving quadrangle point was parameterized.
 
     `anchor` is the point the parameter multiplies and `offset` the added
-    vector, so the moving point is t*anchor + offset. For most cases anchor
-    is the off-line point and offset the line intersection; one special case
-    walks the moving point along the second line instead.
+    vector, so the moving point of the root (s, t) is t*anchor + offset. For
+    most cases anchor is the off-line point and offset the line intersection;
+    case 2 walks the moving point along the second line instead.
     """
 
-    p: Vec3
-    q: Optional[Vec3]
-    parameterization: str  # "t*x1+p" or "t*p+q"
+    anchor: Vec3
+    offset: Vec3
 
 
 @dataclass
@@ -191,9 +190,9 @@ def _analyse_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
     return _FIVE_POINT_PREDICTION, vecs
 
 
-def _build_5p(vecs: Sequence[Vec3], prediction: CountPrediction, tol: Tolerances) -> SolutionSet:
+def _build_5p(vecs: Sequence[Vec3], prediction: CountPrediction) -> SolutionSet:
     # the conic is fitted on the diagonal triangle of the first four points
-    m6, _beta, dev = _k.conic_from_five_points(*vecs)
+    m6, dev = _k.conic_from_five_points(*vecs)
     if m6 is None:
         raise DegenerateCase("five-point fit: the diagonal triangle's determinant is exactly 0.0")
     diag = SolveDiagnostics(case_label="5p", triangle_deviation=dev, prediction=prediction)
@@ -214,11 +213,11 @@ def _tangency_quadratic(d: Vec3) -> tuple[float, float, float]:
     return (d3 * d3, -(d1 * d1 - d2 * d2 + d3 * d3), d1 * d1)
 
 
-def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float, tol: Tolerances) -> ConicMatrix:
+def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float) -> ConicMatrix:
     """The normalized pencil member at parameter s of the diagonal triangle
-    (xi1, xi2, xi3); DegenerateCase within tol.parameter of the line pairs at
-    s = 0 and s = 1."""
-    if abs(s) <= tol.parameter or abs(s - 1.0) <= tol.parameter:
+    (xi1, xi2, xi3); DegenerateCase within PARAMETER of the line pairs at
+    s = 0 and s = 1 (see selfpolar._near_line_pair)."""
+    if _near_line_pair(s):
         raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
     return _normalized_conic(_k.conic_from_pencil(xi1, xi2, xi3, s))
 
@@ -302,7 +301,7 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
     return prediction, (vdots, xi, dev, on_line, on_vertex)
 
 
-def _build_4p1l(state, prediction: CountPrediction, tol: Tolerances) -> SolutionSet:
+def _build_4p1l(state, prediction: CountPrediction) -> SolutionSet:
     vdots, xi, dev, on_line, on_vertex = state
     q2, q1, q0 = _tangency_quadratic(vdots)
     if on_line:
@@ -338,7 +337,7 @@ def _build_4p1l(state, prediction: CountPrediction, tol: Tolerances) -> Solution
         roots = sorted(_stable_roots(q2, q1, q0, disc)) if prediction.predicted_real else []
         label = "4p1l/generic"
 
-    conics = [_pencil_member(*xi, s, tol) for s in roots]
+    conics = [_pencil_member(*xi, s) for s in roots]
     diag = SolveDiagnostics(
         case_label=label,
         allocation=(0, 1, 2, 3),
@@ -400,7 +399,7 @@ def classify_3p2l_case(
     n1, n2 = _k.norm3(lv1), _k.norm3(lv2)
     p = _k.cross(lv1, lv2)
     np_ = _k.norm3(p)
-    if np_ <= tol.collinearity * n1 * n2:
+    if np_ <= tol.geometry * n1 * n2:
         raise GeneralPositionError("the two lines coincide", (0, 1))
     if _dependent(_k.det3(vecs[0], vecs[1], vecs[2]), n[0] * n[1] * n[2], tol):
         raise GeneralPositionError("the three points are collinear", (0, 1, 2))
@@ -543,7 +542,7 @@ def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
     lams = None
     if alloc.case == 5:
         try:
-            lams = _pencil_eigenvalues((a, b, c), tol)
+            lams = _pencil_eigenvalues((a, b, c))
         except DegenerateCase as exc:
             raise CaseDegeneracy(
                 "generic-case pencil is degenerate: the line intersection "
@@ -600,7 +599,7 @@ def solve_three_points_two_lines(
     return _solve(*_triples(points, (l1, l2), _THREE_POINTS), tol)
 
 
-def _build_3p2l(state, prediction: CountPrediction, tol: Tolerances) -> SolutionSet:
+def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
     alloc, (x1, x2, x3, lv1, lv2), (p, A, B, C, D, a, b, c), lams = state
     diag = SolveDiagnostics(
         case_label=alloc.label,
@@ -608,7 +607,6 @@ def _build_3p2l(state, prediction: CountPrediction, tol: Tolerances) -> Solution
         lines_swapped=alloc.swap_lines,
         eigenvalues=lams,
         prediction=prediction,
-        context=CaseContext(p, None, "t*x1+p"),
     )
 
     # each case yields its pencil roots (s, t); the moving quadrangle point
@@ -622,7 +620,6 @@ def _build_3p2l(state, prediction: CountPrediction, tol: Tolerances) -> Solution
 
     elif alloc.case == 2:
         q = _k.cross(p, lv2)
-        diag.context = CaseContext(p, q, "t*p+q")
         anchor, offset = p, q
         t = (_k.det3(q, x2, x3) * a[1] - _k.det3(x1, q, x3) * b[1]) / (2.0 * B * b[1])
         roots = [(2.0, t)]
@@ -664,6 +661,7 @@ def _build_3p2l(state, prediction: CountPrediction, tol: Tolerances) -> Solution
                     "the rounding band of the nearest pencil eigenvalue tie"
                 )
 
+    diag.context = CaseContext(anchor, offset)
     conics: list[ConicMatrix] = []
     params: list[tuple[float, float]] = []
     last = len(roots) - 1
@@ -683,7 +681,7 @@ def _build_3p2l(state, prediction: CountPrediction, tol: Tolerances) -> Solution
                     "(underflow)"
                 )
             s = d1 * d1 / den
-        conics.append(_pencil_member(xi1, xi2, xi3, s, tol))
+        conics.append(_pencil_member(xi1, xi2, xi3, s))
         params.append((s, t))
 
     order = sorted(range(len(conics)), key=lambda i: params[i])
@@ -697,9 +695,9 @@ def _build_3p2l(state, prediction: CountPrediction, tol: Tolerances) -> Solution
 
 #: the family a configuration belongs to, by its number of points once a
 #: lines-heavy one is dualized: (analysis, builder). The analysis takes
-#: (point triples, line triples, tolerances) and returns (prediction,
-#: state); the builder takes (state, prediction, tolerances) and returns the
-#: SolutionSet
+#: (point triples, line triples, tolerances), makes every general-position
+#: decision and returns (prediction, state); the builder takes (state,
+#: prediction), reads no tolerance setting, and returns the SolutionSet
 _FAMILIES = {
     5: (_analyse_5p, _build_5p),
     4: (_analyse_4p1l, _build_4p1l),
@@ -759,7 +757,7 @@ def _front_door(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances):
 
 def _solve(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances) -> SolutionSet:
     prediction, state, build, dual = _front_door(vecs, lvs, tol)
-    sol = build(state, prediction, tol)
+    sol = build(state, prediction)
     if dual:
         # the dual solutions are conics in the dual plane; their adjugates
         # are the answers in the original plane

@@ -5,36 +5,34 @@ tolerance times the natural scale of its operands (products of norms for
 determinants and incidences, the dominant eigenvalue for rank decisions).
 Inputs within tolerance of a special configuration are dispatched as that
 configuration; there is no blending between neighbouring branches.
+The general-position tolerance is the one setting (`Tolerances.geometry`);
+every other gate is a constant of this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+#: |w| vs vector norm below which a homogeneous point is at infinity
+INFINITY = 1e-12
+#: relative tie between triangle-coordinate magnitudes |beta_i|
+COORDINATE_TIE = 1e-8
+#: eigenvalue below this fraction of the spectral radius counts as zero
+RANK_ZERO = 1e-9
+#: relative coincidence of pencil eigenvalues (degeneracy guard)
+EIGENVALUE_TIE = 1e-9
+#: relative band around zero for quadratic discriminants (double roots)
+DISCRIMINANT = 1e-10
+#: pencil parameter closer than this to 0 or 1 is degenerate
+PARAMETER = 1e-12
+#: certification ceiling for normalized incidence/tangency residuals
+RESIDUAL = 1e-9
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: collinearity of three points: |det| vs product of the three norms
-    collinearity: float = 1e-10
-    #: point-line incidence: |x . l| vs |x| |l|
-    incidence: float = 1e-10
-    #: |w| vs vector norm below which a homogeneous point is at infinity
-    infinity: float = 1e-12
-    #: relative tie between triangle-coordinate magnitudes |beta_i|
-    coordinate_tie: float = 1e-8
-    #: eigenvalue below this fraction of the spectral radius counts as zero
-    rank_zero: float = 1e-9
-    #: relative coincidence of pencil eigenvalues (degeneracy guard)
-    eigenvalue_tie: float = 1e-9
-    #: relative band around zero for quadratic discriminants (double roots)
-    discriminant: float = 1e-10
-    #: pencil parameter closer than this to 0 or 1 is degenerate
-    parameter: float = 1e-12
-    #: certification ceiling for normalized incidence/tangency residuals
-    residual: float = 1e-9
-
-    def with_geometry(self, tau: float) -> "Tolerances":
-        """Return a copy with the collinearity/incidence tolerance set to tau."""
-        return replace(self, collinearity=tau, incidence=tau)
+    #: general position: collinearity of three points (|det| vs the product
+    #: of the three norms) and point-line incidence (|x . l| vs |x| |l|)
+    geometry: float = 1e-10
 
 
 DEFAULT = Tolerances()

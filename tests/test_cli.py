@@ -243,6 +243,40 @@ def test_tolerance_flag_overrides(tmp_path):
     assert cli.main(["solve", cfg, "--tolerance", "1e-6"]) == 3
 
 
+#: five points, the third nudged 1e-8 off the line through the first two
+NUDGED_FIVE = [[-1, -1], [1, -1], [0, -1 + 1e-8], [1, 1], [-1, 2]]
+
+
+def test_tolerance_option_reaches_the_collinearity_decision(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", {"points": NUDGED_FIVE})
+    assert cli.main(["solve", cfg]) == 0
+    loose = write_config(
+        tmp_path / "loose.json", {"points": NUDGED_FIVE, "options": {"tolerance": 1e-6}}
+    )
+    assert cli.main(["solve", loose]) == 3
+    assert "points 0, 1, 2 are collinear" in capsys.readouterr().err
+
+
+def test_tolerance_flag_overrides_the_tolerance_option(tmp_path):
+    loose = write_config(
+        tmp_path / "loose.json", {"points": NUDGED_FIVE, "options": {"tolerance": 1e-6}}
+    )
+    assert cli.main(["solve", loose, "--tolerance", "1e-10"]) == 0
+    tight = write_config(
+        tmp_path / "tight.json", {"points": NUDGED_FIVE, "options": {"tolerance": 1e-10}}
+    )
+    assert cli.main(["solve", tight, "--tolerance", "1e-6"]) == 3
+
+
+@pytest.mark.parametrize("command", ["check", "plot"])
+def test_format_is_an_option_of_solve_and_predict_only(square_cfg, capsys, command):
+    # check and plot have one output form each; --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, square_cfg, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_plot_writes_svg(square_cfg, tmp_path):
     out = tmp_path / "fig.svg"
     assert cli.main(["plot", square_cfg, "--out", str(out)]) == 0

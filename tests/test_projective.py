@@ -4,7 +4,7 @@ import math
 import pytest
 
 from minconic import HomogeneousPoint, Orientation, ProjectiveLine
-from minconic.errors import PointAtInfinity
+from minconic.errors import NonFiniteInput, PointAtInfinity
 from minconic.projective import (
     cross,
     det3,
@@ -52,6 +52,26 @@ def test_normalize_point():
         normalize_point((1.0, 1.0, 1e-15))
     with pytest.raises(PointAtInfinity):
         normalize_point((0.0, 0.0, 0.0))
+
+
+def test_zero_triple_is_not_finite_for_either_gate():
+    # the zero triple represents no point: is_finite and normalize_point
+    # read one gate and agree on it
+    assert not HomogeneousPoint(0.0, 0.0, 0.0).is_finite()
+    with pytest.raises(PointAtInfinity):
+        normalize_point((0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "v", [(math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+          (math.inf, 0.0, 1.0), (0.0, 0.0, math.inf), (-math.inf, 1.0, 1.0)]
+)
+def test_non_finite_triple_is_neither_finite_nor_normalized(v):
+    # an inf or NaN coordinate is refused as solve refuses it, never turned
+    # into a point with a NaN coordinate
+    assert not HomogeneousPoint(*v).is_finite()
+    with pytest.raises(NonFiniteInput):
+        normalize_point(v)
 
 
 def test_orientation_signs():

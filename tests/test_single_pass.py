@@ -104,9 +104,8 @@ def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
         assert sol.diagnostics.triangle_deviation == _k.diag_triangle(*quad)[3]
         if family in CASES_3P2L:
             ctx = sol.diagnostics.context
-            anchor, offset = (quad[0], ctx.p) if ctx.q is None else (ctx.p, ctx.q)
             ts = [t for _, t in sol.diagnostics.parameters]
-            assert quad[3] in [tuple(t * u + v for u, v in zip(anchor, offset)) for t in ts]
+            assert quad[3] in [tuple(t * u + v for u, v in zip(ctx.anchor, ctx.offset)) for t in ts]
     if family in CASES_3P2L:
         # cases 3-5 have inputs with and without real conics
         assert any(real) and (family[-1] in "12" or not all(real))
