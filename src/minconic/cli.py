@@ -317,7 +317,7 @@ def cmd_batch(args) -> int:
 
 
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (ParseError, json.JSONDecodeError)):
+    if isinstance(exc, ParseError):
         return EXIT_PARSE
     if isinstance(exc, UnsupportedCount):
         return EXIT_UNSUPPORTED

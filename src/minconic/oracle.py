@@ -87,27 +87,22 @@ def nullspace_five_point(points: Sequence) -> ConicMatrix:
 # tangency root scanning
 
 
-def scan_tangency_roots(
-    tri: DiagonalTriangle,
-    line,
-    s_range: tuple[float, float] = (-50.0, 50.0),
-    samples: int = 4096,
-    refine: float = 1e-12,
-) -> list[float]:
-    """Pencil parameters where the pencil member is tangent to the line.
+def scan_tangency_roots(tri: DiagonalTriangle, line) -> list[float]:
+    """Pencil parameters s in [-50, 50] of the members tangent to the line.
 
-    Evaluates the tangency form l^T adj(C(s)) l on a sample grid, brackets
-    sign changes, and bisects each bracket down to `refine`. Purely numeric;
-    roots that the grid steps over (double roots, sub-grid pairs) are missed,
-    which is acceptable for an oracle that cross-checks simple roots.
+    Evaluates the tangency form l^T adj(C(s)) l on a grid of 4096 steps,
+    brackets sign changes, and bisects each bracket down to 1e-12. Purely
+    numeric; roots that the grid steps over (double roots, sub-grid pairs)
+    are missed, which is acceptable for an oracle that cross-checks simple
+    roots.
     """
+    lo, hi, samples = -50.0, 50.0, 4096
     lv = _vec(line)
 
     def g(s: float) -> float:
         m6 = _k.conic_from_pencil(tri.xi1, tri.xi2, tri.xi3, s)
         return _k.sym_eval(_k.sym_adjugate(m6), lv)
 
-    lo, hi = s_range
     xs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
     vals = [g(x) for x in xs]
     roots: list[float] = []
@@ -119,7 +114,7 @@ def scan_tangency_roots(
         if va * vb < 0.0:
             a, b = xs[i], xs[i + 1]
             fa = va
-            while b - a > refine:
+            while b - a > 1e-12:
                 mid = 0.5 * (a + b)
                 fm = g(mid)
                 if fm == 0.0:
@@ -304,6 +299,7 @@ def _sym_bilinear(m6, u: Vec3, v: Vec3) -> float:
 # random configuration generators (margin-rejection sampled)
 
 
+#: distance, in geometric tolerances, of every inexact dispatch predicate from 0
 MARGIN = 10.0
 MAX_TRIES = 20000
 
@@ -329,9 +325,8 @@ def _rel_det(u: Vec3, v: Vec3, w: Vec3) -> float:
     return abs(_k.det3(u, v, w)) / (_k.norm3(u) * _k.norm3(v) * _k.norm3(w))
 
 
-def _triples_ok(vecs, tol: Tolerances, margin: float) -> bool:
+def _triples_ok(vecs, floor: float) -> bool:
     n = len(vecs)
-    floor = margin * tol.geometry
     for i in range(n - 2):
         for j in range(i + 1, n - 1):
             for k in range(j + 1, n):
@@ -340,25 +335,23 @@ def _triples_ok(vecs, tol: Tolerances, margin: float) -> bool:
     return True
 
 
-def random_five_points(
-    rng: random.Random, tol: Tolerances = DEFAULT, margin: float = MARGIN
-) -> list[HomogeneousPoint]:
+def random_five_points(rng: random.Random, tol: Tolerances = DEFAULT) -> list[HomogeneousPoint]:
     for _ in range(MAX_TRIES):
         pts = [_rand_point(rng) for _ in range(5)]
-        if _triples_ok([p.vec() for p in pts], tol, margin):
+        if _triples_ok([p.vec() for p in pts], MARGIN * tol.geometry):
             return pts
     raise RuntimeError("five-point sampling failed to meet margins")
 
 
 def random_4p1l(
-    rng: random.Random, tol: Tolerances = DEFAULT, margin: float = MARGIN
+    rng: random.Random, tol: Tolerances = DEFAULT
 ) -> tuple[list[HomogeneousPoint], ProjectiveLine]:
     """Generic four-point/one-line input away from every special incidence."""
-    floor = margin * tol.geometry
+    floor = MARGIN * tol.geometry
     for _ in range(MAX_TRIES):
         pts = [_rand_point(rng) for _ in range(4)]
         vecs = [p.vec() for p in pts]
-        if not _triples_ok(vecs, tol, margin):
+        if not _triples_ok(vecs, floor):
             continue
         line = _rand_line(rng)
         lv = line.vec()
@@ -371,9 +364,9 @@ def random_4p1l(
     raise RuntimeError("4p1l sampling failed to meet margins")
 
 
-def _lines_ok(l1: Vec3, l2: Vec3, tol: Tolerances, margin: float) -> bool:
+def _lines_ok(l1: Vec3, l2: Vec3, floor: float) -> bool:
     sep = _k.norm3(_k.cross(l1, l2)) / (_k.norm3(l1) * _k.norm3(l2))
-    return sep > margin * tol.geometry
+    return sep > floor
 
 
 def _point_on_line(rng: random.Random, l: Vec3, lim: float = 10.0) -> Optional[HomogeneousPoint]:
@@ -403,23 +396,20 @@ def _margins_3p2l(vecs, l1: Vec3, l2: Vec3):
 
 
 def random_3p2l_case(
-    rng: random.Random,
-    case: int,
-    tol: Tolerances = DEFAULT,
-    margin: float = MARGIN,
+    rng: random.Random, case: int, tol: Tolerances = DEFAULT
 ) -> tuple[list[HomogeneousPoint], ProjectiveLine, ProjectiveLine]:
     """Random input that classifies as the requested 3-point/2-line case.
 
     Constructed incidences/collinearities are exact to rounding; every other
-    dispatch predicate is kept at least `margin` times its tolerance away
+    dispatch predicate is kept at least MARGIN times its tolerance away
     from zero so classification is unambiguous.
     """
-    floor = margin * tol.geometry
+    floor = MARGIN * tol.geometry
     for _ in range(MAX_TRIES):
         l1 = _rand_line(rng)
         l2 = _rand_line(rng)
         lv1, lv2 = l1.vec(), l2.vec()
-        if not _lines_ok(lv1, lv2, tol, margin):
+        if not _lines_ok(lv1, lv2, floor):
             continue
         p = _k.cross(lv1, lv2)
         if abs(p[2]) < 1e-3 * _k.norm3(p):

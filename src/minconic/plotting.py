@@ -11,7 +11,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .conics import ConicClass, ConicMatrix, classify
-from .projective import HomogeneousPoint, ProjectiveLine
+from .projective import _finite, _vec
 
 SAMPLES = 512
 CANVAS_W = 640.0
@@ -66,10 +66,9 @@ def _conic_center(cm: ConicMatrix) -> Optional[tuple[float, float]]:
     return (x0, y0)
 
 
-def sample_conic(
-    cm: ConicMatrix, viewport: Viewport, samples: int = SAMPLES
-) -> list[list[tuple[float, float]]]:
-    """Sample a non-degenerate conic into one or more polyline branches.
+def sample_conic(cm: ConicMatrix, viewport: Viewport) -> list[list[tuple[float, float]]]:
+    """Sample a non-degenerate conic into one or more polyline branches of
+    SAMPLES segments each.
 
     An ellipse is one closed loop, a hyperbola two branches, a parabola one
     open branch. Branches are world-coordinate polylines, already restricted
@@ -100,8 +99,8 @@ def sample_conic(
             r1 = math.sqrt(max(-fc / lam1, 0.0))
             r2 = math.sqrt(max(-fc / lam2, 0.0))
             loop = []
-            for i in range(samples + 1):
-                th = 2.0 * math.pi * i / samples
+            for i in range(SAMPLES + 1):
+                th = 2.0 * math.pi * i / SAMPLES
                 u, s = r1 * math.cos(th), r2 * math.sin(th)
                 loop.append((x0 + u * v1[0] + s * v2[0], y0 + u * v1[1] + s * v2[1]))
             branches.append(loop)
@@ -116,8 +115,8 @@ def sample_conic(
             umax = math.asinh(max(reach / min(r1, r2), 2.0))
             for sign in (1.0, -1.0):
                 br = []
-                for i in range(samples + 1):
-                    u = -umax + 2.0 * umax * i / samples
+                for i in range(SAMPLES + 1):
+                    u = -umax + 2.0 * umax * i / SAMPLES
                     cu, su = math.cosh(u), math.sinh(u)
                     px = x0 + sign * r1 * cu * vp[0] + r2 * su * vn[0]
                     py = y0 + sign * r1 * cu * vp[1] + r2 * su * vn[1]
@@ -136,8 +135,8 @@ def sample_conic(
         if abs(dv) < 1e-14:
             return []
         br = []
-        for i in range(samples + 1):
-            u = -reach + 2.0 * reach * i / samples
+        for i in range(SAMPLES + 1):
+            u = -reach + 2.0 * reach * i / SAMPLES
             s = -(lam * u * u + 2.0 * du * u + cm.f) / (2.0 * dv)
             br.append((u * v1[0] + s * v2[0], u * v1[1] + s * v2[1]))
         branches.append(br)
@@ -159,9 +158,9 @@ def sample_conic(
     return [c for c in clipped if len(c) >= 2]
 
 
-def _line_segment(l: ProjectiveLine, viewport: Viewport) -> Optional[tuple]:
+def _line_segment(l, viewport: Viewport) -> Optional[tuple]:
     xmin, ymin, xmax, ymax = viewport
-    a, b, c = l.a, l.b, l.c
+    a, b, c = _vec(l)
     pts = []
     if abs(b) > 1e-15:
         for x in (xmin, xmax):
@@ -188,7 +187,8 @@ def render_svg(
     conics: Iterable[ConicMatrix],
     viewport: Viewport = DEFAULT_VIEWPORT,
 ) -> str:
-    """Render a configuration and its solution conics as an SVG document."""
+    """Render a configuration and its solution conics as an SVG document; a
+    point may also be given as [x, y], read as (x, y, 1)."""
     mapper = _Mapper(viewport)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -226,9 +226,9 @@ def render_svg(
         )
 
     for pi, p in enumerate(points):
-        v = p.vec() if hasattr(p, "vec") else (p[0], p[1], p[2] if len(p) > 2 else 1.0)
-        if abs(v[2]) < 1e-12:
-            continue  # point at infinity has no dot
+        v = _vec(p if hasattr(p, "vec") or len(p) > 2 else (p[0], p[1], 1.0))
+        if not _finite(v):
+            continue  # a point at infinity, or with an inf or NaN coordinate, has no dot
         x, y = v[0] / v[2], v[1] / v[2]
         sx, sy = mapper.to_screen(x, y)
         out.append(

@@ -46,7 +46,7 @@ class HomogeneousPoint:
         return (self.x, self.y, self.w)
 
     def is_finite(self) -> bool:
-        return _finite(self.vec())
+        return _finite(_vec(self))
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,20 @@ class ProjectiveLine:
     c: float
 
     @classmethod
-    def through(cls, p: HomogeneousPoint, q: HomogeneousPoint) -> "ProjectiveLine":
-        return cls(*_k.cross(p.vec(), q.vec()))
+    def through(cls, p, q) -> "ProjectiveLine":
+        """The join of two points, each a HomogeneousPoint or a 3-sequence."""
+        return cls(*_k.cross(_vec(p), _vec(q)))
 
     def vec(self) -> Vec3:
         return (self.a, self.b, self.c)
 
 
 def _vec(p) -> Vec3:
-    """Coordinate triple of a point, a line or any 3-sequence, as floats."""
-    return p.vec() if hasattr(p, "vec") else (float(p[0]), float(p[1]), float(p[2]))
+    """Coordinate triple of a point, a line or any 3-sequence as Python floats,
+    whatever real number type it holds: the one reader of caller input.
+    OverflowError for an int or Fraction beyond the float range."""
+    v = p.vec() if hasattr(p, "vec") else p
+    return (float(v[0]), float(v[1]), float(v[2]))
 
 
 def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
@@ -112,21 +116,24 @@ def det3(m: Sequence[Sequence[float]]) -> float:
 
 
 def _finite(v: Vec3) -> bool:
-    """Whether a homogeneous triple has a finite representative: a nonzero,
-    finite norm and |w| at least INFINITY times it. False for the zero
-    triple, for an inf or NaN coordinate and for a norm that overflows."""
-    n = _k.norm3(v)
-    return 0.0 < n < math.inf and abs(v[2]) >= INFINITY * n
+    """Whether a homogeneous triple has a finite representative: |w| at
+    least INFINITY times its norm. False for the zero triple and for an inf
+    or NaN coordinate. The triple is first divided by the power of two of its
+    largest |coordinate|, exactly, so the norm neither overflows nor underflows."""
+    e = -math.frexp(max(abs(v[0]), abs(v[1]), abs(v[2])))[1]  # 0 for 0, inf and NaN
+    u = (math.ldexp(v[0], e), math.ldexp(v[1], e), math.ldexp(v[2], e))
+    n = _k.norm3(u)
+    return 0.0 < n < math.inf and abs(u[2]) >= INFINITY * n
 
 
-def normalize_point(v: Sequence[float]) -> HomogeneousPoint:
-    """Scale a homogeneous triple to w = 1.
+def normalize_point(v) -> HomogeneousPoint:
+    """Scale a point, a HomogeneousPoint or a 3-sequence, to w = 1.
 
     Raises NonFiniteInput for an inf or NaN coordinate, and PointAtInfinity
     when the triple is zero or |w| falls below INFINITY times its norm, in
     which case no finite representative exists.
     """
-    vec = (float(v[0]), float(v[1]), float(v[2]))
+    vec = _vec(v)
     if not all(map(math.isfinite, vec)):
         raise NonFiniteInput(f"homogeneous point {vec} has a non-finite coordinate")
     if not _finite(vec):
@@ -134,30 +141,27 @@ def normalize_point(v: Sequence[float]) -> HomogeneousPoint:
     return HomogeneousPoint(vec[0] / vec[2], vec[1] / vec[2], 1.0)
 
 
-def orientation(
-    p1: HomogeneousPoint,
-    p2: HomogeneousPoint,
-    p3: HomogeneousPoint,
-    tol: Tolerances = DEFAULT,
-) -> Orientation:
-    """Turn direction of the ordered triple of normalized finite points.
+def orientation(p1, p2, p3, tol: Tolerances = DEFAULT) -> Orientation:
+    """Turn direction of the ordered triple of normalized finite points,
+    each a HomogeneousPoint or a 3-sequence.
 
     The sign of det([p1 p2 p3]) with the points as columns: positive means
     anticlockwise. Determinants smaller than the geometric tolerance times
     the product of the three norms report COLLINEAR.
     """
-    u, v, w = p1.vec(), p2.vec(), p3.vec()
+    u, v, w = _vec(p1), _vec(p2), _vec(p3)
     if _collinear(u, v, w, tol):
         return Orientation.COLLINEAR
     return Orientation.ANTICLOCKWISE if _k.det3(u, v, w) > 0.0 else Orientation.CLOCKWISE
 
 
-def side_sign(p: HomogeneousPoint, l: ProjectiveLine, tol: Tolerances = DEFAULT) -> int:
+def side_sign(p, l, tol: Tolerances = DEFAULT) -> int:
     """Which side of l the normalized finite point p lies on: -1, 0, or +1.
+    p and l are a HomogeneousPoint and a ProjectiveLine or 3-sequences.
 
     Zero means incident within the relative geometric tolerance.
     """
-    u, lv = p.vec(), l.vec()
+    u, lv = _vec(p), _vec(l)
     if _incident(u, lv, tol):
         return 0
     return 1 if _k.dot3(u, lv) > 0.0 else -1

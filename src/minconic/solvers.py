@@ -709,11 +709,11 @@ def _triples(
     points: Sequence, lines: Sequence, wrong_count: Optional[str] = None
 ) -> tuple[list[Vec3], list[Vec3]]:
     """The coordinate triples of a five-element configuration, each element
-    read once through _vec.
+    read once through _vec as three Python floats.
 
     Raises UnsupportedCount when the total is not five, with the message
     wrong_count if given, and NonFiniteInput for the first inf or NaN
-    coordinate.
+    coordinate or one that no float can hold (an int beyond the float range).
     """
     if (len(points), len(lines)) not in KINDS:
         raise UnsupportedCount(
@@ -725,7 +725,12 @@ def _triples(
     lvs: list[Vec3] = []
     for kind, items, out in (("point", points, vecs), ("line", lines, lvs)):
         for idx, item in enumerate(items):
-            v = _vec(item)
+            try:
+                v = _vec(item)
+            except (OverflowError, ValueError) as exc:  # too large, or a signaling NaN
+                raise NonFiniteInput(
+                    f"{kind} {idx} has a coordinate no float can hold: {exc}"
+                ) from None
             if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
                 raise NonFiniteInput(f"{kind} {idx} has a non-finite coordinate: {v!r}")
             out.append(v)

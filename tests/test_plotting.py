@@ -1,6 +1,8 @@
 """SVG rendering: geometric fidelity and byte stability."""
 import math
 
+import pytest
+
 from minconic import ConicMatrix, HomogeneousPoint, ProjectiveLine, solve
 from minconic.plotting import DEFAULT_VIEWPORT, render_svg, sample_conic
 
@@ -81,3 +83,23 @@ def test_point_at_infinity_is_skipped():
     pts = [HomogeneousPoint(1.0, 0.0, 0.0)]
     svg = render_svg(pts, [], [])
     assert 'class="input-point"' not in svg
+
+
+def test_tuple_line_draws_as_its_object(square):
+    line = ProjectiveLine(1.0, 1.0, -3.0)
+    assert render_svg(square, [(1.0, 1.0, -3.0)], []) == render_svg(square, [line], [])
+
+
+@pytest.mark.parametrize(
+    "points, dots",
+    [
+        ([(1e-13, 0.0, 1e-13), (1.0, 0.0, 1.0)], 2),  # small w, finite point
+        ([(math.nan, 0.0, 1.0), (1.0, 0.0, 1.0)], 1),  # NaN: no dot
+        ([[1.0, 2.0], HomogeneousPoint(3.0, 0.0, 1.0)], 2),  # [x, y] reads as (x, y, 1)
+    ],
+)
+def test_a_dot_for_every_finite_point(points, dots):
+    # the dot is decided by the one infinity gate, relative to the norm
+    svg = render_svg(points, [], [])
+    assert svg.count('class="input-point"') == dots
+    assert "nan" not in svg

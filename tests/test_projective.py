@@ -103,3 +103,26 @@ def test_side_sign_relative_tolerance():
     l = ProjectiveLine(1.0, 0.0, -1e8)
     assert side_sign(HomogeneousPoint(1e8 * (1.0 + 1e-14), 0.0), l) == 0
     assert side_sign(HomogeneousPoint(1e8 * 1.1, 0.0), l) == 1
+
+
+def test_every_reader_takes_an_object_or_a_triple():
+    # one coordinate reader: each function takes a HomogeneousPoint or
+    # ProjectiveLine and a 3-sequence alike, as three Python floats
+    p = normalize_point(HomogeneousPoint(2, 4, 2))
+    assert (p.x, p.y, p.w) == (1.0, 2.0, 1.0)
+    assert all(type(v) is float for v in p.vec())
+    through = ProjectiveLine.through((0.0, 0.0, 1.0), (1.0, 1.0, 1.0))
+    assert through == ProjectiveLine.through(HomogeneousPoint(0.0, 0.0), HomogeneousPoint(1.0, 1.0))
+    assert orientation((0.0, 0.0, 1.0), (1.0, 0.0, 1.0), [0, 1, 1]) is Orientation.ANTICLOCKWISE
+    assert side_sign((2.0, 5.0, 1.0), (1.0, 0.0, -1.0)) == 1
+    assert side_sign((1.0, 7.0, 1.0), ProjectiveLine(1.0, 0.0, -1.0)) == 0
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324])
+def test_finite_point_at_an_extreme_homogeneous_scale(scale):
+    # (s, 0, s) is the point (1, 0) for every s: the infinity gate takes the
+    # norm of the triple scaled by a power of two, which neither overflows
+    # nor underflows
+    assert HomogeneousPoint(scale, 0.0, scale).is_finite()
+    assert normalize_point((scale, 0.0, scale)) == HomogeneousPoint(1.0, 0.0, 1.0)
+    assert not HomogeneousPoint(scale, 0.0, 0.0).is_finite()

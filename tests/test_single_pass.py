@@ -10,6 +10,7 @@ import math
 import random
 import re
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 
@@ -335,19 +336,47 @@ FAMILY_CALLS = {
 }
 
 
-@pytest.mark.parametrize("fault", ["wrong count", "non-finite"])
+#: the non-finite elements of FAMILY_CALLS with an int beyond the float range
+HUGE = {NAN_POINT: (10**400, 0.5, 1.0), INF_LINE: (1.0, -(10**400), -3.0)}
+
+
+@pytest.mark.parametrize("fault", ["wrong count", "non-finite", "huge"])
 @pytest.mark.parametrize("name", sorted(FAMILY_CALLS))
 def test_public_family_functions_pass_the_front_door(name, fault):
     # a wrong count or an inf/NaN coordinate is named, as solve() names it,
     # and not met later as a bare TypeError/IndexError, a wrong-case error or
-    # a prediction made from NaN signs
+    # a prediction made from NaN signs; an int no float can hold is named
+    # too, not met as a bare OverflowError
     fn, wrong_count, non_finite, message = FAMILY_CALLS[name]
     if fault == "wrong count":
         with pytest.raises(UnsupportedCount, match=message):
             fn(*wrong_count)
-    else:
+    elif fault == "non-finite":
         with pytest.raises(NonFiniteInput):
             fn(*non_finite)
+    else:
+        huge = [
+            [HUGE.get(x, x) for x in arg] if isinstance(arg, list) else HUGE.get(arg, arg)
+            for arg in non_finite
+        ]
+        with pytest.raises(NonFiniteInput, match="no float can hold"):
+            fn(*huge)
+
+
+@pytest.mark.parametrize("api", [solve, predict])
+@pytest.mark.parametrize("value", [10**400, Decimal("sNaN")], ids=["int 10**400", "sNaN"])
+@pytest.mark.parametrize("element", ["point 0", "line 1"])
+def test_coordinate_no_float_can_hold_is_named(api, value, element):
+    # float() raises OverflowError or ValueError for these; the front door
+    # names the element instead
+    points = [HomogeneousPoint(*p) for p in FIVE[:3]]
+    lines = [ProjectiveLine(*L1), ProjectiveLine(*L2)]
+    if element == "point 0":
+        points[0] = HomogeneousPoint(value, 1, 1)
+    else:
+        lines[1] = ProjectiveLine(1, 0, value)
+    with pytest.raises(NonFiniteInput, match=f"{element} has a coordinate no float can hold"):
+        api(points, lines)
 
 
 def scaled_gallery_case(name, scale):
