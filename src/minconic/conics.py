@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import _kernels as _k
+from ._frozen import fast_init
 from .errors import (
     ComplexLinePair,
     DegenerateCase,
@@ -48,6 +49,7 @@ class ConicClass(enum.Enum):
         return self in (ConicClass.LINE_PAIR, ConicClass.DOUBLE_LINE, ConicClass.POINT)
 
 
+@fast_init
 @dataclass(frozen=True)
 class ConicMatrix:
     """Symmetric conic matrix.

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels as _k
+from ._frozen import fast_init
 from .conics import ConicMatrix, _residual, _sym6_frobenius
 from .errors import RankDeficient
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
@@ -158,6 +159,7 @@ def _ranks(m6s: Sequence[Sequence[float]]) -> list[int]:
     return ranks
 
 
+@fast_init
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -166,6 +168,7 @@ class CheckResult:
     limit: float
 
 
+@fast_init
 @dataclass(frozen=True)
 class Certification:
     checks: tuple[CheckResult, ...]

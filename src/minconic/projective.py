@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels as _k
+from ._frozen import fast_init
 from .errors import NonFiniteInput, PointAtInfinity
 from .tolerances import DEFAULT, INFINITY, Tolerances
 
@@ -25,6 +26,7 @@ class Orientation(enum.Enum):
     COLLINEAR = "collinear"
 
 
+@fast_init
 @dataclass(frozen=True)
 class HomogeneousPoint:
     """Point (x, y, w) of the real projective plane.
@@ -49,6 +51,7 @@ class HomogeneousPoint:
         return _finite(_vec(self))
 
 
+@fast_init
 @dataclass(frozen=True)
 class ProjectiveLine:
     """Line a x + b y + c w = 0 given by its coefficient triple."""
@@ -69,9 +72,13 @@ class ProjectiveLine:
 def _vec(p) -> Vec3:
     """Coordinate triple of a point, a line or any 3-sequence as Python floats,
     whatever real number type it holds: the one reader of caller input.
-    OverflowError for an int or Fraction beyond the float range."""
-    v = p.vec() if hasattr(p, "vec") else p
-    return (float(v[0]), float(v[1]), float(v[2]))
+    NonFiniteInput for a coordinate no float can hold (an int or Fraction
+    beyond the float range, a signaling NaN)."""
+    try:
+        v = p.vec() if hasattr(p, "vec") else p
+        return (float(v[0]), float(v[1]), float(v[2]))
+    except (OverflowError, ValueError) as exc:
+        raise NonFiniteInput(f"a coordinate no float can hold: {exc}") from None
 
 
 def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
@@ -89,30 +96,22 @@ def _dependent(det: float, norms: float, tol: Tolerances) -> bool:
 def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:
     """Whether a point triple lies on a line triple: |x . l| within the
     geometric tolerance times the product of the two norms."""
-    return _incident_dot(_k.dot3(x, l), _k.norm3(x), _k.norm3(l), tol)
-
-
-def _incident_dot(dot: float, nx: float, nl: float, tol: Tolerances) -> bool:
-    """_incident from the dot product x . l and the norms |x| and |l|, for
-    callers that hold them already."""
-    return abs(dot) <= tol.geometry * nx * nl
+    return abs(_k.dot3(x, l)) <= tol.geometry * _k.norm3(x) * _k.norm3(l)
 
 
 def cross(a: Sequence[float], b: Sequence[float]) -> Vec3:
-    """Cross product of two homogeneous triples.
+    """Cross product of two homogeneous triples, each read through _vec.
 
     Join of two points or meet of two lines, depending on what the inputs
     represent.
     """
-    return _k.cross((a[0], a[1], a[2]), (b[0], b[1], b[2]))
+    return _k.cross(_vec(a), _vec(b))
 
 
 def det3(m: Sequence[Sequence[float]]) -> float:
-    """Determinant of a 3x3 matrix given as three rows."""
-    c0 = (m[0][0], m[1][0], m[2][0])
-    c1 = (m[0][1], m[1][1], m[2][1])
-    c2 = (m[0][2], m[1][2], m[2][2])
-    return _k.det3(c0, c1, c2)
+    """Determinant of a 3x3 matrix given as three rows, each read through _vec."""
+    r0, r1, r2 = _vec(m[0]), _vec(m[1]), _vec(m[2])
+    return _k.det3((r0[0], r1[0], r2[0]), (r0[1], r1[1], r2[1]), (r0[2], r1[2], r2[2]))
 
 
 def _finite(v: Vec3) -> bool:

@@ -24,12 +24,17 @@ def require_no_collinear_triple(points: Sequence, tol: Tolerances = DEFAULT) -> 
     Otherwise return the determinants of the triples i < j < k in
     lexicographic order, (0, 1, 2), (0, 1, 3), ...
     """
-    vecs = [_vec(p) for p in points]
+    return _no_collinear_triple([_vec(p) for p in points], tol.geometry)
+
+
+def _no_collinear_triple(vecs: Sequence[Vec3], geometry: float) -> list[float]:
+    """require_no_collinear_triple of triples _vec read, with the geometric
+    tolerance; the test is _dependent's."""
     norms = [_k.norm3(v) for v in vecs]
     dets = []
     for i, j, k in combinations(range(len(vecs)), 3):
         d = _k.det3(vecs[i], vecs[j], vecs[k])
-        if _dependent(d, norms[i] * norms[j] * norms[k], tol):
+        if abs(d) <= geometry * (norms[i] * norms[j] * norms[k]):
             raise GeneralPositionError(f"points {i}, {j}, {k} are collinear", (i, j, k))
         dets.append(d)
     return dets
@@ -76,7 +81,7 @@ def diagonal_triangle(
     offending triple is named in the error otherwise.
     """
     pts = [_vec(p) for p in (p1, p2, p3, p4)]
-    require_no_collinear_triple(pts, tol)
+    _no_collinear_triple(pts, tol.geometry)
     xi1, xi2, xi3, dev = _k.diag_triangle(*pts)
     return DiagonalTriangle(xi1, xi2, xi3, tuple(pts), dev)
 
@@ -160,7 +165,7 @@ def conic_through_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> Co
     vecs = [_vec(p) for p in points]
     if len(vecs) != 5:
         raise UnsupportedCount("exactly five points required")
-    require_no_collinear_triple(vecs, tol)
+    _no_collinear_triple(vecs, tol.geometry)
     m6, _ = _k.conic_from_five_points(*vecs)
     if m6 is None:
         raise DegenerateCase("five-point fit: the diagonal triangle's determinant is exactly 0.0")

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _kernels as _k
+from ._frozen import fast_init
 from .conics import (
     ConicMatrix,
     PencilEigenvalues,
@@ -51,8 +52,8 @@ from .errors import (
     NonFiniteInput,
     UnsupportedCount,
 )
-from .projective import Vec3, _dependent, _incident_dot, _vec
-from .selfpolar import _near_line_pair, require_no_collinear_triple
+from .projective import Vec3, _vec
+from .selfpolar import _near_line_pair, _no_collinear_triple
 from .tolerances import DEFAULT, Tolerances
 
 KINDS = {
@@ -69,6 +70,7 @@ _FOUR_POINTS = "exactly four points required"
 _THREE_POINTS = "exactly three points required"
 
 
+@fast_init
 @dataclass(frozen=True)
 class CountPrediction:
     """Solution count predicted from sign predicates alone, without solving."""
@@ -83,6 +85,7 @@ class CountPrediction:
         return self.predicted_real + self.predicted_complex
 
 
+@fast_init
 @dataclass(frozen=True)
 class CaseContext:
     """How the moving quadrangle point was parameterized.
@@ -119,6 +122,7 @@ class SolveDiagnostics:
     max_tangency_residual: float = 0.0
 
 
+@fast_init
 @dataclass(frozen=True)
 class SolutionSet:
     """Non-degenerate real conics satisfying a minimal configuration."""
@@ -186,7 +190,7 @@ def solve_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatri
 
 
 def _analyse_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
-    require_no_collinear_triple(vecs, tol)
+    _no_collinear_triple(vecs, tol.geometry)
     return _FIVE_POINT_PREDICTION, vecs
 
 
@@ -258,12 +262,14 @@ def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) ->
 
 def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
     lv = lvs[0]
-    dets = require_no_collinear_triple(vecs, tol)
+    g = tol.geometry
+    dets = _no_collinear_triple(vecs, g)
 
-    # each point-line and vertex-line dot, and each norm, once
+    # each point-line and vertex-line dot, and each norm, once; the
+    # incidence tests are projective._incident's
     nl = _k.norm3(lv)
     dots = [_k.dot3(v, lv) for v in vecs]
-    on_line = [i for i, v in enumerate(vecs) if _incident_dot(dots[i], _k.norm3(v), nl, tol)]
+    on_line = [i for i, v in enumerate(vecs) if abs(dots[i]) <= g * _k.norm3(v) * nl]
     if len(on_line) >= 2:
         raise GeneralPositionError(
             f"line is a side of the quadrangle: it contains points "
@@ -273,7 +279,7 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
 
     *xi, dev = _k.diag_triangle(*vecs)
     vdots = tuple(_k.dot3(x, lv) for x in xi)
-    on_vertex = [j for j, x in enumerate(xi) if _incident_dot(vdots[j], _k.norm3(x), nl, tol)]
+    on_vertex = [j for j, x in enumerate(xi) if abs(vdots[j]) <= g * _k.norm3(x) * nl]
     if len(on_vertex) >= 2:
         raise GeneralPositionError(
             "line is a side of the diagonal triangle (through two of its "
@@ -354,6 +360,7 @@ def _build_4p1l(state, prediction: CountPrediction) -> SolutionSet:
 # three points + two lines
 
 
+@fast_init
 @dataclass(frozen=True)
 class CaseAllocation:
     """Relabeling that brings a 3-point/2-line input into case normal form.
@@ -393,28 +400,37 @@ def classify_3p2l_case(
     vecs = [_vec(p) for p in points]
     if len(vecs) != 3:
         raise UnsupportedCount(_THREE_POINTS)
-    lv1, lv2 = _vec(l1), _vec(l2)
-    # each norm once: the three points, the two lines and their meet p
-    n = [_k.norm3(v) for v in vecs]
+    return _classify_3p2l(vecs, _vec(l1), _vec(l2), tol.geometry)[0]
+
+
+def _classify_3p2l(vecs: Sequence[Vec3], lv1: Vec3, lv2: Vec3, geometry: float):
+    """classify_3p2l_case of the triples _vec read, with the geometric
+    tolerance: (allocation, the line meet p = lv1 x lv2, the six incidences
+    ((x . lv1, x . lv2) for each point x)). The dependence and incidence
+    tests are projective._dependent's and _incident's."""
+    v0, v1, v2 = vecs
+    m = (_k.norm3(v0), _k.norm3(v1), _k.norm3(v2))
     n1, n2 = _k.norm3(lv1), _k.norm3(lv2)
     p = _k.cross(lv1, lv2)
     np_ = _k.norm3(p)
-    if np_ <= tol.geometry * n1 * n2:
+    if np_ <= geometry * n1 * n2:
         raise GeneralPositionError("the two lines coincide", (0, 1))
-    if _dependent(_k.det3(vecs[0], vecs[1], vecs[2]), n[0] * n[1] * n[2], tol):
+    if abs(_k.det3(v0, v1, v2)) <= geometry * (m[0] * m[1] * m[2]):
         raise GeneralPositionError("the three points are collinear", (0, 1, 2))
 
-    inc = [
-        [_incident_dot(_k.dot3(v, lv1), nv, n1, tol), _incident_dot(_k.dot3(v, lv2), nv, n2, tol)]
-        for v, nv in zip(vecs, n)
-    ]
-    for i, (on1, on2) in enumerate(inc):
-        if on1 and on2:
+    incs = (
+        (_k.dot3(v0, lv1), _k.dot3(v0, lv2)),
+        (_k.dot3(v1, lv1), _k.dot3(v1, lv2)),
+        (_k.dot3(v2, lv1), _k.dot3(v2, lv2)),
+    )
+    on1 = [i for i in range(3) if abs(incs[i][0]) <= geometry * m[i] * n1]
+    on2 = [i for i in range(3) if abs(incs[i][1]) <= geometry * m[i] * n2]
+    for i in on1:
+        if i in on2:
             raise GeneralPositionError(
                 f"point {i} coincides with the intersection of the lines", (i,)
             )
-    for j in range(2):
-        riders = [i for i in range(3) if inc[i][j]]
+    for riders in (on1, on2):
         if len(riders) >= 2:
             raise GeneralPositionError(
                 f"points {riders[0]} and {riders[1]} lie on the same line; no "
@@ -422,46 +438,21 @@ def classify_3p2l_case(
                 tuple(riders[:2]),
             )
 
-    incident_pts = [i for i in range(3) if inc[i][0] or inc[i][1]]
-    coll_pairs = [
-        (i, j)
-        for i in range(3)
-        for j in range(i + 1, 3)
-        if _dependent(_k.det3(vecs[i], vecs[j], p), n[i] * n[j] * np_, tol)
-    ]
+    def collinear_with_p(i: int, j: int) -> bool:
+        return abs(_k.det3(vecs[i], vecs[j], p)) <= geometry * (m[i] * m[j] * np_)
 
-    if len(incident_pts) == 2:
-        i1 = next(i for i in range(3) if inc[i][0])
-        i2 = next(i for i in range(3) if inc[i][1])
-        rest = next(i for i in range(3) if i not in (i1, i2))
-        return CaseAllocation(1, (rest, i1, i2), False)
-    if len(incident_pts) == 1:
-        rider = incident_pts[0]
-        swap = not inc[rider][0]
-        pair = [pr for pr in coll_pairs if rider not in pr]
-        if pair:
-            i, j = pair[0]
-            return CaseAllocation(2, (i, j, rider), swap)
-        others = tuple(k for k in range(3) if k != rider)
-        return CaseAllocation(4, others + (rider,), swap)
-    if coll_pairs:
-        i, j = coll_pairs[0]
-        rest = next(k for k in range(3) if k not in (i, j))
-        return CaseAllocation(3, (rest, i, j), False)
-    return CaseAllocation(5, (0, 1, 2), False)
-
-
-def _scalars_3p2l(x1: Vec3, x2: Vec3, x3: Vec3, l1: Vec3, l2: Vec3):
-    """The determinant and incidence scalars every 3-point/2-line formula uses."""
-    p = _k.cross(l1, l2)
-    A = _k.det3(p, x2, x3)
-    B = _k.det3(x1, p, x3)
-    C = _k.det3(x1, x2, p)
-    D = _k.det3(x1, x2, x3)
-    a = (_k.dot3(x1, l1), _k.dot3(x1, l2))
-    b = (_k.dot3(x2, l1), _k.dot3(x2, l2))
-    c = (_k.dot3(x3, l1), _k.dot3(x3, l2))
-    return p, A, B, C, D, a, b, c
+    if on1 and on2:
+        i1, i2 = on1[0], on2[0]
+        return CaseAllocation(1, (3 - i1 - i2, i1, i2), False), p, incs
+    if on1 or on2:
+        rider = (on1 or on2)[0]
+        i, j = (k for k in range(3) if k != rider)
+        case = 2 if collinear_with_p(i, j) else 4
+        return CaseAllocation(case, (i, j, rider), not on1), p, incs  # swap: rider on line 2
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if collinear_with_p(i, j):
+            return CaseAllocation(3, (3 - i - j, i, j), False), p, incs
+    return CaseAllocation(5, (0, 1, 2), False), p, incs
 
 
 def _case5_roots(A, B, C, D, a, b, c) -> list[tuple[float, float]]:
@@ -525,13 +516,23 @@ def predict_count_3p2l(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> C
 
 def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
     """Classify the triples, relabel them into their case's normal form and
-    predict; the state is (allocation, (x1, x2, x3, l1, l2), the scalars,
-    the case-5 pencil eigenvalues or None)."""
-    alloc = classify_3p2l_case(vecs, lvs[0], lvs[1], tol)
-    x1, x2, x3 = (vecs[i] for i in alloc.order)
-    lv1, lv2 = (lvs[1], lvs[0]) if alloc.swap_lines else (lvs[0], lvs[1])
-    scalars = _scalars_3p2l(x1, x2, x3, lv1, lv2)
-    _, A, B, _, D, a, b, c = scalars
+    predict; the state is (allocation, (x1, x2, x3, l1, l2), the scalars
+    (p, A, B, C, D, a, b, c), the case-5 pencil eigenvalues or None). The
+    line meet p = l1 x l2 and the incidences a, b, c = (x . l1, x . l2) of
+    x1, x2, x3 are the classification's, read in normal-form order."""
+    lv1, lv2 = lvs
+    alloc, p, incs = _classify_3p2l(vecs, lv1, lv2, tol.geometry)
+    i, j, k = alloc.order
+    x1, x2, x3 = vecs[i], vecs[j], vecs[k]
+    a, b, c = incs[i], incs[j], incs[k]
+    if alloc.swap_lines:
+        lv1, lv2 = lv2, lv1
+        p = _k.cross(lv1, lv2)
+        a, b, c = a[::-1], b[::-1], c[::-1]
+    A = _k.det3(p, x2, x3)
+    B = _k.det3(x1, p, x3)
+    C = _k.det3(x1, x2, p)
+    D = _k.det3(x1, x2, x3)
     prediction = _prediction_3p2l(alloc.case, A, B, a, b, c)
     if alloc.case == 2 and 2.0 * B * b[1] == 0.0:
         raise CaseDegeneracy("collinear-pair case denominator vanished")
@@ -548,7 +549,7 @@ def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
                 "generic-case pencil is degenerate: the line intersection "
                 "point lies on a side of the point triangle"
             ) from exc
-    return prediction, (alloc, (x1, x2, x3, lv1, lv2), scalars, lams)
+    return prediction, (alloc, (x1, x2, x3, lv1, lv2), (p, A, B, C, D, a, b, c), lams)
 
 
 def _prediction_3p2l(case: int, A, B, a, b, c) -> CountPrediction:
@@ -727,10 +728,8 @@ def _triples(
         for idx, item in enumerate(items):
             try:
                 v = _vec(item)
-            except (OverflowError, ValueError) as exc:  # too large, or a signaling NaN
-                raise NonFiniteInput(
-                    f"{kind} {idx} has a coordinate no float can hold: {exc}"
-                ) from None
+            except NonFiniteInput as exc:  # too large, or a signaling NaN
+                raise NonFiniteInput(f"{kind} {idx} has {exc}") from None
             if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
                 raise NonFiniteInput(f"{kind} {idx} has a non-finite coordinate: {v!r}")
             out.append(v)
@@ -804,4 +803,11 @@ def predict(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -
     NonFiniteInput included.
     """
     prediction, _, _, dual = _front_door(*_triples(points, lines), tol)
-    return replace(prediction, rule="dual: " + prediction.rule) if dual else prediction
+    if not dual:
+        return prediction
+    return CountPrediction(
+        prediction.predicted_real,
+        prediction.predicted_complex,
+        "dual: " + prediction.rule,
+        prediction.predicate,
+    )

@@ -1,5 +1,7 @@
 """Point/line primitives and their sign predicates."""
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -126,3 +128,23 @@ def test_finite_point_at_an_extreme_homogeneous_scale(scale):
     assert HomogeneousPoint(scale, 0.0, scale).is_finite()
     assert normalize_point((scale, 0.0, scale)) == HomogeneousPoint(1.0, 0.0, 1.0)
     assert not HomogeneousPoint(scale, 0.0, 0.0).is_finite()
+
+
+#: coordinates written as decimal strings, read by each number type
+ROWS = (("0.1", "-2.5", "3"), ("7.25", "-0.3", "1"), ("2", "0.001", "-4.5"))
+
+
+@pytest.mark.parametrize("number", [Fraction, Decimal], ids=["Fraction", "Decimal"])
+def test_cross_and_det3_read_any_number_type_as_their_float_twins(number):
+    # both read their triples through the one coordinate reader, so a
+    # Fraction or Decimal triple computes as its float twin, alone or
+    # beside a float triple
+    rows = [tuple(map(number, r)) for r in ROWS]
+    twins = [tuple(map(float, r)) for r in ROWS]
+    for a, b in ((rows[0], rows[1]), (rows[0], twins[1]), (twins[0], rows[1])):
+        out = cross(a, b)
+        assert out == cross(twins[0], twins[1])
+        assert all(type(v) is float for v in out)
+    for m in (rows, [rows[0], twins[1], rows[2]]):
+        d = det3(m)
+        assert d == det3(twins) and type(d) is float

@@ -31,7 +31,15 @@ from minconic import (
     solvers,
     tangency_residual,
 )
-from minconic.oracle import dualize_input, random_3p2l_case, random_4p1l, random_five_points
+from minconic.oracle import (
+    certify,
+    dualize_input,
+    random_3p2l_case,
+    random_4p1l,
+    random_five_points,
+)
+from minconic.projective import normalize_point
+from minconic.tolerances import DEFAULT
 
 from conftest import gallery_names, load_gallery_case
 
@@ -51,9 +59,30 @@ def counted(monkeypatch, owner, name):
 @pytest.mark.parametrize("case", range(1, 6))
 def test_3p2l_solve_classifies_once(monkeypatch, case):
     pts, l1, l2 = random_3p2l_case(random.Random(case), case)
-    calls = counted(monkeypatch, solvers, "classify_3p2l_case")
+    calls = counted(monkeypatch, solvers, "_classify_3p2l")
     solve(pts, [l1, l2])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_classify_3p2l_case_returns_the_allocation_of_the_analysis(seed):
+    # the public classifier wraps the one the analysis runs: on objects and
+    # on coordinate tuples alike, with either line first, it returns the
+    # analysis's allocation; the line meet and the six incidences the
+    # analysis hands on are the plain cross and dot products
+    rng = random.Random(seed)
+    for case in range(1, 6):
+        for _ in range(8):
+            pts, l1, l2 = random_3p2l_case(rng, case)
+            for first, second in ((l1, l2), (l2, l1)):
+                vecs = [p.vec() for p in pts]
+                lv1, lv2 = first.vec(), second.vec()
+                alloc, p, incs = solvers._classify_3p2l(vecs, lv1, lv2, DEFAULT.geometry)
+                assert alloc.case == case
+                assert solvers.classify_3p2l_case(pts, first, second) == alloc
+                assert solvers.classify_3p2l_case(vecs, lv1, lv2) == alloc
+                assert p == _k.cross(lv1, lv2)
+                assert incs == tuple((_k.dot3(v, lv1), _k.dot3(v, lv2)) for v in vecs)
 
 
 def one_input(family):
@@ -377,6 +406,26 @@ def test_coordinate_no_float_can_hold_is_named(api, value, element):
         lines[1] = ProjectiveLine(1, 0, value)
     with pytest.raises(NonFiniteInput, match=f"{element} has a coordinate no float can hold"):
         api(points, lines)
+
+
+#: a reader outside the front door, called with a 10**400 coordinate
+HUGE_READERS = {
+    "certify": lambda huge: certify(
+        [huge] + FIVE[1:3], [L1, L2], solve(FIVE[:3], [L1, L2])
+    ),
+    "classify_3p2l_case": lambda huge: solvers.classify_3p2l_case([huge] + FIVE[1:3], L1, L2),
+    "pencil_eigenvalues": lambda huge: pencil_eigenvalues(FIVE[:3], L1, huge),
+    "normalize_point": normalize_point,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(HUGE_READERS))
+def test_every_reader_names_a_coordinate_no_float_can_hold(reader):
+    # the one coordinate reader raises NonFiniteInput itself, so the
+    # readers outside the front door refuse such a coordinate with the
+    # package's error and not a bare OverflowError
+    with pytest.raises(NonFiniteInput, match="a coordinate no float can hold"):
+        HUGE_READERS[reader](HUGE[NAN_POINT])
 
 
 def scaled_gallery_case(name, scale):

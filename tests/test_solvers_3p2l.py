@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import minconic._kernels as _k
 from minconic import (
     ConicMatrix,
     HomogeneousPoint,
@@ -27,7 +28,6 @@ from minconic.errors import (
     UnsupportedCount,
 )
 from minconic.oracle import dualize_input, random_3p2l_case
-from minconic.solvers import _scalars_3p2l
 
 from conftest import (
     NEAR_TIE_LINES,
@@ -187,6 +187,19 @@ def tangency_form(A, B, C, D, ai, bi, ci):
     )
 
 
+def scalars_3p2l(x1, x2, x3, l1, l2):
+    """The determinant and incidence scalars of the 3-point/2-line formulas."""
+    p = _k.cross(l1, l2)
+    A = _k.det3(p, x2, x3)
+    B = _k.det3(x1, p, x3)
+    C = _k.det3(x1, x2, p)
+    D = _k.det3(x1, x2, x3)
+    a = (_k.dot3(x1, l1), _k.dot3(x1, l2))
+    b = (_k.dot3(x2, l1), _k.dot3(x2, l2))
+    c = (_k.dot3(x3, l1), _k.dot3(x3, l2))
+    return p, A, B, C, D, a, b, c
+
+
 def test_case5_closed_form_matches_the_pencil_intersection():
     # the line-pair split of the pencil of the two tangency forms is an
     # independent route to the same four roots
@@ -195,7 +208,7 @@ def test_case5_closed_form_matches_the_pencil_intersection():
     for _ in range(60):
         pts, l1, l2 = random_3p2l_case(rng, 5)
         sol = solve_three_points_two_lines(pts, l1, l2)
-        _, A, B, C, D, a, b, c = _scalars_3p2l(*(p.vec() for p in pts), l1.vec(), l2.vec())
+        _, A, B, C, D, a, b, c = scalars_3p2l(*(p.vec() for p in pts), l1.vec(), l2.vec())
         inter = intersect_conic_pencil(
             tangency_form(A, B, C, D, a[0], b[0], c[0]),
             tangency_form(A, B, C, D, a[1], b[1], c[1]),
