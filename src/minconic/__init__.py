@@ -35,16 +35,7 @@ from .errors import (
     UnsupportedCount,
 )
 from .projective import HomogeneousPoint, Orientation, ProjectiveLine
-from .selfpolar import (
-    DiagonalTriangle,
-    conic_through_five_points,
-    diagonal_triangle,
-    lies_on_quadrangle_side,
-    pencil_conic,
-    require_no_collinear_triple,
-    self_polar_basis,
-    triangle_coords,
-)
+from .selfpolar import require_no_collinear_triple
 from .solvers import (
     CaseAllocation,
     CaseContext,
@@ -77,7 +68,6 @@ __all__ = [
     "DEFAULT",
     "DegenerateCase",
     "DegenerateParameter",
-    "DiagonalTriangle",
     "GeneralPositionError",
     "HomogeneousPoint",
     "InconsistentPencil",
@@ -96,11 +86,7 @@ __all__ = [
     "UnsupportedCount",
     "classify",
     "classify_3p2l_case",
-    "conic_through_five_points",
-    "diagonal_triangle",
     "intersect_conic_pencil",
-    "lies_on_quadrangle_side",
-    "pencil_conic",
     "pencil_eigenvalues",
     "point_residual",
     "predict",
@@ -108,7 +94,6 @@ __all__ = [
     "predict_count_4p1l",
     "rank",
     "require_no_collinear_triple",
-    "self_polar_basis",
     "solve",
     "solve_dual",
     "solve_five_points",
@@ -116,6 +101,5 @@ __all__ = [
     "solve_three_points_two_lines",
     "split_line_pair",
     "tangency_residual",
-    "triangle_coords",
     "__version__",
 ]

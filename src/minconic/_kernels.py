@@ -37,21 +37,6 @@ def norm3(a):
     return (a[0] * a[0] + a[1] * a[1] + a[2] * a[2]) ** 0.5
 
 
-def solve3(a, b, c, r):
-    """Solve [a | b | c] x = r by explicit adjugate; returns (x, det).
-
-    The determinant is returned unchecked; callers decide what counts as
-    singular. For det == 0 the solution tuple is meaningless.
-    """
-    u = cross(b, c)
-    v = cross(c, a)
-    w = cross(a, b)
-    d = dot3(u, a)
-    if d == 0.0:
-        return (0.0, 0.0, 0.0), 0.0
-    return (dot3(u, r) / d, dot3(v, r) / d, dot3(w, r) / d), d
-
-
 def diag_vertices(x1, x2, x3, x4):
     """Diagonal-triangle vertices (xi1, xi2, xi3) of the quadrangle x1 x2 x3 x4:
     each the meet of two opposite sides, nine cross products in all."""

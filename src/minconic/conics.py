@@ -15,7 +15,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels as _k
 from ._frozen import fast_init
@@ -152,10 +152,6 @@ def _normalized_conic(m: Sequence[float]) -> ConicMatrix:
             lead = x
     k = (1.0 if lead > 0.0 else -1.0) / n
     return ConicMatrix(k * a, k * b, k * c, k * d, k * e, k * f)
-
-
-def adjugate(c: ConicMatrix) -> ConicMatrix:
-    return c.adjugate()
 
 
 def _nonzero(w: Sequence[float]) -> list[float]:

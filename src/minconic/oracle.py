@@ -22,7 +22,6 @@ from ._frozen import fast_init
 from .conics import ConicMatrix, _residual, _sym6_frobenius
 from .errors import RankDeficient
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
-from .selfpolar import DiagonalTriangle
 from .solvers import SolutionSet, predict
 from .tolerances import DEFAULT, RANK_ZERO, RESIDUAL, Tolerances
 
@@ -88,8 +87,9 @@ def nullspace_five_point(points: Sequence) -> ConicMatrix:
 # tangency root scanning
 
 
-def scan_tangency_roots(tri: DiagonalTriangle, line) -> list[float]:
-    """Pencil parameters s in [-50, 50] of the members tangent to the line.
+def scan_tangency_roots(points: Sequence, line) -> list[float]:
+    """Pencil parameters s in [-50, 50] of the members tangent to the line,
+    in the pencil of conics through the four points, no three collinear.
 
     Evaluates the tangency form l^T adj(C(s)) l on a grid of 4096 steps,
     brackets sign changes, and bisects each bracket down to 1e-12. Purely
@@ -98,10 +98,11 @@ def scan_tangency_roots(tri: DiagonalTriangle, line) -> list[float]:
     roots.
     """
     lo, hi, samples = -50.0, 50.0, 4096
+    xi1, xi2, xi3 = _k.diag_vertices(*(_vec(p) for p in points))
     lv = _vec(line)
 
     def g(s: float) -> float:
-        m6 = _k.conic_from_pencil(tri.xi1, tri.xi2, tri.xi3, s)
+        m6 = _k.conic_from_pencil(xi1, xi2, xi3, s)
         return _k.sym_eval(_k.sym_adjugate(m6), lv)
 
     xs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]

@@ -43,7 +43,6 @@ from .conics import (
     _residual,
     _stable_roots,
     _sym6_frobenius,
-    intersect_conic_pencil,  # noqa: F401  (kept importable here; no solver calls it)
 )
 from .errors import (
     CaseDegeneracy,

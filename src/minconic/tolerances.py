@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 #: |w| vs vector norm below which a homogeneous point is at infinity
 INFINITY = 1e-12
-#: relative tie between triangle-coordinate magnitudes |beta_i|
-COORDINATE_TIE = 1e-8
 #: eigenvalue below this fraction of the spectral radius counts as zero
 RANK_ZERO = 1e-9
 #: relative coincidence of pencil eigenvalues (degeneracy guard)

@@ -16,7 +16,6 @@ from minconic import (
     split_line_pair,
     tangency_residual,
 )
-from minconic.conics import adjugate
 from minconic.errors import ComplexLinePair, DegenerateCase, GeneralPositionError, RankOne
 from minconic.projective import HomogeneousPoint, ProjectiveLine
 
@@ -87,7 +86,7 @@ def test_normalized_rejects_the_zero_matrix():
 
 def test_adjugate_involution():
     c = ConicMatrix(2.0, 1.0, -3.0, 0.5, 4.0, 1.0)
-    back = adjugate(adjugate(c))
+    back = c.adjugate().adjugate()
     d = c.det()
     for got, want in zip(back.sym6(), c.sym6()):
         assert got == pytest.approx(d * want, rel=1e-12)

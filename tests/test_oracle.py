@@ -10,7 +10,6 @@ from minconic import (
     ConicMatrix,
     HomogeneousPoint,
     ProjectiveLine,
-    diagonal_triangle,
     solve,
     solve_five_points,
 )
@@ -55,18 +54,16 @@ def test_nullspace_rejects_duplicate_point(square):
 
 
 def test_scan_finds_the_known_roots(square):
-    tri = diagonal_triangle(*square)
     # x + y = 3: roots (-7 +- 3 sqrt 5) / 2
-    roots = scan_tangency_roots(tri, ProjectiveLine(1.0, 1.0, -3.0))
+    roots = scan_tangency_roots(square, ProjectiveLine(1.0, 1.0, -3.0))
     want = sorted([(-7.0 - 3.0 * math.sqrt(5.0)) / 2.0, (-7.0 + 3.0 * math.sqrt(5.0)) / 2.0])
     got = sorted(r for r in roots if abs(r) > 1e-9 and abs(r - 1.0) > 1e-9)
     assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_scan_finds_the_vertex_line_root(square):
-    tri = diagonal_triangle(*square)
     # x = 2 passes through a triangle vertex: single non-degenerate root -1/3
-    roots = scan_tangency_roots(tri, ProjectiveLine(1.0, 0.0, -2.0))
+    roots = scan_tangency_roots(square, ProjectiveLine(1.0, 0.0, -2.0))
     got = [r for r in roots if abs(r) > 1e-9 and abs(r - 1.0) > 1e-9]
     assert len(got) == 1
     assert got[0] == pytest.approx(-1.0 / 3.0, abs=1e-9)
