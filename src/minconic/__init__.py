@@ -27,6 +27,7 @@ from .errors import (
     DegenerateParameter,
     GeneralPositionError,
     InconsistentPencil,
+    MalformedCoordinates,
     MinconicError,
     NonFiniteInput,
     PointAtInfinity,
@@ -71,6 +72,7 @@ __all__ = [
     "GeneralPositionError",
     "HomogeneousPoint",
     "InconsistentPencil",
+    "MalformedCoordinates",
     "MinconicError",
     "NonFiniteInput",
     "Orientation",

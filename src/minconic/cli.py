@@ -31,13 +31,11 @@ from . import plotting
 from .conics import classify
 from .errors import (
     DegenerateCase,
-    DegenerateParameter,
     GeneralPositionError,
     MinconicError,
     PointAtInfinity,
     UnsupportedCount,
 )
-from .projective import HomogeneousPoint, ProjectiveLine
 from .solvers import CountPrediction, SolutionSet, predict, solve
 from .tolerances import DEFAULT, Tolerances
 
@@ -75,6 +73,7 @@ def _items(doc: dict, key: str) -> list:
 
 
 def load_config(path: str) -> dict:
+    """The configuration at path: (x, y, w) point and (a, b, c) line tuples of floats, and options."""
     try:
         with open(path) as fh:  # text mode: locale decoding, universal newlines
             raw = fh.read()
@@ -91,15 +90,12 @@ def load_config(path: str) -> dict:
     for i, item in enumerate(_items(doc, "points")):
         if not isinstance(item, list) or len(item) not in (2, 3):
             raise ParseError(f"points[{i}] must be [x, y] or [x, y, w]")
-        nums = [_num(v) for v in item]
-        if len(nums) == 2:
-            nums.append(1.0)
-        points.append(HomogeneousPoint(*nums))
+        points.append((_num(item[0]), _num(item[1]), _num(item[2]) if len(item) == 3 else 1.0))
     lines = []
     for i, item in enumerate(_items(doc, "lines")):
         if not isinstance(item, list) or len(item) != 3:
             raise ParseError(f"lines[{i}] must be [a, b, c]")
-        lines.append(ProjectiveLine(*(_num(v) for v in item)))
+        lines.append((_num(item[0]), _num(item[1]), _num(item[2])))
 
     options = doc.get("options", {})
     if not isinstance(options, dict):
@@ -109,7 +105,10 @@ def load_config(path: str) -> dict:
 
 def _tolerances(options: dict, override: Optional[float]) -> Tolerances:
     tau = override if override is not None else options.get("tolerance")
-    return DEFAULT if tau is None else Tolerances(_num(tau))
+    try:
+        return DEFAULT if tau is None else Tolerances(_num(tau))
+    except ValueError as exc:  # _num's ParseError, or a negative tolerance
+        raise ParseError(str(exc)) from None
 
 
 def _g(x: float) -> str:
@@ -321,9 +320,7 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_PARSE
     if isinstance(exc, UnsupportedCount):
         return EXIT_UNSUPPORTED
-    if isinstance(
-        exc, (GeneralPositionError, PointAtInfinity, DegenerateCase, DegenerateParameter)
-    ):
+    if isinstance(exc, (GeneralPositionError, PointAtInfinity, DegenerateCase)):
         return EXIT_GENERAL_POSITION
     return 1
 

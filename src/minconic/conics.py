@@ -27,7 +27,7 @@ from .errors import (
     RankOne,
 )
 from .projective import ProjectiveLine, Vec3, _finite, _incident, _vec
-from .tolerances import DEFAULT, DISCRIMINANT, EIGENVALUE_TIE, RANK_ZERO, RESIDUAL, Tolerances
+from .tolerances import DEFAULT, DISCRIMINANT, EIGENVALUE_TIE, RANK_ZERO, RESIDUAL
 
 
 def _sym6_frobenius(m: Sequence[float]) -> float:
@@ -229,7 +229,7 @@ class PencilEigenvalues(NamedTuple):
         return tuple(sorted(self))  # type: ignore[return-value]
 
 
-def pencil_eigenvalues(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> PencilEigenvalues:
+def pencil_eigenvalues(points: Sequence, l1, l2) -> PencilEigenvalues:
     """Eigenvalues of the conic pencil behind a generic 3-point/2-line problem.
 
     Points and lines are HomogeneousPoint/ProjectiveLine objects or any
@@ -245,7 +245,7 @@ def pencil_eigenvalues(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> P
     for idx, pt in enumerate(points):
         v = _vec(pt)
         for lv in (lv1, lv2):
-            if _incident(v, lv, tol):
+            if _incident(v, lv, DEFAULT.geometry):
                 raise GeneralPositionError(
                     f"point {idx} lies on an input line; the generic pencil "
                     "construction does not apply",

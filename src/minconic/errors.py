@@ -25,6 +25,10 @@ class NonFiniteInput(MinconicError, ValueError):
     """A point or line has an inf or NaN coordinate."""
 
 
+class MalformedCoordinates(MinconicError, ValueError):
+    """A point or line is not exactly three real coordinates."""
+
+
 class UnsupportedCount(MinconicError, ValueError):
     """Configuration does not contain exactly five points/lines."""
 

@@ -339,19 +339,17 @@ def _triples_ok(vecs, floor: float) -> bool:
     return True
 
 
-def random_five_points(rng: random.Random, tol: Tolerances = DEFAULT) -> list[HomogeneousPoint]:
+def random_five_points(rng: random.Random) -> list[HomogeneousPoint]:
     for _ in range(MAX_TRIES):
         pts = [_rand_point(rng) for _ in range(5)]
-        if _triples_ok([p.vec() for p in pts], MARGIN * tol.geometry):
+        if _triples_ok([p.vec() for p in pts], MARGIN * DEFAULT.geometry):
             return pts
     raise RuntimeError("five-point sampling failed to meet margins")
 
 
-def random_4p1l(
-    rng: random.Random, tol: Tolerances = DEFAULT
-) -> tuple[list[HomogeneousPoint], ProjectiveLine]:
+def random_4p1l(rng: random.Random) -> tuple[list[HomogeneousPoint], ProjectiveLine]:
     """Generic four-point/one-line input away from every special incidence."""
-    floor = MARGIN * tol.geometry
+    floor = MARGIN * DEFAULT.geometry
     for _ in range(MAX_TRIES):
         pts = [_rand_point(rng) for _ in range(4)]
         vecs = [p.vec() for p in pts]
@@ -400,7 +398,7 @@ def _margins_3p2l(vecs, l1: Vec3, l2: Vec3):
 
 
 def random_3p2l_case(
-    rng: random.Random, case: int, tol: Tolerances = DEFAULT
+    rng: random.Random, case: int
 ) -> tuple[list[HomogeneousPoint], ProjectiveLine, ProjectiveLine]:
     """Random input that classifies as the requested 3-point/2-line case.
 
@@ -408,7 +406,7 @@ def random_3p2l_case(
     dispatch predicate is kept at least MARGIN times its tolerance away
     from zero so classification is unambiguous.
     """
-    floor = MARGIN * tol.geometry
+    floor = MARGIN * DEFAULT.geometry
     for _ in range(MAX_TRIES):
         l1 = _rand_line(rng)
         l2 = _rand_line(rng)
@@ -475,14 +473,14 @@ def random_3p2l_case(
         for i in range(3):
             for j in range(2):
                 if (i, j) in exact_inc:
-                    if incs[i][j] > tol.geometry:
+                    if incs[i][j] > DEFAULT.geometry:
                         ok = False
                 elif incs[i][j] < floor:
                     ok = False
         pair_order = [(0, 1), (0, 2), (1, 2)]
         for idx, pr in enumerate(pair_order):
             if pr in exact_coll:
-                if colls[idx] > tol.geometry:
+                if colls[idx] > DEFAULT.geometry:
                     ok = False
             elif colls[idx] < floor:
                 ok = False

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from . import _kernels as _k
 from ._frozen import fast_init
-from .errors import NonFiniteInput, PointAtInfinity
-from .tolerances import DEFAULT, INFINITY, Tolerances
+from .errors import MalformedCoordinates, NonFiniteInput, PointAtInfinity
+from .tolerances import DEFAULT, INFINITY
 
 Vec3 = tuple[float, float, float]
 
@@ -72,31 +72,25 @@ class ProjectiveLine:
 def _vec(p) -> Vec3:
     """Coordinate triple of a point, a line or any 3-sequence as Python floats,
     whatever real number type it holds: the one reader of caller input.
-    NonFiniteInput for a coordinate no float can hold (an int or Fraction
-    beyond the float range, a signaling NaN)."""
+    MalformedCoordinates for anything that is not exactly three real
+    coordinates; NonFiniteInput for a coordinate no float can hold (an int or
+    Fraction beyond the float range, a signaling NaN)."""
     try:
-        v = p.vec() if hasattr(p, "vec") else p
-        return (float(v[0]), float(v[1]), float(v[2]))
+        x, y, w = p.vec() if hasattr(p, "vec") else p
+    except (TypeError, ValueError):
+        raise MalformedCoordinates(f"not three real coordinates: {p!r}") from None
+    try:
+        return (float(x), float(y), float(w))
     except (OverflowError, ValueError) as exc:
         raise NonFiniteInput(f"a coordinate no float can hold: {exc}") from None
+    except TypeError:
+        raise MalformedCoordinates(f"not three real coordinates: {p!r}") from None
 
 
-def _collinear(u: Vec3, v: Vec3, w: Vec3, tol: Tolerances) -> bool:
-    """Whether three homogeneous triples are dependent (collinear points or
-    concurrent lines)."""
-    return _dependent(_k.det3(u, v, w), _k.norm3(u) * _k.norm3(v) * _k.norm3(w), tol)
-
-
-def _dependent(det: float, norms: float, tol: Tolerances) -> bool:
-    """Whether a triple's determinant is zero within the geometric
-    tolerance times norms, the product of the three norms."""
-    return abs(det) <= tol.geometry * norms
-
-
-def _incident(x: Vec3, l: Vec3, tol: Tolerances) -> bool:
+def _incident(x: Vec3, l: Vec3, geometry: float) -> bool:
     """Whether a point triple lies on a line triple: |x . l| within the
     geometric tolerance times the product of the two norms."""
-    return abs(_k.dot3(x, l)) <= tol.geometry * _k.norm3(x) * _k.norm3(l)
+    return abs(_k.dot3(x, l)) <= geometry * _k.norm3(x) * _k.norm3(l)
 
 
 def cross(a: Sequence[float], b: Sequence[float]) -> Vec3:
@@ -140,7 +134,7 @@ def normalize_point(v) -> HomogeneousPoint:
     return HomogeneousPoint(vec[0] / vec[2], vec[1] / vec[2], 1.0)
 
 
-def orientation(p1, p2, p3, tol: Tolerances = DEFAULT) -> Orientation:
+def orientation(p1, p2, p3) -> Orientation:
     """Turn direction of the ordered triple of normalized finite points,
     each a HomogeneousPoint or a 3-sequence.
 
@@ -149,18 +143,19 @@ def orientation(p1, p2, p3, tol: Tolerances = DEFAULT) -> Orientation:
     the product of the three norms report COLLINEAR.
     """
     u, v, w = _vec(p1), _vec(p2), _vec(p3)
-    if _collinear(u, v, w, tol):
+    det = _k.det3(u, v, w)
+    if abs(det) <= DEFAULT.geometry * (_k.norm3(u) * _k.norm3(v) * _k.norm3(w)):
         return Orientation.COLLINEAR
-    return Orientation.ANTICLOCKWISE if _k.det3(u, v, w) > 0.0 else Orientation.CLOCKWISE
+    return Orientation.ANTICLOCKWISE if det > 0.0 else Orientation.CLOCKWISE
 
 
-def side_sign(p, l, tol: Tolerances = DEFAULT) -> int:
+def side_sign(p, l) -> int:
     """Which side of l the normalized finite point p lies on: -1, 0, or +1.
     p and l are a HomogeneousPoint and a ProjectiveLine or 3-sequences.
 
     Zero means incident within the relative geometric tolerance.
     """
     u, lv = _vec(p), _vec(l)
-    if _incident(u, lv, tol):
+    if _incident(u, lv, DEFAULT.geometry):
         return 0
     return 1 if _k.dot3(u, lv) > 0.0 else -1

@@ -1,11 +1,9 @@
-"""General-position guards of the self-polar construction.
+"""The general-position guard of the self-polar construction.
 
 The solvers build the diagonal (self-polar) triangle of a quadrangle and the
 pencil members it carries in `_kernels` (`diag_triangle`, `diag_vertices`,
 `conic_from_pencil`, `conic_from_five_points`). Those closed forms hold only
-when no three of the points are collinear, and the pencil members at s = 0
-and s = 1 are the quadrangle's line pairs. This module keeps those two
-guards.
+when no three of the points are collinear, which this module checks.
 """
 from __future__ import annotations
 
@@ -15,21 +13,21 @@ from typing import Sequence
 from . import _kernels as _k
 from .errors import GeneralPositionError
 from .projective import Vec3, _vec
-from .tolerances import DEFAULT, PARAMETER, Tolerances
+from .tolerances import DEFAULT
 
 
-def require_no_collinear_triple(points: Sequence, tol: Tolerances = DEFAULT) -> list[float]:
+def require_no_collinear_triple(points: Sequence) -> list[float]:
     """Raise GeneralPositionError naming the first collinear triple found.
 
     Otherwise return the determinants of the triples i < j < k in
     lexicographic order, (0, 1, 2), (0, 1, 3), ...
     """
-    return _no_collinear_triple([_vec(p) for p in points], tol.geometry)
+    return _no_collinear_triple([_vec(p) for p in points], DEFAULT.geometry)
 
 
 def _no_collinear_triple(vecs: Sequence[Vec3], geometry: float) -> list[float]:
     """require_no_collinear_triple of triples _vec read, with the geometric
-    tolerance; the test is _dependent's."""
+    tolerance; the test is projective.orientation's."""
     norms = [_k.norm3(v) for v in vecs]
     dets = []
     for i, j, k in combinations(range(len(vecs)), 3):
@@ -38,9 +36,3 @@ def _no_collinear_triple(vecs: Sequence[Vec3], geometry: float) -> list[float]:
             raise GeneralPositionError(f"points {i}, {j}, {k} are collinear", (i, j, k))
         dets.append(d)
     return dets
-
-
-def _near_line_pair(s: float) -> bool:
-    """Whether the pencil parameter s is within PARAMETER of 0 or 1, whose
-    members are the degenerate line pairs."""
-    return abs(s) <= PARAMETER or abs(s - 1.0) <= PARAMETER

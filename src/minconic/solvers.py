@@ -48,12 +48,13 @@ from .errors import (
     CaseDegeneracy,
     DegenerateCase,
     GeneralPositionError,
+    MalformedCoordinates,
     NonFiniteInput,
     UnsupportedCount,
 )
 from .projective import Vec3, _vec
-from .selfpolar import _near_line_pair, _no_collinear_triple
-from .tolerances import DEFAULT, Tolerances
+from .selfpolar import _no_collinear_triple
+from .tolerances import DEFAULT, PARAMETER, Tolerances
 
 KINDS = {
     (5, 0): "5p",
@@ -179,17 +180,18 @@ def _with_residuals(sol: SolutionSet, vecs: Sequence[Vec3], lvs: Sequence[Vec3])
 # five points
 
 
-def solve_five_points(points: Sequence, tol: Tolerances = DEFAULT) -> ConicMatrix:
+def solve_five_points(points: Sequence) -> ConicMatrix:
     """The unique conic through five points in general position.
 
     Returns the normalized conic matrix; use solve() for the SolutionSet
     wrapper with diagnostics.
     """
-    return _solve(*_triples(points, (), "exactly five points required"), tol).real_conics[0]
+    vecs, lvs = _triples(points, (), "exactly five points required")
+    return _solve(vecs, lvs, DEFAULT.geometry).real_conics[0]
 
 
-def _analyse_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
-    _no_collinear_triple(vecs, tol.geometry)
+def _analyse_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
+    _no_collinear_triple(vecs, geometry)
     return _FIVE_POINT_PREDICTION, vecs
 
 
@@ -219,8 +221,8 @@ def _tangency_quadratic(d: Vec3) -> tuple[float, float, float]:
 def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float) -> ConicMatrix:
     """The normalized pencil member at parameter s of the diagonal triangle
     (xi1, xi2, xi3); DegenerateCase within PARAMETER of the line pairs at
-    s = 0 and s = 1 (see selfpolar._near_line_pair)."""
-    if _near_line_pair(s):
+    s = 0 and s = 1."""
+    if abs(s) <= PARAMETER or abs(s - 1.0) <= PARAMETER:
         raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
     return _normalized_conic(_k.conic_from_pencil(xi1, xi2, xi3, s))
 
@@ -234,7 +236,7 @@ def _undecided(what: str) -> DegenerateCase:
     )
 
 
-def predict_count_4p1l(points: Sequence, line, tol: Tolerances = DEFAULT) -> CountPrediction:
+def predict_count_4p1l(points: Sequence, line) -> CountPrediction:
     """Real-count prediction for four points and a line from sign tests only.
 
     The product of the four point-triple determinants and the four
@@ -244,10 +246,10 @@ def predict_count_4p1l(points: Sequence, line, tol: Tolerances = DEFAULT) -> Cou
     special points (four quadrangle points, three diagonal-triangle
     vertices) forces a unique solution.
     """
-    return _front_door(*_triples(points, (line,), _FOUR_POINTS), tol)[0]
+    return _front_door(*_triples(points, (line,), _FOUR_POINTS), DEFAULT.geometry)[0]
 
 
-def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) -> SolutionSet:
+def solve_four_points_line(points: Sequence, line) -> SolutionSet:
     """Conics through four points tangent to a line.
 
     Generic position gives two solutions (real or a complex pair); a line
@@ -256,19 +258,18 @@ def solve_four_points_line(points: Sequence, line, tol: Tolerances = DEFAULT) ->
     admits no non-degenerate solution and is rejected as a general-position
     failure.
     """
-    return _solve(*_triples(points, (line,), _FOUR_POINTS), tol)
+    return _solve(*_triples(points, (line,), _FOUR_POINTS), DEFAULT.geometry)
 
 
-def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
+def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
     lv = lvs[0]
-    g = tol.geometry
-    dets = _no_collinear_triple(vecs, g)
+    dets = _no_collinear_triple(vecs, geometry)
 
     # each point-line and vertex-line dot, and each norm, once; the
     # incidence tests are projective._incident's
     nl = _k.norm3(lv)
     dots = [_k.dot3(v, lv) for v in vecs]
-    on_line = [i for i, v in enumerate(vecs) if abs(dots[i]) <= g * _k.norm3(v) * nl]
+    on_line = [i for i, v in enumerate(vecs) if abs(dots[i]) <= geometry * _k.norm3(v) * nl]
     if len(on_line) >= 2:
         raise GeneralPositionError(
             f"line is a side of the quadrangle: it contains points "
@@ -278,7 +279,7 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
 
     *xi, dev = _k.diag_triangle(*vecs)
     vdots = tuple(_k.dot3(x, lv) for x in xi)
-    on_vertex = [j for j, x in enumerate(xi) if abs(vdots[j]) <= g * _k.norm3(x) * nl]
+    on_vertex = [j for j, x in enumerate(xi) if abs(vdots[j]) <= geometry * _k.norm3(x) * nl]
     if len(on_vertex) >= 2:
         raise GeneralPositionError(
             "line is a side of the diagonal triangle (through two of its "
@@ -378,9 +379,7 @@ class CaseAllocation:
         return f"3p2l/Case{self.case}"
 
 
-def classify_3p2l_case(
-    points: Sequence, l1, l2, tol: Tolerances = DEFAULT
-) -> CaseAllocation:
+def classify_3p2l_case(points: Sequence, l1, l2) -> CaseAllocation:
     """Detect which special-position case a 3-point/2-line input falls in.
 
     Cases, mutually exclusive under the general-position preconditions:
@@ -394,19 +393,18 @@ def classify_3p2l_case(
     5. no incidence and no such collinearity (the generic case).
 
     Raises GeneralPositionError for collinear points, coincident lines, a
-    point at the line intersection, or two points on one line.
+    point at the line intersection, or two points on one line, and reads its
+    input as solve() does.
     """
-    vecs = [_vec(p) for p in points]
-    if len(vecs) != 3:
-        raise UnsupportedCount(_THREE_POINTS)
-    return _classify_3p2l(vecs, _vec(l1), _vec(l2), tol.geometry)[0]
+    vecs, (lv1, lv2) = _triples(points, (l1, l2), _THREE_POINTS)
+    return _classify_3p2l(vecs, lv1, lv2, DEFAULT.geometry)[0]
 
 
 def _classify_3p2l(vecs: Sequence[Vec3], lv1: Vec3, lv2: Vec3, geometry: float):
     """classify_3p2l_case of the triples _vec read, with the geometric
     tolerance: (allocation, the line meet p = lv1 x lv2, the six incidences
     ((x . lv1, x . lv2) for each point x)). The dependence and incidence
-    tests are projective._dependent's and _incident's."""
+    tests are projective.orientation's and _incident's."""
     v0, v1, v2 = vecs
     m = (_k.norm3(v0), _k.norm3(v1), _k.norm3(v2))
     n1, n2 = _k.norm3(lv1), _k.norm3(lv2)
@@ -501,7 +499,7 @@ def _smallest_gap(lams: PencilEigenvalues) -> float:
     )
 
 
-def predict_count_3p2l(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> CountPrediction:
+def predict_count_3p2l(points: Sequence, l1, l2) -> CountPrediction:
     """Real-count prediction for three points and two lines from sign tests.
 
     Cases 1 and 2 always have one real conic. Case 3 has two real conics
@@ -510,17 +508,17 @@ def predict_count_3p2l(points: Sequence, l1, l2, tol: Tolerances = DEFAULT) -> C
     negative; case 5 has four real conics exactly when all three points see
     the two lines with the same side-product sign, and none otherwise.
     """
-    return _front_door(*_triples(points, (l1, l2), _THREE_POINTS), tol)[0]
+    return _front_door(*_triples(points, (l1, l2), _THREE_POINTS), DEFAULT.geometry)[0]
 
 
-def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], tol: Tolerances):
+def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
     """Classify the triples, relabel them into their case's normal form and
     predict; the state is (allocation, (x1, x2, x3, l1, l2), the scalars
     (p, A, B, C, D, a, b, c), the case-5 pencil eigenvalues or None). The
     line meet p = l1 x l2 and the incidences a, b, c = (x . l1, x . l2) of
     x1, x2, x3 are the classification's, read in normal-form order."""
     lv1, lv2 = lvs
-    alloc, p, incs = _classify_3p2l(vecs, lv1, lv2, tol.geometry)
+    alloc, p, incs = _classify_3p2l(vecs, lv1, lv2, geometry)
     i, j, k = alloc.order
     x1, x2, x3 = vecs[i], vecs[j], vecs[k]
     a, b, c = incs[i], incs[j], incs[k]
@@ -587,16 +585,14 @@ def _prediction_3p2l(case: int, A, B, a, b, c) -> CountPrediction:
     return CountPrediction(0, 4, "case 5: side products have mixed signs", pred)
 
 
-def solve_three_points_two_lines(
-    points: Sequence, l1, l2, tol: Tolerances = DEFAULT
-) -> SolutionSet:
+def solve_three_points_two_lines(points: Sequence, l1, l2) -> SolutionSet:
     """Conics through three points tangent to two lines.
 
     The input is classified into one of five special-position cases; each
     case has its own closed form. Counts are one (cases 1 and 2), two or a
     complex pair (cases 3 and 4), and four or two complex pairs (case 5).
     """
-    return _solve(*_triples(points, (l1, l2), _THREE_POINTS), tol)
+    return _solve(*_triples(points, (l1, l2), _THREE_POINTS), DEFAULT.geometry)
 
 
 def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
@@ -695,7 +691,7 @@ def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
 
 #: the family a configuration belongs to, by its number of points once a
 #: lines-heavy one is dualized: (analysis, builder). The analysis takes
-#: (point triples, line triples, tolerances), makes every general-position
+#: (point triples, line triples, geometric tolerance), makes every general-position
 #: decision and returns (prediction, state); the builder takes (state,
 #: prediction), reads no tolerance setting, and returns the SolutionSet
 _FAMILIES = {
@@ -712,8 +708,9 @@ def _triples(
     read once through _vec as three Python floats.
 
     Raises UnsupportedCount when the total is not five, with the message
-    wrong_count if given, and NonFiniteInput for the first inf or NaN
-    coordinate or one that no float can hold (an int beyond the float range).
+    wrong_count if given; for the first element that is not three real
+    coordinates or has one that is inf, NaN or beyond the float range,
+    MalformedCoordinates or NonFiniteInput naming it.
     """
     if (len(points), len(lines)) not in KINDS:
         raise UnsupportedCount(
@@ -729,13 +726,15 @@ def _triples(
                 v = _vec(item)
             except NonFiniteInput as exc:  # too large, or a signaling NaN
                 raise NonFiniteInput(f"{kind} {idx} has {exc}") from None
+            except MalformedCoordinates as exc:  # not a 3-sequence of reals
+                raise MalformedCoordinates(f"{kind} {idx} is {exc}") from None
             if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
                 raise NonFiniteInput(f"{kind} {idx} has a non-finite coordinate: {v!r}")
             out.append(v)
     return vecs, lvs
 
 
-def _front_door(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances):
+def _front_door(vecs: list[Vec3], lvs: list[Vec3], geometry: float):
     """The family analysis of the triples that _triples read: (prediction,
     state, builder, dual).
 
@@ -747,7 +746,7 @@ def _front_door(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances):
         vecs, lvs = lvs, vecs
     analyse, build = _FAMILIES[len(vecs)]
     try:
-        prediction, state = analyse(vecs, lvs, tol)
+        prediction, state = analyse(vecs, lvs, geometry)
     except GeneralPositionError as exc:
         if not dual:
             raise
@@ -758,8 +757,8 @@ def _front_door(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances):
     return prediction, state, build, dual
 
 
-def _solve(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances) -> SolutionSet:
-    prediction, state, build, dual = _front_door(vecs, lvs, tol)
+def _solve(vecs: list[Vec3], lvs: list[Vec3], geometry: float) -> SolutionSet:
+    prediction, state, build, dual = _front_door(vecs, lvs, geometry)
     sol = build(state, prediction)
     if dual:
         # the dual solutions are conics in the dual plane; their adjugates
@@ -771,7 +770,7 @@ def _solve(vecs: list[Vec3], lvs: list[Vec3], tol: Tolerances) -> SolutionSet:
     return _with_residuals(sol, vecs, lvs)
 
 
-def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> SolutionSet:
+def solve_dual(points: Sequence, lines: Sequence) -> SolutionSet:
     """Solve a lines-heavy configuration through the dual problem.
 
     Lines become points and points become lines; the dual solutions are
@@ -782,16 +781,18 @@ def solve_dual(points: Sequence, lines: Sequence, tol: Tolerances = DEFAULT) -> 
     vecs, lvs = _triples(points, lines)
     if len(vecs) >= len(lvs):
         raise UnsupportedCount("dual configuration is not lines-heavy")
-    return _solve(vecs, lvs, tol)
+    return _solve(vecs, lvs, DEFAULT.geometry)
 
 
 def solve(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> SolutionSet:
     """Solve any five-element point/line configuration.
 
     Dispatches on the point/line split; raises UnsupportedCount when the
-    total is not five and NonFiniteInput for an inf or NaN coordinate.
+    total is not five, MalformedCoordinates for an element that is not three
+    real coordinates and NonFiniteInput for an inf or NaN coordinate.
+    tol.geometry is the general-position tolerance of every decision.
     """
-    return _solve(*_triples(points, lines), tol)
+    return _solve(*_triples(points, lines), tol.geometry)
 
 
 def predict(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -> CountPrediction:
@@ -801,7 +802,7 @@ def predict(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -
     solve() raises before finding the pencil roots, UnsupportedCount and
     NonFiniteInput included.
     """
-    prediction, _, _, dual = _front_door(*_triples(points, lines), tol)
+    prediction, _, _, dual = _front_door(*_triples(points, lines), tol.geometry)
     if not dual:
         return prediction
     return CountPrediction(

@@ -10,6 +10,7 @@ every other gate is a constant of this module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: |w| vs vector norm below which a homogeneous point is at infinity
@@ -31,6 +32,10 @@ class Tolerances:
     #: general position: collinearity of three points (|det| vs the product
     #: of the three norms) and point-line incidence (|x . l| vs |x| |l|)
     geometry: float = 1e-10
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.geometry < math.inf:  # below 0 no band test can fire
+            raise ValueError(f"the geometry tolerance must be a finite number >= 0, got {self.geometry!r}")
 
 
 DEFAULT = Tolerances()

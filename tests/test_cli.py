@@ -268,6 +268,41 @@ def test_tolerance_flag_overrides_the_tolerance_option(tmp_path):
     assert cli.main(["solve", tight, "--tolerance", "1e-6"]) == 3
 
 
+@pytest.mark.parametrize("source", ["flag", "option"])
+@pytest.mark.parametrize("command", ["solve", "predict", "check", "plot"])
+def test_negative_tolerance_exits_2_without_traceback(tmp_path, capsys, command, source):
+    # a negative tolerance fires no band test: the collinear fixture used to
+    # solve to a line pair that check then failed
+    special = FIXTURES / "special" / "5p_collinear.json"
+    if source == "flag":
+        args = [command, str(special), "--tolerance=-1"]
+    else:
+        doc = {**json.loads(special.read_text()), "options": {"tolerance": -1}}
+        args = [command, write_config(tmp_path / "neg.json", doc)]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the geometry tolerance must be a finite number >= 0, got -1.0\n"
+    )
+
+
+def test_batch_reports_a_negative_tolerance_option_as_one_parse_error(tmp_path, capsys):
+    d = tmp_path / "cfgs"
+    d.mkdir()
+    write_config(d / "a_good.json", SQUARE_TANGENT)
+    write_config(d / "b_negative.json", {**SQUARE_TANGENT, "options": {"tolerance": -1e-10}})
+    assert cli.main(["batch", str(d)]) == 2
+    assert capsys.readouterr().out == (
+        "a_good.json: ok case=4p1l/generic real=2 complex=0\n"
+        "b_negative.json: error[2] the geometry tolerance must be a finite number >= 0, "
+        "got -1e-10\n"
+    )
+    assert cli.main(["batch", str(d), "--tolerance=-1"]) == 2
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(" ", 2)[1] for row in rows] == ["error[2]", "error[2]"]
+
+
 @pytest.mark.parametrize("command", ["check", "plot"])
 def test_format_is_an_option_of_solve_and_predict_only(square_cfg, capsys, command):
     # check and plot have one output form each; --format is a usage error

@@ -20,6 +20,7 @@ from minconic import (
     DegenerateCase,
     GeneralPositionError,
     HomogeneousPoint,
+    MalformedCoordinates,
     MinconicError,
     NonFiniteInput,
     ProjectiveLine,
@@ -350,6 +351,12 @@ FAMILY_CALLS = {
         (FIVE[:2] + [NAN_POINT], L1, L2),
         "exactly three points required",
     ),
+    "classify_3p2l_case": (
+        solvers.classify_3p2l_case,
+        (FIVE[:4], L1, L2),
+        (FIVE[:2] + [NAN_POINT], L1, L2),
+        "exactly three points required",
+    ),
     "predict_count_3p2l": (
         solvers.predict_count_3p2l,
         (FIVE[:4], L1, L2),
@@ -406,6 +413,32 @@ def test_coordinate_no_float_can_hold_is_named(api, value, element):
         lines[1] = ProjectiveLine(1, 0, value)
     with pytest.raises(NonFiniteInput, match=f"{element} has a coordinate no float can hold"):
         api(points, lines)
+
+
+@pytest.mark.parametrize("api", [solve, predict])
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ((1.0, 2.0), "(1.0, 2.0)"),
+        ((1.0, 2.0, 1.0, 7.0), "(1.0, 2.0, 1.0, 7.0)"),
+        (None, "None"),
+        ((1.0, None, 1.0), "(1.0, None, 1.0)"),
+    ],
+    ids=["2-sequence", "4-sequence", "None", "None coordinate"],
+)
+@pytest.mark.parametrize("element", ["point 0", "line 1"])
+def test_an_element_that_is_not_three_coordinates_is_named(api, value, shown, element):
+    # a 2-sequence raised a bare IndexError, a None coordinate a bare
+    # TypeError, and a 4-sequence was cut to its first three coordinates
+    points, lines = list(FIVE[:3]), [L1, L2]
+    if element == "point 0":
+        points[0] = value
+    else:
+        lines[1] = value
+    with pytest.raises(MalformedCoordinates) as exc:
+        api(points, lines)
+    assert isinstance(exc.value, MinconicError) and isinstance(exc.value, ValueError)
+    assert str(exc.value) == f"{element} is not three real coordinates: {shown}"
 
 
 #: a reader outside the front door, called with a 10**400 coordinate
