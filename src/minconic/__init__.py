@@ -35,7 +35,7 @@ from .errors import (
     RankOne,
     UnsupportedCount,
 )
-from .projective import HomogeneousPoint, Orientation, ProjectiveLine
+from .projective import HomogeneousPoint, ProjectiveLine
 from .selfpolar import require_no_collinear_triple
 from .solvers import (
     CaseAllocation,
@@ -75,7 +75,6 @@ __all__ = [
     "MalformedCoordinates",
     "MinconicError",
     "NonFiniteInput",
-    "Orientation",
     "PencilEigenvalues",
     "PencilIntersection",
     "PointAtInfinity",

@@ -268,6 +268,8 @@ def _viewport(args, options: dict) -> plotting.Viewport:
         if not isinstance(raw, list) or len(raw) != 4:
             raise ParseError("viewport must be a list of four numbers")
         vals = [_num(v) for v in raw]
+    if not (vals[2] > vals[0] and vals[3] > vals[1]):
+        raise ParseError(f"viewport must have xmax > xmin and ymax > ymin, got {raw!r}")
     return (vals[0], vals[1], vals[2], vals[3])
 
 
@@ -283,6 +285,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    # the flag is checked once, for every file; a file's options.tolerance
+    # is checked with that file
+    flag = None if args.tolerance is None else _tolerances({}, args.tolerance)
     # Every entry whose name ends in .json, files or not, sorted by name: what
     # Path.glob("*.json") listed. Each path is str(Path(directory) / name).
     root = str(Path(args.directory))
@@ -301,7 +306,7 @@ def cmd_batch(args) -> int:
     for name in names:
         try:
             cfg = load_config(prefix + name)
-            tol = _tolerances(cfg["options"], args.tolerance)
+            tol = flag if flag is not None else _tolerances(cfg["options"], None)
             sol = solve(cfg["points"], cfg["lines"], tol)
             rows.append(
                 f"{name}: ok case={sol.case_label} real={sol.real_count} "

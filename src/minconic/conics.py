@@ -26,7 +26,7 @@ from .errors import (
     InconsistentPencil,
     RankOne,
 )
-from .projective import ProjectiveLine, Vec3, _finite, _incident, _vec
+from .projective import ProjectiveLine, Vec3, _finite, _vec
 from .tolerances import DEFAULT, DISCRIMINANT, EIGENVALUE_TIE, RANK_ZERO, RESIDUAL
 
 
@@ -43,10 +43,6 @@ class ConicClass(enum.Enum):
     LINE_PAIR = "line_pair"
     DOUBLE_LINE = "double_line"
     POINT = "point"
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self in (ConicClass.LINE_PAIR, ConicClass.DOUBLE_LINE, ConicClass.POINT)
 
 
 @fast_init
@@ -225,9 +221,6 @@ class PencilEigenvalues(NamedTuple):
     lam2: float
     lam3: float
 
-    def sorted(self) -> tuple[float, float, float]:
-        return tuple(sorted(self))  # type: ignore[return-value]
-
 
 def pencil_eigenvalues(points: Sequence, l1, l2) -> PencilEigenvalues:
     """Eigenvalues of the conic pencil behind a generic 3-point/2-line problem.
@@ -241,17 +234,20 @@ def pencil_eigenvalues(points: Sequence, l1, l2) -> PencilEigenvalues:
     returning garbage.
     """
     lv1, lv2 = _vec(l1), _vec(l2)
+    geometry, n1, n2 = DEFAULT.geometry, _k.norm3(lv1), _k.norm3(lv2)
     incs = []
     for idx, pt in enumerate(points):
         v = _vec(pt)
-        for lv in (lv1, lv2):
-            if _incident(v, lv, DEFAULT.geometry):
-                raise GeneralPositionError(
-                    f"point {idx} lies on an input line; the generic pencil "
-                    "construction does not apply",
-                    (idx,),
-                )
-        incs.append((_k.dot3(v, lv1), _k.dot3(v, lv2)))
+        n = _k.norm3(v)
+        inc = (_k.dot3(v, lv1), _k.dot3(v, lv2))
+        # incident: |x . l| within the geometric tolerance times |x| |l|
+        if abs(inc[0]) <= geometry * n * n1 or abs(inc[1]) <= geometry * n * n2:
+            raise GeneralPositionError(
+                f"point {idx} lies on an input line; the generic pencil "
+                "construction does not apply",
+                (idx,),
+            )
+        incs.append(inc)
     return _pencil_eigenvalues(incs)
 
 

@@ -1,29 +1,25 @@
-"""Projective-plane primitives: points, lines, and sign predicates.
+"""Homogeneous points and lines, and the one reader of caller coordinates.
 
-Points and lines live in homogeneous coordinates. A finite point is
-normalized to w = 1 so that orientation and side-of-line predicates have
-well-defined signs; every predicate here compares against a relative
-tolerance so that later stages can dispatch on exact special cases.
+Points and lines live in homogeneous coordinates. `_vec` turns a point, a
+line or any 3-sequence into three Python floats, and `_finite` decides
+whether a point has a finite representative; `normalize_point` scales one to
+w = 1. The sign tests on these triples (collinearity, incidence) are made
+once, in the family analyses that `solve` and `predict` share.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import _kernels as _k
 from ._frozen import fast_init
 from .errors import MalformedCoordinates, NonFiniteInput, PointAtInfinity
-from .tolerances import DEFAULT, INFINITY
+from .tolerances import INFINITY
 
 Vec3 = tuple[float, float, float]
 
-
-class Orientation(enum.Enum):
-    ANTICLOCKWISE = "anticlockwise"
-    CLOCKWISE = "clockwise"
-    COLLINEAR = "collinear"
+#: sequences of characters or bytes, never read as coordinates
+_TEXT = (str, bytes, bytearray)
 
 
 @fast_init
@@ -32,17 +28,12 @@ class HomogeneousPoint:
     """Point (x, y, w) of the real projective plane.
 
     Finite points produced by :func:`normalize_point` carry w = 1. The class
-    does not forbid other scales; predicates that need normalized input say
-    so in their contracts.
+    does not forbid other scales.
     """
 
     x: float
     y: float
     w: float = 1.0
-
-    @classmethod
-    def from_xy(cls, x: float, y: float) -> "HomogeneousPoint":
-        return cls(float(x), float(y), 1.0)
 
     def vec(self) -> Vec3:
         return (self.x, self.y, self.w)
@@ -73,39 +64,23 @@ def _vec(p) -> Vec3:
     """Coordinate triple of a point, a line or any 3-sequence as Python floats,
     whatever real number type it holds: the one reader of caller input.
     MalformedCoordinates for anything that is not exactly three real
-    coordinates; NonFiniteInput for a coordinate no float can hold (an int or
-    Fraction beyond the float range, a signaling NaN)."""
+    coordinates, text included; NonFiniteInput for a coordinate no float can
+    hold (an int or Fraction beyond the float range, a signaling NaN)."""
+    v = p.vec() if hasattr(p, "vec") else p
     try:
-        x, y, w = p.vec() if hasattr(p, "vec") else p
+        x, y, w = v
     except (TypeError, ValueError):
         raise MalformedCoordinates(f"not three real coordinates: {p!r}") from None
+    if type(x) is float and type(y) is float and type(w) is float:
+        return (x, y, w)  # the common case: three floats already
+    if isinstance(v, _TEXT) or isinstance(x, _TEXT) or isinstance(y, _TEXT) or isinstance(w, _TEXT):
+        raise MalformedCoordinates(f"not three real coordinates: {p!r}")
     try:
         return (float(x), float(y), float(w))
     except (OverflowError, ValueError) as exc:
         raise NonFiniteInput(f"a coordinate no float can hold: {exc}") from None
     except TypeError:
         raise MalformedCoordinates(f"not three real coordinates: {p!r}") from None
-
-
-def _incident(x: Vec3, l: Vec3, geometry: float) -> bool:
-    """Whether a point triple lies on a line triple: |x . l| within the
-    geometric tolerance times the product of the two norms."""
-    return abs(_k.dot3(x, l)) <= geometry * _k.norm3(x) * _k.norm3(l)
-
-
-def cross(a: Sequence[float], b: Sequence[float]) -> Vec3:
-    """Cross product of two homogeneous triples, each read through _vec.
-
-    Join of two points or meet of two lines, depending on what the inputs
-    represent.
-    """
-    return _k.cross(_vec(a), _vec(b))
-
-
-def det3(m: Sequence[Sequence[float]]) -> float:
-    """Determinant of a 3x3 matrix given as three rows, each read through _vec."""
-    r0, r1, r2 = _vec(m[0]), _vec(m[1]), _vec(m[2])
-    return _k.det3((r0[0], r1[0], r2[0]), (r0[1], r1[1], r2[1]), (r0[2], r1[2], r2[2]))
 
 
 def _finite(v: Vec3) -> bool:
@@ -132,30 +107,3 @@ def normalize_point(v) -> HomogeneousPoint:
     if not _finite(vec):
         raise PointAtInfinity(f"homogeneous point {vec} has no finite representative")
     return HomogeneousPoint(vec[0] / vec[2], vec[1] / vec[2], 1.0)
-
-
-def orientation(p1, p2, p3) -> Orientation:
-    """Turn direction of the ordered triple of normalized finite points,
-    each a HomogeneousPoint or a 3-sequence.
-
-    The sign of det([p1 p2 p3]) with the points as columns: positive means
-    anticlockwise. Determinants smaller than the geometric tolerance times
-    the product of the three norms report COLLINEAR.
-    """
-    u, v, w = _vec(p1), _vec(p2), _vec(p3)
-    det = _k.det3(u, v, w)
-    if abs(det) <= DEFAULT.geometry * (_k.norm3(u) * _k.norm3(v) * _k.norm3(w)):
-        return Orientation.COLLINEAR
-    return Orientation.ANTICLOCKWISE if det > 0.0 else Orientation.CLOCKWISE
-
-
-def side_sign(p, l) -> int:
-    """Which side of l the normalized finite point p lies on: -1, 0, or +1.
-    p and l are a HomogeneousPoint and a ProjectiveLine or 3-sequences.
-
-    Zero means incident within the relative geometric tolerance.
-    """
-    u, lv = _vec(p), _vec(l)
-    if _incident(u, lv, DEFAULT.geometry):
-        return 0
-    return 1 if _k.dot3(u, lv) > 0.0 else -1

@@ -27,7 +27,9 @@ def require_no_collinear_triple(points: Sequence) -> list[float]:
 
 def _no_collinear_triple(vecs: Sequence[Vec3], geometry: float) -> list[float]:
     """require_no_collinear_triple of triples _vec read, with the geometric
-    tolerance; the test is projective.orientation's."""
+    tolerance: a triple is collinear when |det| is within the tolerance times
+    the product of its three norms. The 5p and 4p1l analyses make their
+    collinearity test here and nowhere else."""
     norms = [_k.norm3(v) for v in vecs]
     dets = []
     for i, j, k in combinations(range(len(vecs)), 3):

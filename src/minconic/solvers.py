@@ -265,8 +265,9 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
     lv = lvs[0]
     dets = _no_collinear_triple(vecs, geometry)
 
-    # each point-line and vertex-line dot, and each norm, once; the
-    # incidence tests are projective._incident's
+    # each point-line and vertex-line dot, and each norm, once; a point or
+    # vertex is on the line when |dot| is within the geometric tolerance
+    # times the two norms: the 4p1l family's one incidence band test
     nl = _k.norm3(lv)
     dots = [_k.dot3(v, lv) for v in vecs]
     on_line = [i for i, v in enumerate(vecs) if abs(dots[i]) <= geometry * _k.norm3(v) * nl]
@@ -403,8 +404,9 @@ def classify_3p2l_case(points: Sequence, l1, l2) -> CaseAllocation:
 def _classify_3p2l(vecs: Sequence[Vec3], lv1: Vec3, lv2: Vec3, geometry: float):
     """classify_3p2l_case of the triples _vec read, with the geometric
     tolerance: (allocation, the line meet p = lv1 x lv2, the six incidences
-    ((x . lv1, x . lv2) for each point x)). The dependence and incidence
-    tests are projective.orientation's and _incident's."""
+    ((x . lv1, x . lv2) for each point x)). Every dependence and incidence
+    band test of the 3p2l family is made here, once: |value| within the
+    geometric tolerance times the product of the norms."""
     v0, v1, v2 = vecs
     m = (_k.norm3(v0), _k.norm3(v1), _k.norm3(v2))
     n1, n2 = _k.norm3(lv1), _k.norm3(lv2)

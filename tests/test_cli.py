@@ -132,6 +132,25 @@ def test_viewport_that_is_not_numbers_exits_2(square_cfg, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["flag", "options"])
+@pytest.mark.parametrize("viewport", [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+def test_viewport_of_no_extent_exits_2(tmp_path, capsys, source, viewport):
+    # the plot's screen transform raised a bare ValueError, a traceback
+    # and exit 1
+    if source == "flag":
+        cfg = write_config(tmp_path / "sq.json", SQUARE_TANGENT)
+        args = ["--viewport=" + ",".join(map(str, viewport))]
+    else:
+        cfg = write_config(tmp_path / "sq.json", {**SQUARE_TANGENT, "options": {"viewport": viewport}})
+        args = []
+    assert cli.main(["plot", cfg, *args, "--out", str(tmp_path / "fig.svg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: viewport must have xmax > xmin and ymax > ymin, got ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "fig.svg").exists()
+
+
 @pytest.mark.parametrize("name", ["5p_collinear", "4p1l_side"])
 def test_predict_refuses_what_solve_refuses(capsys, name):
     # predict runs solve's analysis, so a special-position input exits 3
@@ -298,9 +317,11 @@ def test_batch_reports_a_negative_tolerance_option_as_one_parse_error(tmp_path, 
         "b_negative.json: error[2] the geometry tolerance must be a finite number >= 0, "
         "got -1e-10\n"
     )
+    # the flag is refused once, before any file is read, not once per file
     assert cli.main(["batch", str(d), "--tolerance=-1"]) == 2
-    rows = capsys.readouterr().out.splitlines()
-    assert [row.split(" ", 2)[1] for row in rows] == ["error[2]", "error[2]"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the geometry tolerance must be a finite number >= 0, got -1.0\n"
 
 
 @pytest.mark.parametrize("command", ["check", "plot"])

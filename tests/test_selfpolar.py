@@ -51,6 +51,17 @@ def test_collinear_triple_is_named():
     assert err.value.indices == (0, 1, 2)
 
 
+def test_collinearity_tolerance_scales_with_coordinates():
+    # the band is relative to the three norms: a near-collinear triple is
+    # refused, and one bent further accepted, at every homogeneous scale
+    for scale in (1.0, 1e6, 1e-6):
+        near = [(0.0, 0.0, scale), (scale, 0.0, scale), (2.0 * scale, scale * 1e-14, scale)]
+        with pytest.raises(GeneralPositionError):
+            require_no_collinear_triple(near)
+        bent = near[:2] + [(2.0 * scale, scale * 1e-3, scale)]
+        assert len(require_no_collinear_triple(bent)) == 1
+
+
 def test_no_collinear_triple_returns_the_triple_determinants_in_order():
     pts = [(0.0, 0.0, 1.0), (1.0, 0.5, 1.0), (2.0, 3.0, 1.0), (0.0, 5.0, 1.0), (-3.0, 1.0, 2.0)]
     # bit for bit: the 4p1l sign product multiplies exactly these values

@@ -423,13 +423,22 @@ def test_coordinate_no_float_can_hold_is_named(api, value, element):
         ((1.0, 2.0, 1.0, 7.0), "(1.0, 2.0, 1.0, 7.0)"),
         (None, "None"),
         ((1.0, None, 1.0), "(1.0, None, 1.0)"),
+        ("123", "'123'"),
+        ("abc", "'abc'"),
+        (b"123", "b'123'"),
+        (bytearray(b"123"), "bytearray(b'123')"),
+        (("2", "3", "1"), "('2', '3', '1')"),
+        ((1.0, b"2", 1.0), "(1.0, b'2', 1.0)"),
     ],
-    ids=["2-sequence", "4-sequence", "None", "None coordinate"],
+    ids=["2-sequence", "4-sequence", "None", "None coordinate", "str", "str of letters",
+         "bytes", "bytearray", "str coordinates", "bytes coordinate"],
 )
 @pytest.mark.parametrize("element", ["point 0", "line 1"])
 def test_an_element_that_is_not_three_coordinates_is_named(api, value, shown, element):
     # a 2-sequence raised a bare IndexError, a None coordinate a bare
-    # TypeError, and a 4-sequence was cut to its first three coordinates
+    # TypeError, and a 4-sequence was cut to its first three coordinates;
+    # text was read character by character ('123' as (1, 2, 3), b'123' as
+    # (49, 50, 51)) and 'abc' refused as a coordinate no float can hold
     points, lines = list(FIVE[:3]), [L1, L2]
     if element == "point 0":
         points[0] = value
