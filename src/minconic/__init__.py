@@ -11,26 +11,19 @@ from .conics import (
     ConicClass,
     ConicMatrix,
     PencilEigenvalues,
-    PencilIntersection,
     classify,
-    intersect_conic_pencil,
     pencil_eigenvalues,
     point_residual,
     rank,
-    split_line_pair,
     tangency_residual,
 )
 from .errors import (
     CaseDegeneracy,
-    ComplexLinePair,
     DegenerateCase,
-    DegenerateParameter,
     GeneralPositionError,
-    InconsistentPencil,
     MalformedCoordinates,
     MinconicError,
     NonFiniteInput,
-    PointAtInfinity,
     RankDeficient,
     RankOne,
     UnsupportedCount,
@@ -62,22 +55,17 @@ __all__ = [
     "CaseAllocation",
     "CaseContext",
     "CaseDegeneracy",
-    "ComplexLinePair",
     "ConicClass",
     "ConicMatrix",
     "CountPrediction",
     "DEFAULT",
     "DegenerateCase",
-    "DegenerateParameter",
     "GeneralPositionError",
     "HomogeneousPoint",
-    "InconsistentPencil",
     "MalformedCoordinates",
     "MinconicError",
     "NonFiniteInput",
     "PencilEigenvalues",
-    "PencilIntersection",
-    "PointAtInfinity",
     "ProjectiveLine",
     "RankDeficient",
     "RankOne",
@@ -87,7 +75,6 @@ __all__ = [
     "UnsupportedCount",
     "classify",
     "classify_3p2l_case",
-    "intersect_conic_pencil",
     "pencil_eigenvalues",
     "point_residual",
     "predict",
@@ -100,7 +87,6 @@ __all__ = [
     "solve_five_points",
     "solve_four_points_line",
     "solve_three_points_two_lines",
-    "split_line_pair",
     "tangency_residual",
     "__version__",
 ]

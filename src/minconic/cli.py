@@ -33,7 +33,6 @@ from .errors import (
     DegenerateCase,
     GeneralPositionError,
     MinconicError,
-    PointAtInfinity,
     UnsupportedCount,
 )
 from .solvers import CountPrediction, SolutionSet, predict, solve
@@ -133,7 +132,7 @@ def _solution_dict(sol: SolutionSet) -> dict:
         entry = {
             "index": i,
             "class": classify(cm).value,
-            "six_vector": [float(_g(v)) for v in cm.six_vector()],
+            "six_vector": [float(_g(v)) for v in cm.sym6()],
         }
         if i < len(diag.parameters):
             s, t = diag.parameters[i]
@@ -184,7 +183,7 @@ def _solution_text(sol: SolutionSet) -> str:
     for i, cm in enumerate(sol.real_conics):
         rows.append(f"conic[{i}]: class={classify(cm).value}")
         rows.append(
-            "  six-vector: [" + ", ".join(_g(v) for v in cm.six_vector()) + "]"
+            "  six-vector: [" + ", ".join(_g(v) for v in cm.sym6()) + "]"
         )
         if i < len(diag.parameters):
             s, t = diag.parameters[i]
@@ -325,7 +324,7 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_PARSE
     if isinstance(exc, UnsupportedCount):
         return EXIT_UNSUPPORTED
-    if isinstance(exc, (GeneralPositionError, PointAtInfinity, DegenerateCase)):
+    if isinstance(exc, (GeneralPositionError, DegenerateCase)):
         return EXIT_GENERAL_POSITION
     return 1
 

@@ -25,6 +25,7 @@ from .errors import (
     GeneralPositionError,
     InconsistentPencil,
     RankOne,
+    UnsupportedCount,
 )
 from .projective import ProjectiveLine, Vec3, _finite, _vec
 from .tolerances import DEFAULT, DISCRIMINANT, EIGENVALUE_TIE, RANK_ZERO, RESIDUAL
@@ -73,10 +74,6 @@ class ConicMatrix:
         return cls(m[0], m[1], m[2], m[3], m[4], m[5])
 
     @classmethod
-    def from_matrix(cls, rows: Sequence[Sequence[float]]) -> "ConicMatrix":
-        return cls(rows[0][0], rows[0][1], rows[1][1], rows[0][2], rows[1][2], rows[2][2])
-
-    @classmethod
     def from_coefficients(cls, coeffs: Sequence[float]) -> "ConicMatrix":
         """From polynomial coefficients (A, B, C, D, E, F) of
         A x^2 + B xy + C y^2 + D xw + E yw + F w^2."""
@@ -84,36 +81,11 @@ class ConicMatrix:
         return cls(A, B / 2.0, C, D / 2.0, E / 2.0, F)
 
     def sym6(self) -> tuple[float, float, float, float, float, float]:
+        """The six-vector (a, b, c, d, e, f), in the kernel layout."""
         return (self.a, self.b, self.c, self.d, self.e, self.f)
-
-    def six_vector(self) -> tuple[float, float, float, float, float, float]:
-        return self.sym6()
-
-    def matrix(self) -> tuple[Vec3, Vec3, Vec3]:
-        return (
-            (self.a, self.b, self.d),
-            (self.b, self.c, self.e),
-            (self.d, self.e, self.f),
-        )
-
-    def frobenius(self) -> float:
-        return _sym6_frobenius(self.sym6())
-
-    def det(self) -> float:
-        return _k.sym_det(self.sym6())
-
-    def adjugate(self) -> "ConicMatrix":
-        return ConicMatrix.from_sym6(_k.sym_adjugate(self.sym6()))
 
     def point_value(self, p) -> float:
         return _k.sym_eval(self.sym6(), _vec(p))
-
-    def line_value(self, l) -> float:
-        """Tangency form l^T adj(C) l; zero when l is tangent."""
-        return _k.sym_eval(_k.sym_adjugate(self.sym6()), _vec(l))
-
-    def scaled(self, k: float) -> "ConicMatrix":
-        return ConicMatrix(*(k * v for v in self.sym6()))
 
     def normalized(self) -> "ConicMatrix":
         """Unit six-vector scale with the first largest-magnitude entry positive.
@@ -231,8 +203,10 @@ def pencil_eigenvalues(points: Sequence, l1, l2) -> PencilEigenvalues:
     in pencil coordinates. Two of them coincide exactly when the line
     intersection point sits on a side of the point triangle, which breaks the
     generic 4-solution case, so a near-tie raises DegenerateCase instead of
-    returning garbage.
+    returning garbage. UnsupportedCount unless there are exactly three points.
     """
+    if len(points) != 3:
+        raise UnsupportedCount("exactly three points required")
     lv1, lv2 = _vec(l1), _vec(l2)
     geometry, n1, n2 = DEFAULT.geometry, _k.norm3(lv1), _k.norm3(lv2)
     incs = []

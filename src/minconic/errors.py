@@ -6,7 +6,8 @@ class MinconicError(Exception):
 
 
 class PointAtInfinity(MinconicError, ValueError):
-    """Raised when a homogeneous vector cannot be normalized to a finite point."""
+    """A homogeneous vector has no finite representative. No minconic
+    function raises it; it stays importable for callers that name it."""
 
 
 class GeneralPositionError(MinconicError, ValueError):
@@ -34,7 +35,9 @@ class UnsupportedCount(MinconicError, ValueError):
 
 
 class DegenerateParameter(MinconicError, ValueError):
-    """Pencil parameter hit 0 or 1, where the pencil member is a line pair."""
+    """Pencil parameter hit 0 or 1, where the pencil member is a line pair.
+    No minconic function raises it; it stays importable for callers that
+    name it."""
 
 
 class DegenerateCase(MinconicError, ArithmeticError):

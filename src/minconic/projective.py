@@ -2,9 +2,9 @@
 
 Points and lines live in homogeneous coordinates. `_vec` turns a point, a
 line or any 3-sequence into three Python floats, and `_finite` decides
-whether a point has a finite representative; `normalize_point` scales one to
-w = 1. The sign tests on these triples (collinearity, incidence) are made
-once, in the family analyses that `solve` and `predict` share.
+whether a point has a finite representative. The sign tests on these
+triples (collinearity, incidence) are made once, in the family analyses
+that `solve` and `predict` share.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import _kernels as _k
 from ._frozen import fast_init
-from .errors import MalformedCoordinates, NonFiniteInput, PointAtInfinity
+from .errors import MalformedCoordinates, NonFiniteInput
 from .tolerances import INFINITY
 
 Vec3 = tuple[float, float, float]
@@ -25,11 +25,7 @@ _TEXT = (str, bytes, bytearray)
 @fast_init
 @dataclass(frozen=True)
 class HomogeneousPoint:
-    """Point (x, y, w) of the real projective plane.
-
-    Finite points produced by :func:`normalize_point` carry w = 1. The class
-    does not forbid other scales.
-    """
+    """Point (x, y, w) of the real projective plane; w = 1 by default."""
 
     x: float
     y: float
@@ -37,9 +33,6 @@ class HomogeneousPoint:
 
     def vec(self) -> Vec3:
         return (self.x, self.y, self.w)
-
-    def is_finite(self) -> bool:
-        return _finite(_vec(self))
 
 
 @fast_init
@@ -92,18 +85,3 @@ def _finite(v: Vec3) -> bool:
     u = (math.ldexp(v[0], e), math.ldexp(v[1], e), math.ldexp(v[2], e))
     n = _k.norm3(u)
     return 0.0 < n < math.inf and abs(u[2]) >= INFINITY * n
-
-
-def normalize_point(v) -> HomogeneousPoint:
-    """Scale a point, a HomogeneousPoint or a 3-sequence, to w = 1.
-
-    Raises NonFiniteInput for an inf or NaN coordinate, and PointAtInfinity
-    when the triple is zero or |w| falls below INFINITY times its norm, in
-    which case no finite representative exists.
-    """
-    vec = _vec(v)
-    if not all(map(math.isfinite, vec)):
-        raise NonFiniteInput(f"homogeneous point {vec} has a non-finite coordinate")
-    if not _finite(vec):
-        raise PointAtInfinity(f"homogeneous point {vec} has no finite representative")
-    return HomogeneousPoint(vec[0] / vec[2], vec[1] / vec[2], 1.0)

@@ -741,7 +741,8 @@ def _front_door(vecs: list[Vec3], lvs: list[Vec3], geometry: float):
     state, builder, dual).
 
     A lines-heavy input is analysed as its dual, with lines as points and
-    points as lines, and a GeneralPositionError of the dual says so.
+    points as lines; its prediction's rule and any GeneralPositionError of
+    the dual say so.
     """
     dual = len(vecs) < len(lvs)
     if dual:
@@ -756,6 +757,13 @@ def _front_door(vecs: list[Vec3], lvs: list[Vec3], geometry: float):
             f"dual configuration degenerate (lines and points exchanged): {exc}",
             exc.indices,
         ) from exc
+    if dual:
+        prediction = CountPrediction(
+            prediction.predicted_real,
+            prediction.predicted_complex,
+            "dual: " + prediction.rule,
+            prediction.predicate,
+        )
     return prediction, state, build, dual
 
 
@@ -804,12 +812,4 @@ def predict(points: Sequence, lines: Sequence = (), tol: Tolerances = DEFAULT) -
     solve() raises before finding the pencil roots, UnsupportedCount and
     NonFiniteInput included.
     """
-    prediction, _, _, dual = _front_door(*_triples(points, lines), tol.geometry)
-    if not dual:
-        return prediction
-    return CountPrediction(
-        prediction.predicted_real,
-        prediction.predicted_complex,
-        "dual: " + prediction.rule,
-        prediction.predicate,
-    )
+    return _front_door(*_triples(points, lines), tol.geometry)[0]

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from minconic.conics import ConicMatrix
 from minconic.projective import HomogeneousPoint, ProjectiveLine
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -43,10 +44,21 @@ def gallery_names():
 
 def six_vector_angle(c1, c2):
     """Angular distance between two conics as normalized 6-vectors (sign-blind)."""
-    u = c1.normalized().six_vector()
-    v = c2.normalized().six_vector()
+    u = c1.normalized().sym6()
+    v = c2.normalized().sym6()
     dot = abs(sum(a * b for a, b in zip(u, v)))
     return math.sqrt(max(0.0, 2.0 - 2.0 * min(dot, 1.0)))
+
+
+def conic_from_rows(rows):
+    """The ConicMatrix of a 3x3 matrix, read from its upper triangle."""
+    return ConicMatrix(rows[0][0], rows[0][1], rows[1][1], rows[0][2], rows[1][2], rows[2][2])
+
+
+def conic_rows(c):
+    """The symmetric 3x3 matrix of a ConicMatrix, row by row."""
+    a, b, cc, d, e, f = c.sym6()
+    return ((a, b, d), (b, cc, e), (d, e, f))
 
 
 @pytest.fixture

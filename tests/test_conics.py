@@ -13,13 +13,26 @@ from minconic import (
     pencil_eigenvalues,
     point_residual,
     rank,
-    split_line_pair,
     tangency_residual,
 )
-from minconic.errors import ComplexLinePair, DegenerateCase, GeneralPositionError, RankOne
+from minconic import _kernels as _k
+from minconic.conics import split_line_pair
+from minconic.errors import (
+    ComplexLinePair,
+    DegenerateCase,
+    GeneralPositionError,
+    RankOne,
+    UnsupportedCount,
+)
 from minconic.projective import HomogeneousPoint, ProjectiveLine
 
+from conftest import conic_from_rows, conic_rows
+
 CIRCLE = ConicMatrix(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+
+
+def scaled(c: ConicMatrix, k: float) -> ConicMatrix:
+    return ConicMatrix(*(k * v for v in c.sym6()))
 
 
 def conic_close(c1: ConicMatrix, c2: ConicMatrix, tol=1e-12) -> bool:
@@ -29,13 +42,11 @@ def conic_close(c1: ConicMatrix, c2: ConicMatrix, tol=1e-12) -> bool:
 
 
 def test_constructors_agree():
-    by_matrix = ConicMatrix.from_matrix(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)))
     by_sym6 = ConicMatrix.from_sym6((1.0, 0.0, 1.0, 0.0, 0.0, -1.0))
     by_coeffs = ConicMatrix.from_coefficients((1.0, 0.0, 1.0, 0.0, 0.0, -1.0))
-    assert by_matrix == CIRCLE
     assert by_sym6 == CIRCLE
     assert by_coeffs == CIRCLE
-    assert CIRCLE.six_vector() == (1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+    assert CIRCLE.sym6() == (1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
 
 
 def test_coefficients_halve_the_cross_terms():
@@ -46,13 +57,14 @@ def test_coefficients_halve_the_cross_terms():
 def test_point_and_line_values():
     assert CIRCLE.point_value((1.0, 0.0, 1.0)) == 0.0
     assert CIRCLE.point_value((2.0, 0.0, 1.0)) == 3.0
-    # x = 1 touches the unit circle
-    assert CIRCLE.line_value((1.0, 0.0, -1.0)) == 0.0
-    assert CIRCLE.line_value((1.0, 0.0, -2.0)) != 0.0
+    # x = 1 touches the unit circle: l^T adj(C) l is zero
+    adj = _k.sym_adjugate(CIRCLE.sym6())
+    assert _k.sym_eval(adj, (1.0, 0.0, -1.0)) == 0.0
+    assert _k.sym_eval(adj, (1.0, 0.0, -2.0)) != 0.0
 
 
 def test_normalized_is_unit_scale_with_positive_lead():
-    c = CIRCLE.scaled(-7.0).normalized()
+    c = scaled(CIRCLE, -7.0).normalized()
     n = math.sqrt(sum(x * x for x in c.sym6()))
     assert n == pytest.approx(1.0)
     assert c.a > 0.0
@@ -86,9 +98,9 @@ def test_normalized_rejects_the_zero_matrix():
 
 def test_adjugate_involution():
     c = ConicMatrix(2.0, 1.0, -3.0, 0.5, 4.0, 1.0)
-    back = c.adjugate().adjugate()
-    d = c.det()
-    for got, want in zip(back.sym6(), c.sym6()):
+    back = _k.sym_adjugate(_k.sym_adjugate(c.sym6()))
+    d = _k.sym_det(c.sym6())
+    for got, want in zip(back, c.sym6()):
         assert got == pytest.approx(d * want, rel=1e-12)
 
 
@@ -110,7 +122,7 @@ def test_classify(coeffs, cls):
 
 def test_classify_is_scale_blind():
     for k in (3.0, -3.0, 1e-8, 1e8):
-        assert classify(CIRCLE.scaled(k)) is ConicClass.REAL_ELLIPSE
+        assert classify(scaled(CIRCLE, k)) is ConicClass.REAL_ELLIPSE
 
 
 @pytest.mark.parametrize("k", [1e-200, 1.0, 1e200])
@@ -137,7 +149,7 @@ def test_residuals_vanish_exactly_on_the_locus():
 def test_residuals_are_scale_invariant():
     p = (6.0, 0.0, 2.0)  # the point (3, 0) at a non-unit scale
     r1 = point_residual(CIRCLE, p)
-    r2 = point_residual(CIRCLE.scaled(100.0), (3.0, 0.0, 1.0))
+    r2 = point_residual(scaled(CIRCLE, 100.0), (3.0, 0.0, 1.0))
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
@@ -187,6 +199,13 @@ def test_pencil_eigenvalues_incident_point_raises():
         pencil_eigenvalues(pts, l1, l2)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_pencil_eigenvalues_names_a_wrong_point_count(count):
+    pts = [(-1.0, 0.0, 1.0), (0.0, -1.0, 1.0), (0.6, -0.8, 1.0), (-0.6, 0.8, 1.0)][:count]
+    with pytest.raises(UnsupportedCount, match="exactly three points required"):
+        pencil_eigenvalues(pts, (1.0, 0.0, -1.0), (0.0, 1.0, -1.0))
+
+
 def test_pencil_eigenvalues_incidence_tolerance_is_relative():
     # a point 1e-6 off the line x = 1e8 is on it at the relative tolerance;
     # one 1e7 off is not
@@ -200,7 +219,7 @@ def test_pencil_eigenvalues_incidence_tolerance_is_relative():
 
 def outer_sym(l1, l2):
     u, v = l1.vec(), l2.vec()
-    return ConicMatrix.from_matrix(
+    return conic_from_rows(
         tuple(
             tuple(0.5 * (u[i] * v[j] + u[j] * v[i]) for j in range(3))
             for i in range(3)
@@ -247,7 +266,7 @@ def eigvalsh_decision(c: ConicMatrix, rank_zero=1e-9) -> str:
     1e-18) numpy puts the small eigenvalue 2.7e-16 above the gate, while its
     exact value (9.99999999e-10, against a gate of 1.0000000005e-9) is below.
     """
-    raw = c.matrix()
+    raw = conic_rows(c)
     scales = [max(abs(x) for x in row) for row in raw]
     scales = [1.0 / math.sqrt(t) if t > 0.0 else 1.0 for t in scales]
     balanced = [[raw[r][s] * scales[r] * scales[s] for s in range(3)] for r in range(3)]
@@ -327,7 +346,7 @@ def test_split_decisions_agree_with_eigvalsh_near_the_rank_gate(ratio):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         for second in (ratio, -ratio):
             m = q @ np.diag([1.0, second, 0.0]) @ q.T
-            c = ConicMatrix.from_matrix(((m + m.T) / 2.0).tolist())
+            c = conic_from_rows(((m + m.T) / 2.0).tolist())
             assert split_decision(c) == eigvalsh_decision(c)
 
 
@@ -336,7 +355,7 @@ def eigvalsh_rank_and_class(c: ConicMatrix, rank_zero=1e-9):
     eigenvalues of the raw matrix: (rank, class), with class None at rank
     3, or None when an eigenvalue is within numpy's own rounding of the gate
     (the skip rule of eigvalsh_decision)."""
-    w = np.linalg.eigvalsh(np.array(c.matrix()))
+    w = np.linalg.eigvalsh(np.array(conic_rows(c)))
     top = float(np.abs(w).max())
     gate = rank_zero * top
     if any(abs(abs(x) - gate) <= 64.0 * sys.float_info.epsilon * top for x in w):
@@ -383,8 +402,8 @@ def test_rank_and_classify_agree_with_eigvalsh(q, logs, signs, k):
     d = (signs[0], signs[1] * 10.0 ** logs[0], signs[2] * 10.0 ** logs[1])
     r = rotation(q)
     scale = 10.0 ** k
-    # from_matrix reads the upper triangle, so c.matrix() is symmetric
-    c = ConicMatrix.from_matrix([
+    # conic_from_rows reads the upper triangle, so conic_rows(c) is symmetric
+    c = conic_from_rows([
         [scale * sum(r[i][n] * d[n] * r[j][n] for n in range(3)) for j in range(3)]
         for i in range(3)
     ])

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from minconic import ConicMatrix, HomogeneousPoint, ProjectiveLine, solve
+from minconic.conics import _sym6_frobenius
 from minconic.plotting import DEFAULT_VIEWPORT, render_svg, sample_conic
 
 CIRCLE = ConicMatrix.from_coefficients((1.0, 0.0, 1.0, 0.0, 0.0, -1.0))
@@ -11,7 +12,7 @@ CIRCLE = ConicMatrix.from_coefficients((1.0, 0.0, 1.0, 0.0, 0.0, -1.0))
 
 def on_conic(cm, x, y, tol=1e-9):
     v = cm.point_value((x, y, 1.0))
-    return abs(v) <= tol * cm.frobenius() * (x * x + y * y + 1.0)
+    return abs(v) <= tol * _sym6_frobenius(cm.sym6()) * (x * x + y * y + 1.0)
 
 
 def test_ellipse_is_one_closed_loop():

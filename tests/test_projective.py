@@ -6,15 +6,14 @@ from fractions import Fraction
 import pytest
 
 from minconic import ConicMatrix, HomogeneousPoint, ProjectiveLine
-from minconic.errors import NonFiniteInput, PointAtInfinity
-from minconic.projective import normalize_point
+from minconic.projective import _finite, _vec
 
 
 def test_point_roundtrip_and_finiteness():
     p = HomogeneousPoint(3.0, -2.0)
     assert p.vec() == (3.0, -2.0, 1.0)
-    assert p.is_finite()
-    assert not HomogeneousPoint(1.0, 0.0, 0.0).is_finite()
+    assert _finite(p.vec())
+    assert not _finite(HomogeneousPoint(1.0, 0.0, 0.0).vec())
 
 
 def test_line_through_two_points():
@@ -26,43 +25,30 @@ def test_line_through_two_points():
     assert 2.0 * l.a + 2.0 * l.b + 1.0 * l.c == 0.0
 
 
-def test_normalize_point():
-    p = normalize_point((2.0, 4.0, 2.0))
-    assert (p.x, p.y, p.w) == (1.0, 2.0, 1.0)
-    with pytest.raises(PointAtInfinity):
-        normalize_point((1.0, 1.0, 0.0))
-    with pytest.raises(PointAtInfinity):
-        normalize_point((1.0, 1.0, 1e-15))
-    with pytest.raises(PointAtInfinity):
-        normalize_point((0.0, 0.0, 0.0))
-
-
-def test_zero_triple_is_not_finite_for_either_gate():
-    # the zero triple represents no point: is_finite and normalize_point
-    # read one gate and agree on it
-    assert not HomogeneousPoint(0.0, 0.0, 0.0).is_finite()
-    with pytest.raises(PointAtInfinity):
-        normalize_point((0.0, 0.0, 0.0))
+def test_zero_and_far_triples_are_not_finite():
+    # the zero triple represents no point, and |w| below INFINITY times the
+    # norm has no finite representative
+    assert not _finite((0.0, 0.0, 0.0))
+    assert not _finite((1.0, 1.0, 0.0))
+    assert not _finite((1.0, 1.0, 1e-15))
+    assert _finite((2.0, 4.0, 2.0))
 
 
 @pytest.mark.parametrize(
     "v", [(math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (1.0, 1.0, math.nan),
           (math.inf, 0.0, 1.0), (0.0, 0.0, math.inf), (-math.inf, 1.0, 1.0)]
 )
-def test_non_finite_triple_is_neither_finite_nor_normalized(v):
-    # an inf or NaN coordinate is refused as solve refuses it, never turned
-    # into a point with a NaN coordinate
-    assert not HomogeneousPoint(*v).is_finite()
-    with pytest.raises(NonFiniteInput):
-        normalize_point(v)
+def test_non_finite_triple_is_not_finite(v):
+    # an inf or NaN coordinate gives no finite representative
+    assert not _finite(v)
 
 
 def test_every_reader_takes_an_object_or_a_triple():
     # one coordinate reader: each function takes a HomogeneousPoint or
     # ProjectiveLine and a 3-sequence alike, as three Python floats
-    p = normalize_point(HomogeneousPoint(2, 4, 2))
-    assert (p.x, p.y, p.w) == (1.0, 2.0, 1.0)
-    assert all(type(v) is float for v in p.vec())
+    v = _vec(HomogeneousPoint(2, 4, 2))
+    assert v == _vec([2, 4, 2]) == (2.0, 4.0, 2.0)
+    assert all(type(x) is float for x in v)
     through = ProjectiveLine.through((0.0, 0.0, 1.0), (1.0, 1.0, 1.0))
     assert through == ProjectiveLine.through(HomogeneousPoint(0.0, 0.0), HomogeneousPoint(1.0, 1.0))
     circle = ConicMatrix(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
@@ -74,9 +60,8 @@ def test_finite_point_at_an_extreme_homogeneous_scale(scale):
     # (s, 0, s) is the point (1, 0) for every s: the infinity gate takes the
     # norm of the triple scaled by a power of two, which neither overflows
     # nor underflows
-    assert HomogeneousPoint(scale, 0.0, scale).is_finite()
-    assert normalize_point((scale, 0.0, scale)) == HomogeneousPoint(1.0, 0.0, 1.0)
-    assert not HomogeneousPoint(scale, 0.0, 0.0).is_finite()
+    assert _finite((scale, 0.0, scale))
+    assert not _finite((scale, 0.0, 0.0))
 
 
 #: coordinates written as decimal strings, read by each number type
@@ -95,4 +80,4 @@ def test_line_through_reads_any_number_type_as_its_float_twin(number):
         out = ProjectiveLine.through(a, b)
         assert out == want
         assert all(type(v) is float for v in out.vec())
-    assert normalize_point(rows[2]) == normalize_point(twins[2])
+    assert _vec(rows[2]) == twins[2]

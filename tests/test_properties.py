@@ -22,7 +22,7 @@ from minconic import (
 from minconic.errors import DegenerateCase, MinconicError
 from minconic.solvers import _tangency_quadratic
 
-from conftest import six_vector_angle
+from conftest import conic_from_rows, conic_rows, six_vector_angle
 
 coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infinity=False)
 
@@ -157,10 +157,10 @@ def test_affine_equivariance(pts, line, m):
     assert moved.real_count == base.real_count
 
     def push(cm: ConicMatrix) -> ConicMatrix:
-        cmat = cm.matrix()
+        cmat = conic_rows(cm)
         left = [[sum(inv[i][r] * cmat[i][j] for i in range(3)) for j in range(3)] for r in range(3)]
         full = [[sum(left[r][j] * inv[j][s] for j in range(3)) for s in range(3)] for r in range(3)]
-        return ConicMatrix.from_matrix(full).normalized()
+        return conic_from_rows(full).normalized()
 
     want = [push(cm) for cm in base]
     assert len(moved.real_conics) == len(want)

@@ -31,7 +31,7 @@ def test_quick_start_runs_and_its_commented_values_hold():
         try:
             want = ast.literal_eval(comment.strip())
         except (ValueError, SyntaxError):
-            continue  # no comment, or prose such as the six_vector() layout
+            continue  # no comment, or prose such as the sym6() layout
         assert eval(code.strip(), namespace) == want, code
         checked.append(code.strip())
     assert checked == [

@@ -11,6 +11,8 @@ from minconic.errors import DegenerateCase, GeneralPositionError, UnsupportedCou
 from minconic.selfpolar import require_no_collinear_triple
 from minconic.solvers import _pencil_member
 
+from conftest import conic_rows
+
 
 def square_triangle(square):
     return _k.diag_triangle(*[p.vec() for p in square])
@@ -78,7 +80,7 @@ def test_pencil_members_pass_through_the_quadrangle(square):
             assert point_residual(conic, p) < 1e-14
         # polarity: vertex i maps to the opposite side, so x_i^T C x_j = 0
         # for every pair of distinct vertices
-        mat = conic.matrix()
+        mat = conic_rows(conic)
         for i, j in itertools.permutations(range(3), 2):
             vi, vj = verts[i], verts[j]
             val = sum(vi[r] * mat[r][c] * vj[c] for r in range(3) for c in range(3))

@@ -5,12 +5,13 @@ solve() refuses; the residuals solve() reports are those of the public
 residual functions, computed once per conic; solve() and predict() read each
 input element once, and the public family functions pass the same front
 door."""
-import dataclasses
+import importlib.util
 import math
 import random
 import re
 from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +40,6 @@ from minconic.oracle import (
     random_4p1l,
     random_five_points,
 )
-from minconic.projective import normalize_point
 from minconic.tolerances import DEFAULT
 
 from conftest import gallery_names, load_gallery_case
@@ -181,8 +181,8 @@ def corpus(seed=20):
 
 def test_solve_reports_the_prediction_of_predict(monkeypatch):
     # solve() derives its prediction from its own analysis, not by calling
-    # the predictors, and the two still agree field for field; on a dual
-    # input predict() prefixes the rule with "dual: " and solve() does not
+    # the predictors, and the two still agree field for field, the "dual: "
+    # prefix of a lines-heavy input's rule included
     calls = counted(monkeypatch, solvers, "predict_count_4p1l")
     calls += counted(monkeypatch, solvers, "predict_count_3p2l")
     primal = dual = 0
@@ -190,15 +190,37 @@ def test_solve_reports_the_prediction_of_predict(monkeypatch):
         n = len(calls)
         sol = solve(points, lines)
         assert len(calls) == n
-        expected = sol.diagnostics.prediction
         if len(points) < len(lines):
             dual += 1
-            expected = dataclasses.replace(expected, rule="dual: " + expected.rule)
+            assert sol.diagnostics.prediction.rule.startswith("dual: ")
         else:
             primal += 1
-        assert predict(points, lines) == expected
+        assert predict(points, lines) == sol.diagnostics.prediction
     assert primal >= 7 * 40
     assert dual >= 3 * 40
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark's corpora."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve_records_the_prediction_predict_returns_on_the_benchmark_corpus(seed):
+    # every family of the solve_mix corpus, the dual ones included
+    families = Counter()
+    for category, points, lines in _benchmark_workloads().mixed_corpus(random.Random(seed), 200):
+        try:
+            sol = solve(points, lines)
+        except MinconicError:  # refused inputs are compared elsewhere
+            continue
+        assert sol.diagnostics.prediction == predict(points, lines)
+        families[category] += 1
+    assert len(families) == 10
 
 
 SQUARE = [(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (1.0, -1.0, 1.0)]
@@ -457,7 +479,7 @@ HUGE_READERS = {
     ),
     "classify_3p2l_case": lambda huge: solvers.classify_3p2l_case([huge] + FIVE[1:3], L1, L2),
     "pencil_eigenvalues": lambda huge: pencil_eigenvalues(FIVE[:3], L1, huge),
-    "normalize_point": normalize_point,
+    "ProjectiveLine.through": lambda huge: ProjectiveLine.through(huge, FIVE[1]),
 }
 
 

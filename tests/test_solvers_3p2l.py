@@ -11,7 +11,6 @@ from minconic import (
     HomogeneousPoint,
     ProjectiveLine,
     classify_3p2l_case,
-    intersect_conic_pencil,
     pencil_eigenvalues,
     point_residual,
     predict,
@@ -20,6 +19,7 @@ from minconic import (
     solve_three_points_two_lines,
     tangency_residual,
 )
+from minconic.conics import intersect_conic_pencil
 from minconic.errors import (
     CaseDegeneracy,
     DegenerateCase,
