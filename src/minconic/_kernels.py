@@ -8,7 +8,7 @@ triangles of one input can take the alarm once. Symmetric 3x3 matrices
 travel as 6-tuples (m11, m12, m22, m13, m23, m33).
 """
 
-#: the kernel implementation, reported in every SolveDiagnostics
+#: the kernel implementation, named in every `minconic solve` report
 BACKEND = "python"
 
 

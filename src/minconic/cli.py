@@ -27,8 +27,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import plotting
-from .conics import classify
+from . import _kernels, plotting
+from .conics import classify, point_residual, tangency_residual
 from .errors import (
     DegenerateCase,
     GeneralPositionError,
@@ -125,8 +125,21 @@ def _prediction_dict(pred: CountPrediction) -> dict:
     }
 
 
-def _solution_dict(sol: SolutionSet) -> dict:
+def _residuals(sol: SolutionSet, cfg: dict) -> tuple[float, float]:
+    """The worst incidence and tangency residuals of sol's conics on the
+    configuration's points and lines."""
+    pin = tan = 0.0
+    for cm in sol.real_conics:
+        for p in cfg["points"]:
+            pin = max(pin, point_residual(cm, p))
+        for l in cfg["lines"]:
+            tan = max(tan, tangency_residual(cm, l))
+    return pin, tan
+
+
+def _solution_dict(sol: SolutionSet, cfg: dict) -> dict:
     diag = sol.diagnostics
+    pin, tan = _residuals(sol, cfg)
     conics = []
     for i, cm in enumerate(sol.real_conics):
         entry = {
@@ -144,11 +157,8 @@ def _solution_dict(sol: SolutionSet) -> dict:
         "real_count": sol.real_count,
         "complex_count": sol.complex_count,
         "conics": conics,
-        "residuals": {
-            "max_incidence": float(_g(diag.max_incidence_residual)),
-            "max_tangency": float(_g(diag.max_tangency_residual)),
-        },
-        "backend": diag.backend,
+        "residuals": {"max_incidence": float(_g(pin)), "max_tangency": float(_g(tan))},
+        "backend": _kernels.BACKEND,
     }
     if diag.discriminant is not None:
         out["discriminant"] = float(_g(diag.discriminant))
@@ -161,7 +171,7 @@ def _solution_dict(sol: SolutionSet) -> dict:
     return out
 
 
-def _solution_text(sol: SolutionSet) -> str:
+def _solution_text(sol: SolutionSet, cfg: dict) -> str:
     diag = sol.diagnostics
     rows = [
         f"case: {sol.case_label}",
@@ -189,13 +199,11 @@ def _solution_text(sol: SolutionSet) -> str:
             s, t = diag.parameters[i]
             trep = "-" if math.isnan(t) else _g(t)
             rows.append(f"  s={_g(s)} t={trep}")
-    rows.append(
-        f"residuals: max incidence={_g(diag.max_incidence_residual)} "
-        f"max tangency={_g(diag.max_tangency_residual)}"
-    )
+    pin, tan = _residuals(sol, cfg)
+    rows.append(f"residuals: max incidence={_g(pin)} max tangency={_g(tan)}")
     if diag.double_root:
         rows.append("note: double root; one conic with multiplicity two")
-    rows.append(f"backend: {diag.backend}")
+    rows.append(f"backend: {_kernels.BACKEND}")
     return "\n".join(rows) + "\n"
 
 
@@ -212,9 +220,9 @@ def cmd_solve(args) -> int:
     sol = solve(cfg["points"], cfg["lines"], tol)
     fmt = args.format or cfg["options"].get("format", "text")
     if fmt == "json":
-        _emit(json.dumps(_solution_dict(sol), indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(_solution_dict(sol, cfg), indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _emit(_solution_text(sol), args.out)
+        _emit(_solution_text(sol, cfg), args.out)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from .errors import (
     RankOne,
     UnsupportedCount,
 )
-from .projective import ProjectiveLine, Vec3, _finite, _vec
+from .projective import ProjectiveLine, Vec3, _finite, _named_vec, _vec
 from .tolerances import DEFAULT, DISCRIMINANT, EIGENVALUE_TIE, RANK_ZERO, RESIDUAL
 
 
@@ -203,15 +203,16 @@ def pencil_eigenvalues(points: Sequence, l1, l2) -> PencilEigenvalues:
     in pencil coordinates. Two of them coincide exactly when the line
     intersection point sits on a side of the point triangle, which breaks the
     generic 4-solution case, so a near-tie raises DegenerateCase instead of
-    returning garbage. UnsupportedCount unless there are exactly three points.
+    returning garbage. UnsupportedCount unless there are exactly three points;
+    NonFiniteInput for an inf or NaN coordinate, naming the point or line.
     """
     if len(points) != 3:
         raise UnsupportedCount("exactly three points required")
-    lv1, lv2 = _vec(l1), _vec(l2)
+    lv1, lv2 = _named_vec(l1, "line", 0), _named_vec(l2, "line", 1)
     geometry, n1, n2 = DEFAULT.geometry, _k.norm3(lv1), _k.norm3(lv2)
     incs = []
     for idx, pt in enumerate(points):
-        v = _vec(pt)
+        v = _named_vec(pt, "point", idx)
         n = _k.norm3(v)
         inc = (_k.dot3(v, lv1), _k.dot3(v, lv2))
         # incident: |x . l| within the geometric tolerance times |x| |l|

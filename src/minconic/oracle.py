@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels as _k
 from ._frozen import fast_init
 from .conics import ConicMatrix, _residual, _sym6_frobenius
-from .errors import RankDeficient
+from .errors import RankDeficient, UnsupportedCount
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
 from .solvers import SolutionSet, predict
 from .tolerances import DEFAULT, RANK_ZERO, RESIDUAL, Tolerances
@@ -45,7 +45,7 @@ def nullspace_five_point(points: Sequence) -> ConicMatrix:
     with anything it checks.
     """
     if len(points) != 5:
-        raise ValueError("exactly five points required")
+        raise UnsupportedCount("exactly five points required")
     basis: list[list[float]] = []
     for idx, p in enumerate(points):
         row = _design_row(_vec(p))
@@ -97,6 +97,8 @@ def scan_tangency_roots(points: Sequence, line) -> list[float]:
     are missed, which is acceptable for an oracle that cross-checks simple
     roots.
     """
+    if len(points) != 4:
+        raise UnsupportedCount("exactly four points required")
     lo, hi, samples = -50.0, 50.0, 4096
     xi1, xi2, xi3 = _k.diag_vertices(*(_vec(p) for p in points))
     lv = _vec(line)

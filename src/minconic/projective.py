@@ -76,6 +76,20 @@ def _vec(p) -> Vec3:
         raise MalformedCoordinates(f"not three real coordinates: {p!r}") from None
 
 
+def _named_vec(item, kind: str, idx: int) -> Vec3:
+    """_vec(item) for the element `kind idx` of a configuration, with every
+    refusal naming it: an inf or NaN coordinate raises NonFiniteInput too."""
+    try:
+        v = _vec(item)
+    except NonFiniteInput as exc:  # too large, or a signaling NaN
+        raise NonFiniteInput(f"{kind} {idx} has {exc}") from None
+    except MalformedCoordinates as exc:  # not a 3-sequence of reals
+        raise MalformedCoordinates(f"{kind} {idx} is {exc}") from None
+    if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
+        raise NonFiniteInput(f"{kind} {idx} has a non-finite coordinate: {v!r}")
+    return v
+
+
 def _finite(v: Vec3) -> bool:
     """Whether a homogeneous triple has a finite representative: |w| at
     least INFINITY times its norm. False for the zero triple and for an inf

@@ -40,19 +40,15 @@ from .conics import (
     PencilEigenvalues,
     _normalized_conic,
     _pencil_eigenvalues,
-    _residual,
     _stable_roots,
-    _sym6_frobenius,
 )
 from .errors import (
     CaseDegeneracy,
     DegenerateCase,
     GeneralPositionError,
-    MalformedCoordinates,
-    NonFiniteInput,
     UnsupportedCount,
 )
-from .projective import Vec3, _vec
+from .projective import Vec3, _named_vec
 from .selfpolar import _no_collinear_triple
 from .tolerances import DEFAULT, PARAMETER, Tolerances
 
@@ -102,8 +98,6 @@ class CaseContext:
 
 @dataclass
 class SolveDiagnostics:
-    case_label: str
-    backend: str = _k.BACKEND
     allocation: tuple[int, ...] = (0, 1, 2)
     lines_swapped: bool = False
     discriminant: Optional[float] = None
@@ -118,8 +112,6 @@ class SolveDiagnostics:
     #: triangle of its dual-plane problem
     triangle_deviation: Optional[float] = None
     double_root: bool = False
-    max_incidence_residual: float = 0.0
-    max_tangency_residual: float = 0.0
 
 
 @fast_init
@@ -150,32 +142,6 @@ class SolutionSet:
 _FIVE_POINT_PREDICTION = CountPrediction(1, 0, "unique conic through five points")
 
 
-def _with_residuals(sol: SolutionSet, vecs: Sequence[Vec3], lvs: Sequence[Vec3]) -> SolutionSet:
-    """Record the worst incidence and tangency residuals of sol's conics.
-
-    The solver cores leave the residuals at zero: the dual path measures its
-    adjugated conics against the original input instead of measuring the
-    dual-plane conics it never returns. vecs and lvs are the triples _vec
-    read, as point_residual and tangency_residual read them. Each conic's
-    norm and adjugate are computed once.
-    """
-    pin = 0.0
-    tan = 0.0
-    for cm in sol.real_conics:
-        m = cm.sym6()
-        norm = _sym6_frobenius(m)
-        for v in vecs:
-            pin = max(pin, _residual(m, norm, v))
-        if lvs:
-            adj = _k.sym_adjugate(m)
-            adj_norm = _sym6_frobenius(adj)
-            for v in lvs:
-                tan = max(tan, _residual(adj, adj_norm, v))
-    sol.diagnostics.max_incidence_residual = pin
-    sol.diagnostics.max_tangency_residual = tan
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # five points
 
@@ -200,7 +166,7 @@ def _build_5p(vecs: Sequence[Vec3], prediction: CountPrediction) -> SolutionSet:
     m6, dev = _k.conic_from_five_points(*vecs)
     if m6 is None:
         raise DegenerateCase("five-point fit: the diagonal triangle's determinant is exactly 0.0")
-    diag = SolveDiagnostics(case_label="5p", triangle_deviation=dev, prediction=prediction)
+    diag = SolveDiagnostics(triangle_deviation=dev, prediction=prediction)
     return SolutionSet((_normalized_conic(m6),), 0, "5p", diag)
 
 
@@ -346,7 +312,6 @@ def _build_4p1l(state, prediction: CountPrediction) -> SolutionSet:
 
     conics = [_pencil_member(*xi, s) for s in roots]
     diag = SolveDiagnostics(
-        case_label=label,
         allocation=(0, 1, 2, 3),
         discriminant=disc,
         parameters=tuple((s, math.nan) for s in roots),
@@ -600,7 +565,6 @@ def solve_three_points_two_lines(points: Sequence, l1, l2) -> SolutionSet:
 def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
     alloc, (x1, x2, x3, lv1, lv2), (p, A, B, C, D, a, b, c), lams = state
     diag = SolveDiagnostics(
-        case_label=alloc.label,
         allocation=alloc.order,
         lines_swapped=alloc.swap_lines,
         eigenvalues=lams,
@@ -720,19 +684,8 @@ def _triples(
             or f"{len(points)} points and {len(lines)} lines do not form a "
             "five-element minimal configuration"
         )
-    vecs: list[Vec3] = []
-    lvs: list[Vec3] = []
-    for kind, items, out in (("point", points, vecs), ("line", lines, lvs)):
-        for idx, item in enumerate(items):
-            try:
-                v = _vec(item)
-            except NonFiniteInput as exc:  # too large, or a signaling NaN
-                raise NonFiniteInput(f"{kind} {idx} has {exc}") from None
-            except MalformedCoordinates as exc:  # not a 3-sequence of reals
-                raise MalformedCoordinates(f"{kind} {idx} is {exc}") from None
-            if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
-                raise NonFiniteInput(f"{kind} {idx} has a non-finite coordinate: {v!r}")
-            out.append(v)
+    vecs = [_named_vec(item, "point", idx) for idx, item in enumerate(points)]
+    lvs = [_named_vec(item, "line", idx) for idx, item in enumerate(lines)]
     return vecs, lvs
 
 
@@ -773,11 +726,9 @@ def _solve(vecs: list[Vec3], lvs: list[Vec3], geometry: float) -> SolutionSet:
     if dual:
         # the dual solutions are conics in the dual plane; their adjugates
         # are the answers in the original plane
-        label = "dual:" + sol.case_label
-        sol.diagnostics.case_label = label
         conics = tuple(_normalized_conic(_k.sym_adjugate(cm.sym6())) for cm in sol.real_conics)
-        sol = SolutionSet(conics, sol.complex_count, label, sol.diagnostics)
-    return _with_residuals(sol, vecs, lvs)
+        sol = SolutionSet(conics, sol.complex_count, "dual:" + sol.case_label, sol.diagnostics)
+    return sol
 
 
 def solve_dual(points: Sequence, lines: Sequence) -> SolutionSet:

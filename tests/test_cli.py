@@ -10,7 +10,7 @@ import pytest
 import minconic
 from minconic import cli
 
-from conftest import FIXTURES, NEAR_TIE_LINES, NEAR_TIE_POINTS
+from conftest import FIXTURES, NEAR_TIE_LINES, NEAR_TIE_POINTS, gallery_names, load_gallery_case
 
 
 def write_config(path, payload):
@@ -54,6 +54,23 @@ def test_solve_json_output(square_cfg, capsys):
     assert doc["residuals"]["max_incidence"] < 1e-9
     assert doc["residuals"]["max_tangency"] < 1e-9
     assert doc["backend"] == minconic.BACKEND == "python"
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_solve_reports_the_public_functions_residuals(name, capsys):
+    # the report's residuals are the worst point_residual and
+    # tangency_residual of the solved conics, printed as every report float
+    points, lines, _ = load_gallery_case(name)
+    sol = minconic.solve(points, lines)
+    pin = max((minconic.point_residual(c, p) for c in sol for p in points), default=0.0)
+    tan = max((minconic.tangency_residual(c, l) for c in sol for l in lines), default=0.0)
+    path = str(FIXTURES / "gallery" / f"{name}.json")
+    assert cli.main(["solve", path]) == 0
+    text = capsys.readouterr().out
+    assert f"residuals: max incidence={cli._g(pin)} max tangency={cli._g(tan)}\n" in text
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["residuals"] == {"max_incidence": float(cli._g(pin)), "max_tangency": float(cli._g(tan))}
 
 
 def test_solve_output_is_byte_stable(square_cfg, capsys):

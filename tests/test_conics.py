@@ -21,6 +21,7 @@ from minconic.errors import (
     ComplexLinePair,
     DegenerateCase,
     GeneralPositionError,
+    NonFiniteInput,
     RankOne,
     UnsupportedCount,
 )
@@ -204,6 +205,20 @@ def test_pencil_eigenvalues_names_a_wrong_point_count(count):
     pts = [(-1.0, 0.0, 1.0), (0.0, -1.0, 1.0), (0.6, -0.8, 1.0), (-0.6, 0.8, 1.0)][:count]
     with pytest.raises(UnsupportedCount, match="exactly three points required"):
         pencil_eigenvalues(pts, (1.0, 0.0, -1.0), (0.0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["point 0", "point 2", "line 0", "line 1"])
+def test_pencil_eigenvalues_names_a_non_finite_coordinate(where, bad):
+    # named as solve() names it, not returned as NaN eigenvalues or met as
+    # a point "on an input line"
+    pts = [(-1.0, 0.0, 1.0), (0.0, -1.0, 1.0), (0.6, -0.8, 1.0)]
+    lines = [(1.0, 0.0, -1.0), (0.0, 1.0, -1.0)]
+    kind, idx = where.split()
+    elements = pts if kind == "point" else lines
+    elements[int(idx)] = (bad, 0.0, 1.0)
+    with pytest.raises(NonFiniteInput, match=f"^{where} has a non-finite coordinate: "):
+        pencil_eigenvalues(pts, *lines)
 
 
 def test_pencil_eigenvalues_incidence_tolerance_is_relative():

@@ -14,7 +14,7 @@ from minconic import (
     solve_five_points,
 )
 from minconic import oracle
-from minconic.errors import RankDeficient
+from minconic.errors import RankDeficient, UnsupportedCount
 from minconic.oracle import (
     certify,
     dualize_input,
@@ -51,6 +51,21 @@ def test_nullspace_rejects_duplicate_point(square):
     pts = list(square) + [square[0]]
     with pytest.raises(RankDeficient):
         nullspace_five_point(pts)
+
+
+@pytest.mark.parametrize("count", [3, 4, 5, 6])
+def test_fixed_count_functions_name_a_wrong_point_count(square, count):
+    # an UnsupportedCount, which is a ValueError, and not a bare TypeError
+    # from a kernel or an unnamed ValueError
+    pts = (list(square) + [HomogeneousPoint(math.sqrt(2.0), 0.0), HomogeneousPoint(3.0, 5.0)])[:count]
+    line = ProjectiveLine(1.0, 1.0, -3.0)
+    if count != 5:
+        with pytest.raises(UnsupportedCount, match="exactly five points required"):
+            nullspace_five_point(pts)
+    if count != 4:
+        with pytest.raises(UnsupportedCount, match="exactly four points required"):
+            scan_tangency_roots(pts, line)
+    assert issubclass(UnsupportedCount, ValueError)
 
 
 def test_scan_finds_the_known_roots(square):

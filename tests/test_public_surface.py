@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 import minconic
-from minconic import ConicMatrix, HomogeneousPoint, ProjectiveLine
+from minconic import ConicMatrix, HomogeneousPoint, ProjectiveLine, SolveDiagnostics
 
 EXPORTS = [
     "BACKEND",
@@ -56,6 +56,10 @@ MEMBERS = {
     ],
     HomogeneousPoint: ["vec", "w", "x", "y"],
     ProjectiveLine: ["a", "b", "c", "through", "vec"],
+    SolveDiagnostics: [
+        "allocation", "context", "discriminant", "double_root", "eigenvalues",
+        "lines_swapped", "parameters", "prediction", "triangle_deviation",
+    ],
 }
 
 

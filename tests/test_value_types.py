@@ -33,7 +33,7 @@ SAMPLES = {
     "CaseAllocation": (CaseAllocation(4, (0, 2, 1), True), "case order swap_lines", {}),
     "CaseContext": (CaseContext((1.0, 0.0, 1.0), (0.0, 1.0, 0.0)), "anchor offset", {}),
     "SolutionSet": (
-        SolutionSet((UNIT_CIRCLE,), 0, "5p", SolveDiagnostics("5p")),
+        SolutionSet((UNIT_CIRCLE,), 0, "5p", SolveDiagnostics()),
         "real_conics complex_count case_label diagnostics",
         {},
     ),
