@@ -22,7 +22,7 @@ from ._frozen import fast_init
 from .conics import ConicMatrix, _residual, _sym6_frobenius
 from .errors import RankDeficient, UnsupportedCount
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
-from .solvers import SolutionSet, predict
+from .solvers import SolutionSet, _front_door, _triples
 from .tolerances import DEFAULT, RANK_ZERO, RESIDUAL, Tolerances
 
 
@@ -204,9 +204,10 @@ def _self_polar_triangles(vecs: list[Vec3], sol: SolutionSet):
     if ctx is None or len(diag.parameters) != n:
         return None
     x1, x2, x3 = (vecs[i] for i in diag.allocation)
+    (g0, g1, g2), (h0, h1, h2) = ctx.anchor, ctx.offset
     tris = []
     for s, t in diag.parameters:
-        x4 = tuple(t * u + v for u, v in zip(ctx.anchor, ctx.offset))
+        x4 = (t * g0 + h0, t * g1 + h1, t * g2 + h2)
         tris.append(_triangle(x1, x2, x3, x4))
     return tris
 
@@ -219,13 +220,18 @@ def certify(
     Covers incidence and tangency residuals, non-degeneracy of each conic,
     self-polarity of the reconstructed quadrangle triangle where the
     diagnostics allow it, and count consistency against the sign predictors.
-    Each point, line and conic is read once: a conic's norm and adjugate
-    serve all its residuals, and the ranks of the whole set come from one
-    LAPACK call.
+    Each point, line and conic is read once: the count check predicts from
+    the triples the residuals read, a conic's norm and adjugate serve all
+    its residuals, and the ranks of the whole set come from one LAPACK call.
     """
     checks: list[CheckResult] = []
-    vecs = [_vec(p) for p in points]
-    lvs = [_vec(l) for l in lines]
+    try:
+        vecs, lvs = _triples(points, lines)
+        predictable = True
+    except Exception:  # predict() refuses the input, so the count check fails
+        vecs = [_vec(p) for p in points]
+        lvs = [_vec(l) for l in lines]
+        predictable = False
     limit = RESIDUAL
 
     rows = []  # per conic: sym6, Frobenius norm, worst incidence, worst tangency
@@ -262,8 +268,16 @@ def certify(
             worst = max(worst, abs(_sym_bilinear(m6, u2, u3)) / (fro * n2 * n3))
             checks.append(CheckResult(f"self-polar[{i}]", worst <= limit, worst, limit))
 
-    try:
-        pred = predict(points, lines, tol)
+    pred = None
+    if predictable:
+        try:
+            # predict(points, lines, tol), on the triples already read
+            pred = _front_door(vecs, lvs, tol.geometry)[0]
+        except Exception:
+            pass
+    if pred is None:
+        checks.append(CheckResult("count-consistency", False, math.nan, math.nan))
+    else:
         agree = (
             pred.predicted_real == sol.real_count
             and pred.predicted_complex == sol.complex_count
@@ -271,8 +285,6 @@ def certify(
         checks.append(
             CheckResult("count-consistency", agree, float(sol.real_count), float(pred.predicted_real))
         )
-    except Exception:
-        checks.append(CheckResult("count-consistency", False, math.nan, math.nan))
 
     return Certification(tuple(checks))
 

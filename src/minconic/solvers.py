@@ -48,7 +48,7 @@ from .errors import (
     GeneralPositionError,
     UnsupportedCount,
 )
-from .projective import Vec3, _named_vec
+from .projective import Vec3, _named_vec, _vec
 from .selfpolar import _no_collinear_triple
 from .tolerances import DEFAULT, PARAMETER, Tolerances
 
@@ -106,10 +106,11 @@ class SolveDiagnostics:
     prediction: Optional[CountPrediction] = None
     context: Optional[CaseContext] = None
     #: the cancellation alarm of one diagonal triangle (see
-    #: _kernels.diag_triangle): for 4p1l that of the four points, for 5p that
-    #: of the first four points, for 3p2l that of the quadrangle of the last
-    #: root built (None when no conic is real); a dual family reports the
-    #: triangle of its dual-plane problem
+    #: _kernels.diag_triangle), taken by the family's builder and never by
+    #: the analysis that predict() shares: for 4p1l that of the four points,
+    #: for 5p that of the first four points, for 3p2l that of the quadrangle
+    #: of the last root built (None when no conic is real); a dual family
+    #: reports the triangle of its dual-plane problem
     triangle_deviation: Optional[float] = None
     double_root: bool = False
 
@@ -157,7 +158,7 @@ def solve_five_points(points: Sequence) -> ConicMatrix:
 
 
 def _analyse_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
-    _no_collinear_triple(vecs, geometry)
+    _no_collinear_triple(vecs, [_k.norm3(v) for v in vecs], geometry)
     return _FIVE_POINT_PREDICTION, vecs
 
 
@@ -228,15 +229,16 @@ def solve_four_points_line(points: Sequence, line) -> SolutionSet:
 
 
 def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
-    lv = lvs[0]
-    dets = _no_collinear_triple(vecs, geometry)
+    l0, l1, l2 = lv = lvs[0]
+    norms = [_k.norm3(v) for v in vecs]
+    dets = _no_collinear_triple(vecs, norms, geometry)
 
     # each point-line and vertex-line dot, and each norm, once; a point or
     # vertex is on the line when |dot| is within the geometric tolerance
     # times the two norms: the 4p1l family's one incidence band test
     nl = _k.norm3(lv)
-    dots = [_k.dot3(v, lv) for v in vecs]
-    on_line = [i for i, v in enumerate(vecs) if abs(dots[i]) <= geometry * _k.norm3(v) * nl]
+    dots = [x * l0 + y * l1 + w * l2 for x, y, w in vecs]
+    on_line = [i for i in range(4) if abs(dots[i]) <= geometry * norms[i] * nl]
     if len(on_line) >= 2:
         raise GeneralPositionError(
             f"line is a side of the quadrangle: it contains points "
@@ -244,9 +246,9 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
             tuple(on_line[:2]),
         )
 
-    *xi, dev = _k.diag_triangle(*vecs)
-    vdots = tuple(_k.dot3(x, lv) for x in xi)
-    on_vertex = [j for j, x in enumerate(xi) if abs(vdots[j]) <= geometry * _k.norm3(x) * nl]
+    xi = _k.diag_vertices(*vecs)
+    vdots = tuple(x * l0 + y * l1 + w * l2 for x, y, w in xi)
+    on_vertex = [j for j in range(3) if abs(vdots[j]) <= geometry * _k.norm3(xi[j]) * nl]
     if len(on_vertex) >= 2:
         raise GeneralPositionError(
             "line is a side of the diagonal triangle (through two of its "
@@ -271,11 +273,14 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
         prediction = CountPrediction(2, 0, "orientation/side sign product positive", pred)
     else:
         prediction = CountPrediction(0, 2, "orientation/side sign product negative", pred)
-    return prediction, (vdots, xi, dev, on_line, on_vertex)
+    return prediction, (vecs, vdots, on_line, on_vertex)
 
 
 def _build_4p1l(state, prediction: CountPrediction) -> SolutionSet:
-    vdots, xi, dev, on_line, on_vertex = state
+    vecs, vdots, on_line, on_vertex = state
+    # the analysis's vertices again, with the cancellation alarm, which only
+    # the solution reports
+    xi1, xi2, xi3, dev = _k.diag_triangle(*vecs)
     q2, q1, q0 = _tangency_quadratic(vdots)
     if on_line:
         # tangency is pinned at the incident point: the two roots coincide
@@ -310,7 +315,7 @@ def _build_4p1l(state, prediction: CountPrediction) -> SolutionSet:
         roots = sorted(_stable_roots(q2, q1, q0, disc)) if prediction.predicted_real else []
         label = "4p1l/generic"
 
-    conics = [_pencil_member(*xi, s) for s in roots]
+    conics = [_pencil_member(xi1, xi2, xi3, s) for s in roots]
     diag = SolveDiagnostics(
         allocation=(0, 1, 2, 3),
         discriminant=disc,
@@ -481,7 +486,7 @@ def predict_count_3p2l(points: Sequence, l1, l2) -> CountPrediction:
 def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
     """Classify the triples, relabel them into their case's normal form and
     predict; the state is (allocation, (x1, x2, x3, l1, l2), the scalars
-    (p, A, B, C, D, a, b, c), the case-5 pencil eigenvalues or None). The
+    (p, A, B, D, a, b, c), the case-5 pencil eigenvalues or None). The
     line meet p = l1 x l2 and the incidences a, b, c = (x . l1, x . l2) of
     x1, x2, x3 are the classification's, read in normal-form order."""
     lv1, lv2 = lvs
@@ -495,7 +500,6 @@ def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
         a, b, c = a[::-1], b[::-1], c[::-1]
     A = _k.det3(p, x2, x3)
     B = _k.det3(x1, p, x3)
-    C = _k.det3(x1, x2, p)
     D = _k.det3(x1, x2, x3)
     prediction = _prediction_3p2l(alloc.case, A, B, a, b, c)
     if alloc.case == 2 and 2.0 * B * b[1] == 0.0:
@@ -513,7 +517,7 @@ def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
                 "generic-case pencil is degenerate: the line intersection "
                 "point lies on a side of the point triangle"
             ) from exc
-    return prediction, (alloc, (x1, x2, x3, lv1, lv2), (p, A, B, C, D, a, b, c), lams)
+    return prediction, (alloc, (x1, x2, x3, lv1, lv2), (p, A, B, D, a, b, c), lams)
 
 
 def _prediction_3p2l(case: int, A, B, a, b, c) -> CountPrediction:
@@ -563,7 +567,8 @@ def solve_three_points_two_lines(points: Sequence, l1, l2) -> SolutionSet:
 
 
 def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
-    alloc, (x1, x2, x3, lv1, lv2), (p, A, B, C, D, a, b, c), lams = state
+    alloc, (x1, x2, x3, lv1, lv2), (p, A, B, D, a, b, c), lams = state
+    C = _k.det3(x1, x2, p)  # read by cases 3-5, not by the prediction
     diag = SolveDiagnostics(
         allocation=alloc.order,
         lines_swapped=alloc.swap_lines,
@@ -627,8 +632,9 @@ def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
     conics: list[ConicMatrix] = []
     params: list[tuple[float, float]] = []
     last = len(roots) - 1
+    (g0, g1, g2), (h0, h1, h2) = anchor, offset
     for k, (s, t) in enumerate(roots):
-        x4 = tuple(t * u + v for u, v in zip(anchor, offset))
+        x4 = (t * g0 + h0, t * g1 + h1, t * g2 + h2)
         if k < last:
             xi1, xi2, xi3 = _k.diag_vertices(x1, x2, x3, x4)
         else:
@@ -671,7 +677,8 @@ def _triples(
     points: Sequence, lines: Sequence, wrong_count: Optional[str] = None
 ) -> tuple[list[Vec3], list[Vec3]]:
     """The coordinate triples of a five-element configuration, each element
-    read once through _vec as three Python floats.
+    read once through _vec as three Python floats; only an input with a
+    faulty element is read again, to name the first one.
 
     Raises UnsupportedCount when the total is not five, with the message
     wrong_count if given; for the first element that is not three real
@@ -684,6 +691,19 @@ def _triples(
             or f"{len(points)} points and {len(lines)} lines do not form a "
             "five-element minimal configuration"
         )
+    try:
+        vecs = [_vec(item) for item in points]
+        lvs = [_vec(item) for item in lines]
+    except Exception:  # the named reads below raise what a read of this input raises
+        pass
+    else:
+        # x - x is 0.0 exactly when x is finite (inf - inf and nan - nan are nan)
+        for x, y, w in vecs + lvs:
+            if not (x - x == 0.0 and y - y == 0.0 and w - w == 0.0):
+                break
+        else:
+            return vecs, lvs
+    # read again to name the first faulty element
     vecs = [_named_vec(item, "point", idx) for idx, item in enumerate(points)]
     lvs = [_named_vec(item, "line", idx) for idx, item in enumerate(lines)]
     return vecs, lvs

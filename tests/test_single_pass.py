@@ -39,6 +39,7 @@ from minconic.oracle import (
 from minconic.tolerances import DEFAULT
 
 from conftest import gallery_names, load_gallery_case
+from test_kernels import ref_diag_triangle
 
 
 def counted(monkeypatch, owner, name):
@@ -84,9 +85,9 @@ def test_classify_3p2l_case_returns_the_allocation_of_the_analysis(seed):
 
 def one_input(family):
     rng = random.Random(7)
-    if family == "4p1l":
+    if family in ("4p1l", "1p4l"):
         pts, line = random_4p1l(rng)
-        return pts, [line]
+        return (pts, [line]) if family == "4p1l" else dualize_input(pts, [line])
     pts = random_five_points(rng)
     return (pts, []) if family == "5p" else dualize_input(pts, [])
 
@@ -96,7 +97,7 @@ CASES_3P2L = [f"{kind}_c{case}" for kind in ("3p2l", "2p3l") for case in range(1
 
 
 def inputs_of(family):
-    """The one input of one_input for 4p1l, 5p and 5l; twelve inputs of one
+    """The one input of one_input for 4p1l, 1p4l, 5p and 5l; twelve inputs of one
     3-point/2-line case, primal or dual, otherwise."""
     if family not in CASES_3P2L:
         return [one_input(family)]
@@ -109,14 +110,15 @@ def inputs_of(family):
     return out
 
 
-@pytest.mark.parametrize("family", ["4p1l", "5p", "5l"] + CASES_3P2L)
+@pytest.mark.parametrize("family", ["4p1l", "1p4l", "5p", "5l"] + CASES_3P2L)
 def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
     # the reported deviation is that of the one triangle whose alarm is
-    # taken: for 5p and 5l the triangle of the first four points the conic
-    # is fitted on; for 3p2l and 2p3l every root gets its vertices and the
-    # alarm runs once, on the quadrangle of the last root built, whose fourth
-    # point is one that the context and parameters give, and with no real
-    # root there is neither
+    # taken, with the value the composed kernel gives: for 4p1l and 1p4l the
+    # triangle of the four points (the four lines of a dual input), for 5p
+    # and 5l that of the first four points the conic is fitted on; for 3p2l
+    # and 2p3l every root gets its vertices and the alarm runs once, on the
+    # quadrangle of the last root built, whose fourth point is one that the
+    # context and parameters give, and with no real root there is neither
     calls = counted(monkeypatch, _k, "diag_triangle")
     real = []
     for points, lines in inputs_of(family):
@@ -128,7 +130,7 @@ def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
             continue
         assert len(calls) == 1
         quad = calls[0]
-        assert sol.diagnostics.triangle_deviation == _k.diag_triangle(*quad)[3]
+        assert sol.diagnostics.triangle_deviation == ref_diag_triangle(*quad)[3]
         if family in CASES_3P2L:
             ctx = sol.diagnostics.context
             ts = [t for _, t in sol.diagnostics.parameters]
@@ -138,16 +140,27 @@ def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
         assert any(real) and (family[-1] in "12" or not all(real))
 
 
+@pytest.mark.parametrize("name", gallery_names())
+def test_predict_takes_no_cancellation_alarm(monkeypatch, name):
+    # the alarm is a diagnostic of the solution, which the builders take
+    # (test_solve_builds_one_diagonal_triangle): predict takes none
+    points, lines, _ = load_gallery_case(name)
+    calls = counted(monkeypatch, _k, "diag_triangle")
+    predict(points, lines)
+    assert calls == []
+
+
 def test_predict_computes_each_norm_once(monkeypatch):
     # each point, line, vertex and line meet has its norm taken once per
-    # predict (the four point norms of require_no_collinear_triple aside); the
-    # single-pass analyses took 18 on a 4p1l input and 27 on a 3p2l one
+    # predict: on 4p1l four point norms, which serve the collinearity and the
+    # incidence tests, one line norm and three vertex norms; the single-pass
+    # analyses took 18 on a 4p1l input and 27 on a 3p2l one
     rng = random.Random(3)
     pts, line = random_4p1l(rng)
     generic = [random_3p2l_case(rng, 5) for _ in range(3)]
     calls = counted(monkeypatch, _k, "norm3")
     predict(pts, [line])
-    assert len(calls) <= 12
+    assert len(calls) <= 8
     for pts, l1, l2 in generic:
         calls.clear()
         predict(pts, [l1, l2])
@@ -286,10 +299,11 @@ def one_per_category():
     return out + [dualize_input(*out[k]) for k in (0, 1, 6)]
 
 
-@pytest.mark.parametrize("api", [solve, predict])
+@pytest.mark.parametrize("api", [solve, predict, certify])
 def test_each_element_is_read_once(api):
     # one front door converts every point and line once; the cores and the
-    # dual swap reuse its coordinate triples
+    # dual swap reuse its coordinate triples, and certify's residuals and
+    # count check share the triples it read
     inputs = one_per_category()
     assert sorted((len(p), len(l)) for p, l in inputs) == [
         (0, 5), (1, 4), (2, 3), (3, 2), (3, 2), (3, 2), (3, 2), (3, 2), (4, 1), (5, 0)
@@ -297,8 +311,12 @@ def test_each_element_is_read_once(api):
     for points, lines in inputs:
         points = [CountedPoint(*p.vec()) for p in points]
         lines = [CountedLine(*l.vec()) for l in lines]
+        sol = solve(points, lines)
         READS.clear()
-        api(points, lines)
+        if api is certify:
+            assert certify(points, lines, sol).ok
+        else:
+            api(points, lines)
         assert [READS[id(x)] for x in points + lines] == [1] * 5
 
 
@@ -534,3 +552,128 @@ def test_underflowed_case3_denominator_fails_predict_and_solve_alike(name):
         solve(points, lines)
     assert str(from_predict.value) == str(from_solve.value)
     assert "D*D*a0*a1 is exactly 0.0" in str(from_solve.value)
+
+
+NAN, INF = (math.nan, 1.0, 1.0), (1.0, -math.inf, 2.0)
+TEXT, PAIR, BEYOND = "abc", (1.0, 2.0), (1, 10**400, 1)
+COUNT = "4 points and 0 lines do not form a five-element minimal configuration"
+
+
+def put(seq, **faults):
+    """seq with element k replaced by faults[f"e{k}"]."""
+    out = list(seq)
+    for key, value in faults.items():
+        out[int(key[1:])] = value
+    return out
+
+
+def checks(*rows):
+    """A certification's checks as (name, passed, magnitude, limit) rows;
+    residual checks give a limit of 1e-9, the count check nan, nan."""
+    out = [(name, passed, magnitude, 3.0 if name[:3] == "non" else 1e-09) for name, passed, magnitude in rows]
+    return out + [("count-consistency", False, math.nan, math.nan)]
+
+
+#: the five-point certification of FIVE, read from the first four points
+#: only (a wrong count, or the fifth one NaN, whose residual max() skips)
+FOUR_OF_FIVE = checks(
+    ("incidence[0]", True, 0.0), ("tangency[0]", True, 0.0),
+    ("nondegenerate[0]", True, 3.0), ("self-polar[0]", True, 0.0),
+)
+NAN_RESIDUAL = checks(
+    ("incidence[0]", False, math.nan), ("tangency[0]", True, 0.0),
+    ("nondegenerate[0]", True, 3.0), ("self-polar[0]", True, 0.0),
+)
+
+#: faulty inputs and what each of solve and predict, and certify of the
+#: solution of the clean input (FIVE, or FIVE[:3] with L1 and L2), give:
+#: an error as (type, message), or the certification's checks. Fast reads
+#: of the whole input that fail hand over to reads that name the first
+#: faulty element, which may be an earlier one of another kind; certify
+#: reads the elements as they are and fails only its count check when
+#: predict refuses them
+READ_FAULTS = {
+    "nan point": (
+        put(FIVE, e4=NAN), [],
+        (NonFiniteInput, "point 4 has a non-finite coordinate: (nan, 1.0, 1.0)"),
+        FOUR_OF_FIVE,
+    ),
+    "inf point": (
+        put(FIVE, e0=INF), [],
+        (NonFiniteInput, "point 0 has a non-finite coordinate: (1.0, -inf, 2.0)"),
+        NAN_RESIDUAL,
+    ),
+    "inf line": (
+        FIVE[:3], [L1, INF],
+        (NonFiniteInput, "line 1 has a non-finite coordinate: (1.0, -inf, 2.0)"),
+        checks(
+            ("incidence[0]", True, 1.9843520581146609e-16), ("tangency[0]", True, 0.0),
+            ("nondegenerate[0]", True, 3.0),
+            ("incidence[1]", True, 5.4832009854009485e-17),
+            ("tangency[1]", True, 1.0196325131499397e-16), ("nondegenerate[1]", True, 3.0),
+            ("self-polar[0]", True, 1.4439993146279287e-17),
+            ("self-polar[1]", True, 1.8151717695632523e-17),
+        ),
+    ),
+    "text point": (
+        put(FIVE, e4=TEXT), [],
+        (MalformedCoordinates, "point 4 is not three real coordinates: 'abc'"),
+        (MalformedCoordinates, "not three real coordinates: 'abc'"),
+    ),
+    "2-sequence point": (
+        put(FIVE, e2=PAIR), [],
+        (MalformedCoordinates, "point 2 is not three real coordinates: (1.0, 2.0)"),
+        (MalformedCoordinates, "not three real coordinates: (1.0, 2.0)"),
+    ),
+    "int beyond the float range, point": (
+        put(FIVE, e3=BEYOND), [],
+        (NonFiniteInput, "point 3 has a coordinate no float can hold: int too large to convert to float"),
+        (NonFiniteInput, "a coordinate no float can hold: int too large to convert to float"),
+    ),
+    "int beyond the float range, line": (
+        FIVE[:3], [BEYOND, L2],
+        (NonFiniteInput, "line 0 has a coordinate no float can hold: int too large to convert to float"),
+        (NonFiniteInput, "a coordinate no float can hold: int too large to convert to float"),
+    ),
+    "nan before text": (
+        put(FIVE, e1=NAN, e3=TEXT), [],
+        (NonFiniteInput, "point 1 has a non-finite coordinate: (nan, 1.0, 1.0)"),
+        (MalformedCoordinates, "not three real coordinates: 'abc'"),
+    ),
+    "text before nan": (
+        put(FIVE, e1=TEXT, e3=NAN), [],
+        (MalformedCoordinates, "point 1 is not three real coordinates: 'abc'"),
+        (MalformedCoordinates, "not three real coordinates: 'abc'"),
+    ),
+    "int beyond the float range before inf": (
+        put(FIVE, e0=BEYOND, e2=INF), [],
+        (NonFiniteInput, "point 0 has a coordinate no float can hold: int too large to convert to float"),
+        (NonFiniteInput, "a coordinate no float can hold: int too large to convert to float"),
+    ),
+    "nan point before text line": (
+        put(FIVE[:3], e2=NAN), [TEXT, L2],
+        (NonFiniteInput, "point 2 has a non-finite coordinate: (nan, 1.0, 1.0)"),
+        (MalformedCoordinates, "not three real coordinates: 'abc'"),
+    ),
+    "wrong count": (FIVE[:4], [], (UnsupportedCount, COUNT), FOUR_OF_FIVE),
+    "wrong count with nan": (put(FIVE[:4], e0=NAN), [], (UnsupportedCount, COUNT), NAN_RESIDUAL),
+}
+
+
+def outcome(fn, *args):
+    """An error as (type, message), or a certification's checks as rows."""
+    try:
+        out = fn(*args)
+    except MinconicError as exc:
+        return type(exc), str(exc)
+    return [(c.name, c.passed, c.magnitude, c.limit) for c in out.checks]
+
+
+@pytest.mark.parametrize("fault", sorted(READ_FAULTS))
+def test_faulty_input_meets_the_errors_and_certification_of_named_reads(fault):
+    points, lines, error, certification = READ_FAULTS[fault]
+    assert outcome(solve, points, lines) == error
+    assert outcome(predict, points, lines) == error
+    sol = solve(FIVE, []) if not lines else solve(FIVE[:3], [L1, L2])
+    # repr tells nan apart, which == does not
+    assert repr(outcome(certify, points, lines, sol)) == repr(certification)
