@@ -253,6 +253,7 @@ def cmd_check(args) -> int:
     for chk in cert.checks:
         status = "pass" if chk.passed else "FAIL"
         rows.append(f"{status} {chk.name}: {_g(chk.magnitude)} (limit {_g(chk.limit)})")
+    rows += [f"not judged {name}" for name in cert.not_judged]
     rows.append("result: " + ("all checks passed" if cert.ok else "CERTIFICATION FAILED"))
     _emit("\n".join(rows) + "\n", args.out)
     return EXIT_OK if cert.ok else EXIT_CERTIFICATION

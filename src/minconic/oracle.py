@@ -2,11 +2,16 @@
 
 Nothing here shares formulas with the closed-form solvers: the five-point
 fit goes through a null-space computation on the design matrix, tangency
-roots are isolated by sign-change bisection on the actual matrix pencil,
-the ranks of a solution set's conics come from LAPACK's eigenvalues, one
-numpy call on the stacked matrices per set, not from the solvers'
-closed-form ones, and certification recomputes every constraint residual
-itself. These are the ground truth the solver tests compare against.
+roots are isolated by sign-change bisection on the actual matrix pencil, and
+certification recomputes every constraint residual itself. Its count judge
+reads only the points and lines: four points and a line through the pencil
+of the quadrangle's line pairs restricted to the line, three points and two
+lines through the Cremona frame that sends the points to the coordinate
+triangle. Its self-polar check builds each diagonal triangle from its own
+meets of opposite sides, and a determinant bound proves a conic's rank 3,
+leaving to LAPACK's eigenvalues (one numpy call on the stacked matrices of a
+set) only the conics it cannot clear. These are the ground truth the solver
+tests compare against.
 """
 from __future__ import annotations
 
@@ -22,8 +27,8 @@ from ._frozen import fast_init
 from .conics import ConicMatrix, _residual, _sym6_frobenius
 from .errors import RankDeficient, UnsupportedCount
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
-from .solvers import SolutionSet, _front_door, _triples
-from .tolerances import DEFAULT, RANK_ZERO, RESIDUAL, Tolerances
+from .solvers import SolutionSet, _triples
+from .tolerances import DEFAULT, DISCRIMINANT, RANK_ZERO, RESIDUAL, Tolerances
 
 
 # ---------------------------------------------------------------------------
@@ -135,31 +140,164 @@ def scan_tangency_roots(points: Sequence, line) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# the count judge
+
+
+def _cross(a: Vec3, b: Vec3) -> Vec3:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a: Vec3, b: Vec3) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _unit(v: Vec3) -> Vec3:
+    """v over its largest coordinate magnitude; a zero vector, which is no
+    point or line, divides by zero."""
+    x, y, w = v
+    m = abs(x)
+    if abs(y) > m:
+        m = abs(y)
+    if abs(w) > m:
+        m = abs(w)
+    return (x / m, y / m, w / m)
+
+
+def _real_pair(t1: float, t2: float) -> Optional[int]:
+    """The real roots, 2 or 0, of a quadratic whose discriminant is t1 - t2,
+    or None within DISCRIMINANT of the larger of |t1| and |t2|."""
+    disc = t1 - t2
+    if not math.isfinite(disc):
+        raise OverflowError("the count judge's discriminant is not finite")
+    if abs(disc) <= DISCRIMINANT * max(abs(t1), abs(t2)):
+        return None
+    return 2 if disc > 0.0 else 0
+
+
+def _judge_4p1l(xs: list[Vec3], l: Vec3, band: float):
+    """The pencil (x1x2)(x3x4) + lam (x1x3)(x2x4) restricted to the line is
+    a binary quadratic with coefficients linear in lam; its members tangent
+    to the line are the roots of that quadratic's discriminant,
+    k2 lam^2 + k1 lam + k0."""
+    x1, x2, x3, x4 = xs
+    # a side restricts to the linear form of its meet with the line, read
+    # on the two coordinates other than the one where |l| is 1
+    k = (abs(l[0]), abs(l[1]), abs(l[2])).index(1.0)
+    pairs = []
+    for (a, b), (c, d) in (((x1, x2), (x3, x4)), ((x1, x3), (x2, x4)), ((x1, x4), (x2, x3))):
+        side, opposite = _cross(a, b), _cross(c, d)
+        u, v = _cross(side, l), _cross(opposite, l)
+        u0, u1, v0, v1 = u[k - 2], u[k - 1], v[k - 2], v[k - 1]
+        det = u0 * v1 - u1 * v0  # 0: the forms share a root, the sides' meet on the line
+        if det * det <= band * band * _dot(side, side) * _dot(opposite, opposite):
+            return None
+        pairs.append((u0 * v0, u0 * v1 + u1 * v0, u1 * v1, det))
+    (a0, b0, c0, d0), (a1, b1, c1, d1), _ = pairs
+    # a line pair's restriction has discriminant det^2: k0 = d0^2, k2 = d1^2
+    k1 = 2.0 * b0 * b1 - 4.0 * (a0 * c1 + a1 * c0)
+    real = _real_pair(k1 * k1, 4.0 * (d0 * d0) * (d1 * d1))
+    return None if real is None else (real, 2 - real)
+
+
+def _judge_3p2l(alpha: list[float], beta: list[float], l1: Vec3, l2: Vec3, band: float):
+    """A Cremona change of frame sends the points to the coordinate triangle
+    and the lines to alpha and beta, alpha_i = x_i . l1 and beta_i = x_i . l2.
+    The conics a yz + b xz + c xy through the triangle tangent to l1 are
+    (a, b, c) = (s^2 / alpha_1, t^2 / alpha_2, (s + t)^2 / alpha_3). With
+    r_i = beta_i / alpha_i, tangency to l2 splits into the quadratics
+    (r1 - r3) z^2 - 2 (r3 +- sqrt(r1 r2)) z + (r2 - r3) = 0 in z = s / t,
+    complex conjugates with no real root when r1 r2 < 0; each real root is
+    one real conic."""
+    meet = _cross(l1, l2)
+    limit = band * band * _dot(meet, meet)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = alpha[i] * beta[j] - alpha[j] * beta[i]  # (x_i x x_j) . meet
+        if det * det <= limit:
+            return None  # r_i = r_j: x_i, x_j and the meet of the lines collinear
+    r1, r2, r3 = beta[0] / alpha[0], beta[1] / alpha[1], beta[2] / alpha[2]
+    if r1 * r2 < 0.0:
+        return 0, 4
+    root = math.sqrt(r1 * r2)
+    real = 0
+    for q in (r3 + root, r3 - root):
+        n = _real_pair(4.0 * q * q, 4.0 * (r1 - r3) * (r2 - r3))
+        if n is None:
+            return None
+        real += n
+    return real, 4 - real
+
+
+def _judged_count(vecs: list[Vec3], lvs: list[Vec3], band: float):
+    """(real, complex) conic counts of the triples of a configuration, from
+    formulas the solvers do not use, or None (not judged) within band of a
+    special position. Each element is first scaled to largest coordinate
+    magnitude 1, so a band relative to the norms of points and lines is band
+    itself. A lines-heavy input is judged as its dual. Raises
+    ArithmeticError for a zero element or a discriminant beyond the float
+    range."""
+    if len(vecs) < len(lvs):
+        vecs, lvs = lvs, vecs
+    if not lvs:
+        return 1, 0
+    xs = [_unit(v) for v in vecs]
+    ls = [_unit(l) for l in lvs]
+    dots = [[_dot(x, l) for x in xs] for l in ls]
+    for row in dots:
+        for d in row:
+            if abs(d) <= band:
+                return None  # a point on a line
+    if len(ls) == 1:
+        return _judge_4p1l(xs, ls[0], band)
+    return _judge_3p2l(dots[0], dots[1], ls[0], ls[1], band)
+
+
+# ---------------------------------------------------------------------------
 # certification
 
 
-def _ranks(m6s: Sequence[Sequence[float]]) -> list[int]:
-    """Numeric rank of each sym6 conic from one LAPACK call on the stacked
-    matrices: eigenvalues below RANK_ZERO times the spectral radius are zero.
+def _sym_det(m6) -> float:
+    """Cofactor expansion of a sym6 matrix's determinant along its first row."""
+    a, b, c, d, e, f = m6  # rows (a b d), (b c e), (d e f)
+    return a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d)
 
-    The thresholds run on plain floats. A NaN eigenvalue makes the spectral
-    radius NaN, as ndarray.max does, so no eigenvalue clears it: rank 0.
-    An unconverged eigenvalue problem raises numpy's LinAlgError.
+
+def _ranks(m6s: Sequence[Sequence[float]], fros: Sequence[float]) -> list[int]:
+    """Numeric rank of each sym6 conic of Frobenius norm fros[i]: eigenvalues
+    below RANK_ZERO times the spectral radius are zero.
+
+    A symmetric 3x3 matrix has |lmin| / |lmax| >= |det| / F^3, so
+    |det| > 2 RANK_ZERO F^3 proves rank 3, the rank LAPACK reports too: the
+    factor 2 is far above the rounding of det and LAPACK's backward error.
+    The bound is applied only for 1e-50 <= F <= 1e50, where neither det nor
+    F^3 can overflow or underflow. Every other conic, NaN and inf included,
+    is ranked from one LAPACK call on the stacked matrices, with thresholds
+    on plain floats: a NaN eigenvalue makes the spectral radius NaN, as
+    ndarray.max does, so no eigenvalue clears it: rank 0. An unconverged
+    eigenvalue problem raises numpy's LinAlgError.
     """
-    if not m6s:
-        return []
-    flat = [x for a, b, c, d, e, f in m6s for x in (a, b, d, b, c, e, d, e, f)]
-    mats = np.array(flat, dtype=float).reshape(len(m6s), 3, 3)
-    ranks = []
+    ranks: list[Optional[int]] = []
+    rest = []
+    for m6, fro in zip(m6s, fros):
+        if 1e-50 <= fro <= 1e50 and abs(_sym_det(m6)) > 2.0 * RANK_ZERO * (fro * fro * fro):
+            ranks.append(3)
+        else:
+            ranks.append(None)
+            rest.append(m6)
+    if not rest:
+        return ranks
+    flat = [x for a, b, c, d, e, f in rest for x in (a, b, d, b, c, e, d, e, f)]
+    mats = np.array(flat, dtype=float).reshape(len(rest), 3, 3)
+    found = []
     for w in np.linalg.eigvalsh(mats).tolist():
         x, y, z = abs(w[0]), abs(w[1]), abs(w[2])
         top = max(x, y, z)
         if top == 0.0 or math.isnan(x + y + z):
-            ranks.append(0)
+            found.append(0)
         else:
             limit = RANK_ZERO * top
-            ranks.append((x > limit) + (y > limit) + (z > limit))
-    return ranks
+            found.append((x > limit) + (y > limit) + (z > limit))
+    ranked = iter(found)
+    return [next(ranked) if r is None else r for r in ranks]
 
 
 @fast_init
@@ -175,6 +313,9 @@ class CheckResult:
 @dataclass(frozen=True)
 class Certification:
     checks: tuple[CheckResult, ...]
+    #: names of the checks that were not judged (the count of a special
+    #: position input); ok does not read them
+    not_judged: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -185,9 +326,15 @@ class Certification:
 
 
 def _triangle(x1: Vec3, x2: Vec3, x3: Vec3, x4: Vec3):
-    """Diagonal-triangle vertices of a quadrangle and their norms."""
-    xi = _k.diag_vertices(x1, x2, x3, x4)
-    return xi, (_k.norm3(xi[0]), _k.norm3(xi[1]), _k.norm3(xi[2]))
+    """The diagonal triangle of a quadrangle, its vertices the meets of the
+    opposite sides x1x2 / x3x4, x1x3 / x2x4 and x1x4 / x2x3, and their
+    norms."""
+    xi = (
+        _cross(_cross(x1, x2), _cross(x3, x4)),
+        _cross(_cross(x1, x3), _cross(x2, x4)),
+        _cross(_cross(x1, x4), _cross(x2, x3)),
+    )
+    return xi, tuple(_dot(v, v) ** 0.5 for v in xi)
 
 
 def _self_polar_triangles(vecs: list[Vec3], sol: SolutionSet):
@@ -218,20 +365,27 @@ def certify(
     """Recompute every constraint on a solution set from scratch.
 
     Covers incidence and tangency residuals, non-degeneracy of each conic,
-    self-polarity of the reconstructed quadrangle triangle where the
-    diagnostics allow it, and count consistency against the sign predictors.
-    Each point, line and conic is read once: the count check predicts from
-    the triples the residuals read, a conic's norm and adjugate serve all
-    its residuals, and the ranks of the whole set come from one LAPACK call.
+    self-polarity of the diagonal triangle of each rebuilt quadrangle where
+    the diagnostics allow it, and count consistency against the count
+    judge, which reads only the points and lines. The judge leaves a
+    special-position input (within MARGIN times tol.geometry of a point on a
+    line, or of a line through the meet of two opposite quadrangle sides,
+    or of two points collinear with the meet of the lines, or with a
+    discriminant within DISCRIMINANT of its terms) not judged: its count
+    check is named in `not_judged` and not run. An input that the solvers'
+    reads refuse, or a zero element, fails the count check with NaN. Each
+    point, line and conic is read once, a conic's norm and adjugate serve
+    all its residuals, and LAPACK ranks, in one call, only the conics that
+    the determinant bound cannot prove rank 3.
     """
     checks: list[CheckResult] = []
     try:
         vecs, lvs = _triples(points, lines)
-        predictable = True
-    except Exception:  # predict() refuses the input, so the count check fails
+        read = True
+    except Exception:  # the solvers refuse the input, so the count check fails
         vecs = [_vec(p) for p in points]
         lvs = [_vec(l) for l in lines]
-        predictable = False
+        read = False
     limit = RESIDUAL
 
     rows = []  # per conic: sym6, Frobenius norm, worst incidence, worst tangency
@@ -247,9 +401,9 @@ def certify(
             rows.append((m6, fro, pin, tan))
     except Exception:
         # checked conic by conic, every earlier conic's rank came first
-        _ranks([row[0] for row in rows])
+        _ranks([row[0] for row in rows], [row[1] for row in rows])
         raise
-    ranks = _ranks([row[0] for row in rows])
+    ranks = _ranks([row[0] for row in rows], [row[1] for row in rows])
     for i, ((_, _, pin, tan), r) in enumerate(zip(rows, ranks)):
         checks.append(CheckResult(f"incidence[{i}]", pin <= limit, pin, limit))
         checks.append(CheckResult(f"tangency[{i}]", tan <= limit, tan, limit))
@@ -262,43 +416,54 @@ def certify(
                 checks.append(CheckResult(f"self-polar[{i}]", False, math.nan, limit))
                 continue
             f1 = fro * n1
-            worst = 0.0
-            worst = max(worst, abs(_sym_bilinear(m6, u1, u2)) / (f1 * n2))
-            worst = max(worst, abs(_sym_bilinear(m6, u1, u3)) / (f1 * n3))
-            worst = max(worst, abs(_sym_bilinear(m6, u2, u3)) / (fro * n2 * n3))
+            worst = _worst(
+                abs(_sym_bilinear(m6, u1, u2)) / (f1 * n2),
+                abs(_sym_bilinear(m6, u1, u3)) / (f1 * n3),
+                abs(_sym_bilinear(m6, u2, u3)) / (fro * n2 * n3),
+            )
             checks.append(CheckResult(f"self-polar[{i}]", worst <= limit, worst, limit))
 
-    pred = None
-    if predictable:
+    not_judged: tuple[str, ...] = ()
+    count: Optional[tuple[int, int]] = None
+    refused = not read
+    if read:
         try:
-            # predict(points, lines, tol), on the triples already read
-            pred = _front_door(vecs, lvs, tol.geometry)[0]
-        except Exception:
-            pass
-    if pred is None:
+            count = _judged_count(vecs, lvs, MARGIN * tol.geometry)
+        except ArithmeticError:  # a zero element, or a discriminant beyond the float range
+            refused = True
+    if refused:
         checks.append(CheckResult("count-consistency", False, math.nan, math.nan))
+    elif count is None:
+        not_judged = ("count-consistency",)
     else:
-        agree = (
-            pred.predicted_real == sol.real_count
-            and pred.predicted_complex == sol.complex_count
-        )
+        agree = count == (sol.real_count, sol.complex_count)
         checks.append(
-            CheckResult("count-consistency", agree, float(sol.real_count), float(pred.predicted_real))
+            CheckResult("count-consistency", agree, float(sol.real_count), float(count[0]))
         )
 
-    return Certification(tuple(checks))
+    return Certification(tuple(checks), not_judged)
+
+
+def _worst(*values: float) -> float:
+    """The largest of values, or NaN when any is NaN: max() keeps an earlier
+    value over a later NaN. Values are magnitudes, so their sum is NaN
+    exactly when one of them is."""
+    if math.isnan(sum(values)):
+        return math.nan
+    return max(values)
 
 
 def _worst_residual(m6, norm: float, vecs: list[Vec3]) -> float:
     """The largest residual of vecs against the symmetric matrix m6 of
-    Frobenius norm `norm`. A zero norm (a zero conic, the adjugate of a conic
-    of rank 1 or 0, or entries whose squares underflow) leaves every residual
-    a division by zero: NaN, a failed check."""
+    Frobenius norm `norm`, NaN when any is NaN. A zero norm (a zero conic,
+    the adjugate of a conic of rank 1 or 0, or entries whose squares
+    underflow) leaves every residual a division by zero: NaN, a failed
+    check."""
     if not vecs:
         return 0.0
     if norm == 0.0:
         return math.nan
-    return max([_residual(m6, norm, v) for v in vecs])
+    return _worst(*[_residual(m6, norm, v) for v in vecs])
 
 
 def _sym_bilinear(m6, u: Vec3, v: Vec3) -> float:

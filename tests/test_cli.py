@@ -110,6 +110,24 @@ def test_check_exit_code_on_failure(square_cfg, capsys, monkeypatch):
     assert "CERTIFICATION FAILED" in out
 
 
+@pytest.mark.parametrize(
+    "name, judged",
+    [("3p2l_case1", False), ("4p1l_generic_real_a", True)],
+)
+def test_check_names_the_checks_it_did_not_judge(name, judged, capsys):
+    # a special-position input's count is not judged: one line says so,
+    # before the result, and the exit code is that of the checks run
+    assert cli.main(["check", str(FIXTURES / "gallery" / f"{name}.json")]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-1] == "result: all checks passed"
+    if judged:
+        assert "pass count-consistency: 2 (limit 2)" in rows
+        assert not any(row.startswith("not judged") for row in rows)
+    else:
+        assert rows[-2] == "not judged count-consistency"
+        assert not any("count-consistency:" in row for row in rows)
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

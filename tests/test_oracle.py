@@ -13,6 +13,7 @@ from minconic import (
     solve,
     solve_five_points,
 )
+from minconic import _kernels as _k
 from minconic import oracle
 from minconic.errors import RankDeficient, UnsupportedCount
 from minconic.oracle import (
@@ -26,7 +27,7 @@ from minconic.oracle import (
 )
 from minconic.solvers import classify_3p2l_case
 
-from conftest import load_gallery_case, six_vector_angle
+from conftest import gallery_names, load_gallery_case, six_vector_angle
 
 
 def test_nullspace_matches_closed_form(square):
@@ -113,6 +114,26 @@ def test_certify_catches_a_count_lie(square):
     assert any(c.name == "count-consistency" for c in cert.failures())
 
 
+def _kernel_triangle(x1, x2, x3, x4):
+    """The diagonal triangle and its norms as the solvers' kernels build it."""
+    xi = _k.diag_vertices(x1, x2, x3, x4)
+    return xi, tuple(_k.norm3(v) for v in xi)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_self_polar_triangle_is_the_kernels_bit_for_bit(name, monkeypatch):
+    # the oracle builds the triangle from its own meets of opposite sides,
+    # with the kernel's float operations in the kernel's order, so every
+    # self-polar magnitude is the one the kernel's triangle gives
+    points, lines, _ = load_gallery_case(name)
+    sol = solve(points, lines)
+    own = certify(points, lines, sol)
+    monkeypatch.setattr(oracle, "_triangle", _kernel_triangle)
+    assert repr(certify(points, lines, sol)) == repr(own)
+    polar = [c for c in own.checks if c.name.startswith("self-polar")]
+    assert len(polar) == (0 if sol.case_label.startswith("dual:") else sol.real_count)
+
+
 def _case5_four_real():
     points, lines, _ = load_gallery_case("3p2l_case5_real_a")
     sol = solve(points, lines)
@@ -144,7 +165,9 @@ def test_stacked_rank_flags_only_the_degenerate_conic():
     assert all("[2]" in name for name in failed), failed
 
 
-def test_certify_makes_one_eigenvalue_call_per_set(monkeypatch):
+def test_lapack_ranks_only_the_conics_the_determinant_bound_cannot_clear(monkeypatch):
+    # |det| > 2 RANK_ZERO F^3 proves rank 3, so a solved set calls no LAPACK;
+    # the conics the bound cannot clear go to one call on the stacked matrices
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -155,7 +178,12 @@ def test_certify_makes_one_eigenvalue_call_per_set(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     points, lines, sol = _case5_four_real()
     assert certify(points, lines, sol).ok
-    assert calls == [(4, 3, 3)]
+    assert calls == []
+
+    line_pair = ConicMatrix(1.0, 0.0, -1.0, 0.0, 0.0, 0.0)
+    cert = certify(points, lines, _with_conic(_with_conic(sol, 1, line_pair), 3, line_pair))
+    assert calls == [(2, 3, 3)]
+    assert _rank_magnitudes(cert) == [3.0, 2.0, 3.0, 2.0]
 
     calls.clear()
     points, lines, _ = load_gallery_case("4p1l_generic_complex")
@@ -182,12 +210,14 @@ def test_rank_of_non_finite_conics():
 def test_eigenvalue_failure_keeps_its_place_in_the_check_order(monkeypatch):
     # conic by conic, conic 0's rank came before conic 1's residuals: an
     # unconverged eigenvalue problem raises LinAlgError, even when a later
-    # conic's residual raises
+    # conic's residual raises. Only a conic that the determinant bound cannot
+    # prove rank 3 (the line pair) goes to LAPACK
     def unconverged(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     points, lines, sol = _case5_four_real()
     marked = ConicMatrix(2.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+    line_pair = ConicMatrix(1.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     residual = oracle._residual
 
     def failing(m6, norm, v):
@@ -200,6 +230,8 @@ def test_eigenvalue_failure_keeps_its_place_in_the_check_order(monkeypatch):
         certify(points, lines, _with_conic(sol, 0, marked))
     monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
     with pytest.raises(np.linalg.LinAlgError):
+        certify(points, lines, _with_conic(_with_conic(sol, 0, line_pair), 1, marked))
+    with pytest.raises(ArithmeticError):
         certify(points, lines, _with_conic(sol, 1, marked))
     with pytest.raises(ArithmeticError):
         certify(points, lines, _with_conic(sol, 0, marked))

@@ -574,15 +574,23 @@ def checks(*rows):
     return out + [("count-consistency", False, math.nan, math.nan)]
 
 
-#: the five-point certification of FIVE, read from the first four points
-#: only (a wrong count, or the fifth one NaN, whose residual max() skips)
+#: the five-point certification of FIVE, read from its first four points
+#: only (a wrong count)
 FOUR_OF_FIVE = checks(
     ("incidence[0]", True, 0.0), ("tangency[0]", True, 0.0),
     ("nondegenerate[0]", True, 3.0), ("self-polar[0]", True, 0.0),
 )
+#: a non-finite coordinate in the fifth point, which the diagonal triangle
+#: of the first four does not read: its residual, and so the incidence
+#: check, is NaN wherever the point comes
 NAN_RESIDUAL = checks(
     ("incidence[0]", False, math.nan), ("tangency[0]", True, 0.0),
     ("nondegenerate[0]", True, 3.0), ("self-polar[0]", True, 0.0),
+)
+#: a non-finite coordinate in the first point: the triangle is NaN too
+NAN_TRIANGLE = checks(
+    ("incidence[0]", False, math.nan), ("tangency[0]", True, 0.0),
+    ("nondegenerate[0]", True, 3.0), ("self-polar[0]", False, math.nan),
 )
 
 #: faulty inputs and what each of solve and predict, and certify of the
@@ -590,27 +598,28 @@ NAN_RESIDUAL = checks(
 #: an error as (type, message), or the certification's checks. Fast reads
 #: of the whole input that fail hand over to reads that name the first
 #: faulty element, which may be an earlier one of another kind; certify
-#: reads the elements as they are and fails only its count check when
-#: predict refuses them
+#: reads the elements as they are, fails its count check with NaN when the
+#: solvers' reads refuse them, and fails with NaN every residual check that
+#: a non-finite element enters
 READ_FAULTS = {
     "nan point": (
         put(FIVE, e4=NAN), [],
         (NonFiniteInput, "point 4 has a non-finite coordinate: (nan, 1.0, 1.0)"),
-        FOUR_OF_FIVE,
+        NAN_RESIDUAL,
     ),
     "inf point": (
         put(FIVE, e0=INF), [],
         (NonFiniteInput, "point 0 has a non-finite coordinate: (1.0, -inf, 2.0)"),
-        NAN_RESIDUAL,
+        NAN_TRIANGLE,
     ),
     "inf line": (
         FIVE[:3], [L1, INF],
         (NonFiniteInput, "line 1 has a non-finite coordinate: (1.0, -inf, 2.0)"),
         checks(
-            ("incidence[0]", True, 1.9843520581146609e-16), ("tangency[0]", True, 0.0),
+            ("incidence[0]", True, 1.9843520581146609e-16), ("tangency[0]", False, math.nan),
             ("nondegenerate[0]", True, 3.0),
             ("incidence[1]", True, 5.4832009854009485e-17),
-            ("tangency[1]", True, 1.0196325131499397e-16), ("nondegenerate[1]", True, 3.0),
+            ("tangency[1]", False, math.nan), ("nondegenerate[1]", True, 3.0),
             ("self-polar[0]", True, 1.4439993146279287e-17),
             ("self-polar[1]", True, 1.8151717695632523e-17),
         ),
@@ -656,7 +665,7 @@ READ_FAULTS = {
         (MalformedCoordinates, "not three real coordinates: 'abc'"),
     ),
     "wrong count": (FIVE[:4], [], (UnsupportedCount, COUNT), FOUR_OF_FIVE),
-    "wrong count with nan": (put(FIVE[:4], e0=NAN), [], (UnsupportedCount, COUNT), NAN_RESIDUAL),
+    "wrong count with nan": (put(FIVE[:4], e0=NAN), [], (UnsupportedCount, COUNT), NAN_TRIANGLE),
 }
 
 

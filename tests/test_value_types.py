@@ -38,7 +38,11 @@ SAMPLES = {
         {},
     ),
     "CheckResult": (CHECK, "name passed magnitude limit", {}),
-    "Certification": (Certification((CHECK,)), "checks", {}),
+    "Certification": (
+        Certification((CHECK,), ("count-consistency",)),
+        "checks not_judged",
+        {"not_judged": ()},
+    ),
 }
 
 
