@@ -4,9 +4,10 @@ The diagonal (self-polar) triangle, the pencil member and the five-point
 conic are closed forms in a handful of cross and dot products, written out
 as straight-line code on unpacked scalars: the same float operations, in the
 same order, as the cross and dot products they are made of. The triangle
-comes bare (diag_vertices) or with its cancellation alarm (diag_triangle).
-In the solvers only the builders take the alarm, once per solution set;
-the analyses that predict() runs take the bare vertices. Symmetric 3x3
+comes bare (diag_vertices) or with its cancellation alarm (diag_triangle);
+triangle_deviation takes the alarm of vertices already built. In the
+solvers only the builders take the alarm, once per solution set; the
+analyses that predict() runs take the bare vertices. Symmetric 3x3
 matrices travel as 6-tuples (m11, m12, m22, m13, m23, m33).
 """
 
@@ -63,17 +64,24 @@ def diag_vertices(x1, x2, x3, x4):
 def diag_triangle(x1, x2, x3, x4):
     """Diagonal-triangle vertices of the quadrangle x1 x2 x3 x4.
 
-    Returns (xi1, xi2, xi3, dev): the vertices of diag_vertices, and dev, the
-    worst relative deviation between that cross-product construction and the
-    equivalent determinant combination. dev is a cancellation alarm: it stays
-    near machine epsilon for healthy quadrangles.
+    Returns (xi1, xi2, xi3, dev): the vertices of diag_vertices and their
+    triangle_deviation.
     """
     xi1, xi2, xi3 = diag_vertices(x1, x2, x3, x4)
+    return xi1, xi2, xi3, triangle_deviation(x1, x2, x3, x4, xi1, xi2, xi3)
+
+
+def triangle_deviation(x1, x2, x3, x4, xi1, xi2, xi3):
+    """The worst relative deviation between the vertices (xi1, xi2, xi3) that
+    diag_vertices gives for the quadrangle x1 x2 x3 x4 and the equivalent
+    determinant combination. It is a cancellation alarm: it stays near
+    machine epsilon for healthy quadrangles.
+    """
     a0, a1, a2 = x1
     b0, b1, b2 = x2
     c0, c1, c2 = x3
     d0, d1, d2 = x4
-    # the sides x1x2 and x1x3 again, and their determinants with x3 and x4
+    # the sides x1x2 and x1x3, and their determinants with x3 and x4
     p0, p1, p2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     r0, r1, r2 = a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0
     d123 = p0 * c0 + p1 * c1 + p2 * c2
@@ -87,7 +95,7 @@ def diag_triangle(x1, x2, x3, x4):
     se = max(abs(e0), abs(e1), abs(e2), 1e-300)
     sf = max(abs(f0), abs(f1), abs(f2), 1e-300)
     sg = max(abs(g0), abs(g1), abs(g2), 1e-300)
-    dev = max(
+    return max(
         0.0,
         abs(e0 - (d124 * c0 + m123 * d0)) / se,
         abs(e1 - (d124 * c1 + m123 * d1)) / se,
@@ -99,7 +107,6 @@ def diag_triangle(x1, x2, x3, x4):
         abs(g1 - (d124 * c1 + m134 * b1)) / sg,
         abs(g2 - (d124 * c2 + m134 * b2)) / sg,
     )
-    return xi1, xi2, xi3, dev
 
 
 def _three_outers(ku, u, kv, v, kw, w):

@@ -230,19 +230,22 @@ def _pencil_eigenvalues(incs: Sequence) -> PencilEigenvalues:
     """pencil_eigenvalues from the incidences (x . l1, x . l2) of the three
     points, none of them zero; DegenerateCase on a near-tie."""
     (a1, a2), (b1, b2), (c1, c2) = incs
-    lams = PencilEigenvalues(
-        (a2 * b2) / (a1 * b1),
-        (a2 * c2) / (a1 * c1),
-        (b2 * c2) / (b1 * c1),
-    )
-    pairs = ((lams.lam1, lams.lam2), (lams.lam1, lams.lam3), (lams.lam2, lams.lam3))
-    for u, v in pairs:
-        if abs(u - v) <= EIGENVALUE_TIE * max(abs(u), abs(v)):
-            raise DegenerateCase(
-                "two pencil eigenvalues coincide; the line intersection point "
-                "lies on a side of the point triangle"
-            )
-    return lams
+    lam1 = (a2 * b2) / (a1 * b1)
+    lam2 = (a2 * c2) / (a1 * c1)
+    lam3 = (b2 * c2) / (b1 * c1)
+    # a tie is |u - v| within EIGENVALUE_TIE times max(|u|, |v|), written
+    # out as max() picks: |v| when |v| > |u|, else |u|
+    u1, u2, u3 = abs(lam1), abs(lam2), abs(lam3)
+    if (
+        abs(lam1 - lam2) <= EIGENVALUE_TIE * (u2 if u2 > u1 else u1)
+        or abs(lam1 - lam3) <= EIGENVALUE_TIE * (u3 if u3 > u1 else u1)
+        or abs(lam2 - lam3) <= EIGENVALUE_TIE * (u3 if u3 > u2 else u2)
+    ):
+        raise DegenerateCase(
+            "two pencil eigenvalues coincide; the line intersection point "
+            "lies on a side of the point triangle"
+        )
+    return PencilEigenvalues(lam1, lam2, lam3)
 
 
 #: sym6 index of the matrix entry (row, column)

@@ -412,15 +412,17 @@ def certify(
     tris = _self_polar_triangles(vecs, sol)
     if tris is not None:
         for i, ((m6, fro, _, _), ((u1, u2, u3), (n1, n2, n3))) in enumerate(zip(rows, tris)):
-            if fro == 0.0:  # as for the residuals: nothing to measure against
-                checks.append(CheckResult(f"self-polar[{i}]", False, math.nan, limit))
-                continue
             f1 = fro * n1
-            worst = _worst(
-                abs(_sym_bilinear(m6, u1, u2)) / (f1 * n2),
-                abs(_sym_bilinear(m6, u1, u3)) / (f1 * n3),
-                abs(_sym_bilinear(m6, u2, u3)) / (fro * n2 * n3),
-            )
+            try:
+                worst = _worst(
+                    abs(_sym_bilinear(m6, u1, u2)) / (f1 * n2),
+                    abs(_sym_bilinear(m6, u1, u3)) / (f1 * n3),
+                    abs(_sym_bilinear(m6, u2, u3)) / (fro * n2 * n3),
+                )
+            except ZeroDivisionError:
+                # a zero conic or vertex (a zero or repeated point, or an
+                # underflow), as for the residuals: NaN, a failed check
+                worst = math.nan
             checks.append(CheckResult(f"self-polar[{i}]", worst <= limit, worst, limit))
 
     not_judged: tuple[str, ...] = ()
@@ -457,13 +459,14 @@ def _worst_residual(m6, norm: float, vecs: list[Vec3]) -> float:
     """The largest residual of vecs against the symmetric matrix m6 of
     Frobenius norm `norm`, NaN when any is NaN. A zero norm (a zero conic,
     the adjugate of a conic of rank 1 or 0, or entries whose squares
-    underflow) leaves every residual a division by zero: NaN, a failed
-    check."""
+    underflow) or a zero element leaves a residual a division by zero: NaN,
+    a failed check."""
     if not vecs:
         return 0.0
-    if norm == 0.0:
+    try:
+        return _worst(*[_residual(m6, norm, v) for v in vecs])
+    except ZeroDivisionError:
         return math.nan
-    return _worst(*[_residual(m6, norm, v) for v in vecs])
 
 
 def _sym_bilinear(m6, u: Vec3, v: Vec3) -> float:

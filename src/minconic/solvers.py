@@ -25,6 +25,13 @@ that underflows to exactly 0.0 raises a named DegenerateCase. One front door
 dualizes a lines-heavy input and runs the analysis for predict() and solve()
 alike, so predict() refuses every input that solve()'s analysis refuses, and
 prediction and realization agree by construction.
+
+The analyses are straight-line float code on unpacked scalars: every norm,
+triple determinant, incidence and line meet is written out in the float
+operations, and in the order, of _kernels.norm3, det3, dot3 and cross, and
+each band test keeps its expression, so predict() pays for arithmetic and
+not for one call per value. The 5p and 4p1l analyses test collinearity
+themselves; the 4p1l one hands the builder its diagonal-triangle vertices.
 """
 from __future__ import annotations
 
@@ -49,7 +56,6 @@ from .errors import (
     UnsupportedCount,
 )
 from .projective import Vec3, _named_vec, _vec
-from .selfpolar import _no_collinear_triple
 from .tolerances import DEFAULT, PARAMETER, Tolerances
 
 KINDS = {
@@ -106,7 +112,7 @@ class SolveDiagnostics:
     prediction: Optional[CountPrediction] = None
     context: Optional[CaseContext] = None
     #: the cancellation alarm of one diagonal triangle (see
-    #: _kernels.diag_triangle), taken by the family's builder and never by
+    #: _kernels.triangle_deviation), taken by the family's builder and never by
     #: the analysis that predict() shares: for 4p1l that of the four points,
     #: for 5p that of the first four points, for 3p2l that of the quadrangle
     #: of the last root built (None when no conic is real); a dual family
@@ -157,8 +163,44 @@ def solve_five_points(points: Sequence) -> ConicMatrix:
     return _solve(vecs, lvs, DEFAULT.geometry).real_conics[0]
 
 
+def _collinear(i: int, j: int, k: int) -> GeneralPositionError:
+    return GeneralPositionError(f"points {i}, {j}, {k} are collinear", (i, j, k))
+
+
 def _analyse_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
-    _no_collinear_triple(vecs, [_k.norm3(v) for v in vecs], geometry)
+    # every triple i < j < k in lexicographic order is collinear when
+    # |det3(xi, xj, xk)| is within the geometric tolerance times the product
+    # of the three norms. det3(xi, xj, xk) = xi0 mjk - xj0 mik + xk0 mij in
+    # the minors mij = xi1 xj2 - xi2 xj1, the float operations of _k.det3
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2), (e0, e1, e2) = vecs
+    na = (a0 * a0 + a1 * a1 + a2 * a2) ** 0.5
+    nb = (b0 * b0 + b1 * b1 + b2 * b2) ** 0.5
+    nc = (c0 * c0 + c1 * c1 + c2 * c2) ** 0.5
+    nd = (d0 * d0 + d1 * d1 + d2 * d2) ** 0.5
+    ne = (e0 * e0 + e1 * e1 + e2 * e2) ** 0.5
+    mab, mac, mad, mae = a1 * b2 - a2 * b1, a1 * c2 - a2 * c1, a1 * d2 - a2 * d1, a1 * e2 - a2 * e1
+    mbc, mbd, mbe = b1 * c2 - b2 * c1, b1 * d2 - b2 * d1, b1 * e2 - b2 * e1
+    mcd, mce, mde = c1 * d2 - c2 * d1, c1 * e2 - c2 * e1, d1 * e2 - d2 * e1
+    if abs(a0 * mbc - b0 * mac + c0 * mab) <= geometry * (na * nb * nc):
+        raise _collinear(0, 1, 2)
+    if abs(a0 * mbd - b0 * mad + d0 * mab) <= geometry * (na * nb * nd):
+        raise _collinear(0, 1, 3)
+    if abs(a0 * mbe - b0 * mae + e0 * mab) <= geometry * (na * nb * ne):
+        raise _collinear(0, 1, 4)
+    if abs(a0 * mcd - c0 * mad + d0 * mac) <= geometry * (na * nc * nd):
+        raise _collinear(0, 2, 3)
+    if abs(a0 * mce - c0 * mae + e0 * mac) <= geometry * (na * nc * ne):
+        raise _collinear(0, 2, 4)
+    if abs(a0 * mde - d0 * mae + e0 * mad) <= geometry * (na * nd * ne):
+        raise _collinear(0, 3, 4)
+    if abs(b0 * mcd - c0 * mbd + d0 * mbc) <= geometry * (nb * nc * nd):
+        raise _collinear(1, 2, 3)
+    if abs(b0 * mce - c0 * mbe + e0 * mbc) <= geometry * (nb * nc * ne):
+        raise _collinear(1, 2, 4)
+    if abs(b0 * mde - d0 * mbe + e0 * mbd) <= geometry * (nb * nd * ne):
+        raise _collinear(1, 3, 4)
+    if abs(c0 * mde - d0 * mce + e0 * mcd) <= geometry * (nc * nd * ne):
+        raise _collinear(2, 3, 4)
     return _FIVE_POINT_PREDICTION, vecs
 
 
@@ -229,16 +271,43 @@ def solve_four_points_line(points: Sequence, line) -> SolutionSet:
 
 
 def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
-    l0, l1, l2 = lv = lvs[0]
-    norms = [_k.norm3(v) for v in vecs]
-    dets = _no_collinear_triple(vecs, norms, geometry)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = vecs
+    l0, l1, l2 = lvs[0]
+    na = (a0 * a0 + a1 * a1 + a2 * a2) ** 0.5
+    nb = (b0 * b0 + b1 * b1 + b2 * b2) ** 0.5
+    nc = (c0 * c0 + c1 * c1 + c2 * c2) ** 0.5
+    nd = (d0 * d0 + d1 * d1 + d2 * d2) ** 0.5
+
+    # the four point-triple determinants and their collinearity tests, as
+    # in _analyse_5p
+    mab, mac, mad = a1 * b2 - a2 * b1, a1 * c2 - a2 * c1, a1 * d2 - a2 * d1
+    mbc, mbd, mcd = b1 * c2 - b2 * c1, b1 * d2 - b2 * d1, c1 * d2 - c2 * d1
+    d012 = a0 * mbc - b0 * mac + c0 * mab
+    if abs(d012) <= geometry * (na * nb * nc):
+        raise _collinear(0, 1, 2)
+    d013 = a0 * mbd - b0 * mad + d0 * mab
+    if abs(d013) <= geometry * (na * nb * nd):
+        raise _collinear(0, 1, 3)
+    d023 = a0 * mcd - c0 * mad + d0 * mac
+    if abs(d023) <= geometry * (na * nc * nd):
+        raise _collinear(0, 2, 3)
+    d123 = b0 * mcd - c0 * mbd + d0 * mbc
+    if abs(d123) <= geometry * (nb * nc * nd):
+        raise _collinear(1, 2, 3)
 
     # each point-line and vertex-line dot, and each norm, once; a point or
     # vertex is on the line when |dot| is within the geometric tolerance
     # times the two norms: the 4p1l family's one incidence band test
-    nl = _k.norm3(lv)
-    dots = [x * l0 + y * l1 + w * l2 for x, y, w in vecs]
-    on_line = [i for i in range(4) if abs(dots[i]) <= geometry * norms[i] * nl]
+    nl = (l0 * l0 + l1 * l1 + l2 * l2) ** 0.5
+    ea = a0 * l0 + a1 * l1 + a2 * l2
+    eb = b0 * l0 + b1 * l1 + b2 * l2
+    ec = c0 * l0 + c1 * l1 + c2 * l2
+    ed = d0 * l0 + d1 * l1 + d2 * l2
+    oa = abs(ea) <= geometry * na * nl
+    ob = abs(eb) <= geometry * nb * nl
+    oc = abs(ec) <= geometry * nc * nl
+    od = abs(ed) <= geometry * nd * nl
+    on_line = [i for i, on in enumerate((oa, ob, oc, od)) if on] if oa or ob or oc or od else []
     if len(on_line) >= 2:
         raise GeneralPositionError(
             f"line is a side of the quadrangle: it contains points "
@@ -247,8 +316,14 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
         )
 
     xi = _k.diag_vertices(*vecs)
-    vdots = tuple(x * l0 + y * l1 + w * l2 for x, y, w in xi)
-    on_vertex = [j for j in range(3) if abs(vdots[j]) <= geometry * _k.norm3(xi[j]) * nl]
+    (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = xi
+    vu = u0 * l0 + u1 * l1 + u2 * l2
+    vv = v0 * l0 + v1 * l1 + v2 * l2
+    vw = w0 * l0 + w1 * l1 + w2 * l2
+    ou = abs(vu) <= geometry * (u0 * u0 + u1 * u1 + u2 * u2) ** 0.5 * nl
+    ov = abs(vv) <= geometry * (v0 * v0 + v1 * v1 + v2 * v2) ** 0.5 * nl
+    ow = abs(vw) <= geometry * (w0 * w0 + w1 * w1 + w2 * w2) ** 0.5 * nl
+    on_vertex = [j for j, on in enumerate((ou, ov, ow)) if on] if ou or ov or ow else []
     if len(on_vertex) >= 2:
         raise GeneralPositionError(
             "line is a side of the diagonal triangle (through two of its "
@@ -258,11 +333,7 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
 
     # the product of the four point-triple determinants and the four
     # incidences
-    pred = 1.0
-    for d in dets:
-        pred *= d
-    for d in dots:
-        pred *= d
+    pred = 1.0 * d012 * d013 * d023 * d123 * ea * eb * ec * ed
     if on_line:
         prediction = CountPrediction(1, 0, "unique: line through a quadrangle point", pred)
     elif on_vertex:
@@ -273,14 +344,14 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
         prediction = CountPrediction(2, 0, "orientation/side sign product positive", pred)
     else:
         prediction = CountPrediction(0, 2, "orientation/side sign product negative", pred)
-    return prediction, (vecs, vdots, on_line, on_vertex)
+    return prediction, (vecs, (vu, vv, vw), on_line, on_vertex, xi)
 
 
 def _build_4p1l(state, prediction: CountPrediction) -> SolutionSet:
-    vecs, vdots, on_line, on_vertex = state
-    # the analysis's vertices again, with the cancellation alarm, which only
-    # the solution reports
-    xi1, xi2, xi3, dev = _k.diag_triangle(*vecs)
+    vecs, vdots, on_line, on_vertex, (xi1, xi2, xi3) = state
+    # the analysis's vertices, with the cancellation alarm, which only the
+    # solution reports
+    dev = _k.triangle_deviation(*vecs, xi1, xi2, xi3)
     q2, q1, q0 = _tangency_quadratic(vdots)
     if on_line:
         # tangency is pinned at the incident point: the two roots coincide
@@ -376,51 +447,71 @@ def _classify_3p2l(vecs: Sequence[Vec3], lv1: Vec3, lv2: Vec3, geometry: float):
     tolerance: (allocation, the line meet p = lv1 x lv2, the six incidences
     ((x . lv1, x . lv2) for each point x)). Every dependence and incidence
     band test of the 3p2l family is made here, once: |value| within the
-    geometric tolerance times the product of the norms."""
-    v0, v1, v2 = vecs
-    m = (_k.norm3(v0), _k.norm3(v1), _k.norm3(v2))
-    n1, n2 = _k.norm3(lv1), _k.norm3(lv2)
-    p = _k.cross(lv1, lv2)
-    np_ = _k.norm3(p)
+    geometric tolerance times the product of the norms. The values are
+    those of _k.norm3, cross, det3 and dot3, in their float operations."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = vecs
+    h0, h1, h2 = lv1
+    k0, k1, k2 = lv2
+    ma = (a0 * a0 + a1 * a1 + a2 * a2) ** 0.5
+    mb = (b0 * b0 + b1 * b1 + b2 * b2) ** 0.5
+    mc = (c0 * c0 + c1 * c1 + c2 * c2) ** 0.5
+    n1 = (h0 * h0 + h1 * h1 + h2 * h2) ** 0.5
+    n2 = (k0 * k0 + k1 * k1 + k2 * k2) ** 0.5
+    p = (h1 * k2 - h2 * k1, h2 * k0 - h0 * k2, h0 * k1 - h1 * k0)
+    p0, p1, p2 = p
+    np_ = (p0 * p0 + p1 * p1 + p2 * p2) ** 0.5
     if np_ <= geometry * n1 * n2:
         raise GeneralPositionError("the two lines coincide", (0, 1))
-    if abs(_k.det3(v0, v1, v2)) <= geometry * (m[0] * m[1] * m[2]):
+    # det3 in the minors mij = xi1 xj2 - xi2 xj1, as in _analyse_5p
+    mab, mac, mbc = a1 * b2 - a2 * b1, a1 * c2 - a2 * c1, b1 * c2 - b2 * c1
+    if abs(a0 * mbc - b0 * mac + c0 * mab) <= geometry * (ma * mb * mc):
         raise GeneralPositionError("the three points are collinear", (0, 1, 2))
 
-    incs = (
-        (_k.dot3(v0, lv1), _k.dot3(v0, lv2)),
-        (_k.dot3(v1, lv1), _k.dot3(v1, lv2)),
-        (_k.dot3(v2, lv1), _k.dot3(v2, lv2)),
-    )
-    on1 = [i for i in range(3) if abs(incs[i][0]) <= geometry * m[i] * n1]
-    on2 = [i for i in range(3) if abs(incs[i][1]) <= geometry * m[i] * n2]
-    for i in on1:
-        if i in on2:
-            raise GeneralPositionError(
-                f"point {i} coincides with the intersection of the lines", (i,)
-            )
-    for riders in (on1, on2):
-        if len(riders) >= 2:
-            raise GeneralPositionError(
-                f"points {riders[0]} and {riders[1]} lie on the same line; no "
-                "conic through both can be tangent to it",
-                tuple(riders[:2]),
-            )
+    ia = (a0 * h0 + a1 * h1 + a2 * h2, a0 * k0 + a1 * k1 + a2 * k2)
+    ib = (b0 * h0 + b1 * h1 + b2 * h2, b0 * k0 + b1 * k1 + b2 * k2)
+    ic = (c0 * h0 + c1 * h1 + c2 * h2, c0 * k0 + c1 * k1 + c2 * k2)
+    incs = (ia, ib, ic)
+    ga, gb, gc = geometry * ma, geometry * mb, geometry * mc
+    oa1, ob1, oc1 = abs(ia[0]) <= ga * n1, abs(ib[0]) <= gb * n1, abs(ic[0]) <= gc * n1
+    oa2, ob2, oc2 = abs(ia[1]) <= ga * n2, abs(ib[1]) <= gb * n2, abs(ic[1]) <= gc * n2
+    on1 = on2 = None
+    if oa1 or ob1 or oc1 or oa2 or ob2 or oc2:
+        on1 = [i for i, on in enumerate((oa1, ob1, oc1)) if on]
+        on2 = [i for i, on in enumerate((oa2, ob2, oc2)) if on]
+        for i in on1:
+            if i in on2:
+                raise GeneralPositionError(
+                    f"point {i} coincides with the intersection of the lines", (i,)
+                )
+        for riders in (on1, on2):
+            if len(riders) >= 2:
+                raise GeneralPositionError(
+                    f"points {riders[0]} and {riders[1]} lie on the same line; no "
+                    "conic through both can be tangent to it",
+                    tuple(riders[:2]),
+                )
+        if on1 and on2:
+            i1, i2 = on1[0], on2[0]
+            return CaseAllocation(1, (3 - i1 - i2, i1, i2), False), p, incs
 
-    def collinear_with_p(i: int, j: int) -> bool:
-        return abs(_k.det3(vecs[i], vecs[j], p)) <= geometry * (m[i] * m[j] * np_)
-
-    if on1 and on2:
-        i1, i2 = on1[0], on2[0]
-        return CaseAllocation(1, (3 - i1 - i2, i1, i2), False), p, incs
-    if on1 or on2:
+    # a pair xi, xj is collinear with p when |det3(xi, xj, p)| is within the
+    # tolerance times the three norms; det3(xi, xj, p) = xi0 qj - xj0 qi +
+    # p0 mij in the minors qi = xi1 p2 - xi2 p1
+    qa, qb, qc = a1 * p2 - a2 * p1, b1 * p2 - b2 * p1, c1 * p2 - c2 * p1
+    col01 = abs(a0 * qb - b0 * qa + p0 * mab) <= geometry * (ma * mb * np_)
+    col02 = abs(a0 * qc - c0 * qa + p0 * mac) <= geometry * (ma * mc * np_)
+    col12 = abs(b0 * qc - c0 * qb + p0 * mbc) <= geometry * (mb * mc * np_)
+    if on1 is not None:
         rider = (on1 or on2)[0]
-        i, j = (k for k in range(3) if k != rider)
-        case = 2 if collinear_with_p(i, j) else 4
+        i, j = ((1, 2), (0, 2), (0, 1))[rider]
+        case = 2 if (col12, col02, col01)[rider] else 4
         return CaseAllocation(case, (i, j, rider), not on1), p, incs  # swap: rider on line 2
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if collinear_with_p(i, j):
-            return CaseAllocation(3, (3 - i - j, i, j), False), p, incs
+    if col01:
+        return CaseAllocation(3, (2, 0, 1), False), p, incs
+    if col02:
+        return CaseAllocation(3, (1, 0, 2), False), p, incs
+    if col12:
+        return CaseAllocation(3, (0, 1, 2), False), p, incs
     return CaseAllocation(5, (0, 1, 2), False), p, incs
 
 
@@ -498,18 +589,26 @@ def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
         lv1, lv2 = lv2, lv1
         p = _k.cross(lv1, lv2)
         a, b, c = a[::-1], b[::-1], c[::-1]
-    A = _k.det3(p, x2, x3)
-    B = _k.det3(x1, p, x3)
-    D = _k.det3(x1, x2, x3)
-    prediction = _prediction_3p2l(alloc.case, A, B, a, b, c)
-    if alloc.case == 2 and 2.0 * B * b[1] == 0.0:
+    # det3(p, x2, x3), det3(x1, p, x3) and det3(x1, x2, x3) in the float
+    # operations of _k.det3, sharing their 2x2 minors of the last two
+    # coordinates
+    (e0, e1, e2), (f0, f1, f2), (g0, g1, g2) = x1, x2, x3
+    p0, p1, p2 = p
+    mfg, meg = f1 * g2 - f2 * g1, e1 * g2 - e2 * g1
+    mpg = p1 * g2 - p2 * g1
+    A = p0 * mfg - f0 * mpg + g0 * (p1 * f2 - p2 * f1)
+    B = e0 * mpg - p0 * meg + g0 * (e1 * p2 - e2 * p1)
+    D = e0 * mfg - f0 * meg + g0 * (e1 * f2 - e2 * f1)
+    case = alloc.case
+    prediction = _prediction_3p2l(case, A, B, a, b, c)
+    if case == 2 and 2.0 * B * b[1] == 0.0:
         raise CaseDegeneracy("collinear-pair case denominator vanished")
-    if alloc.case == 3 and D * D * a[0] * a[1] == 0.0:
+    if case == 3 and D * D * a[0] * a[1] == 0.0:
         raise CaseDegeneracy(
             "case 3 denominator D*D*a0*a1 is exactly 0.0: a factor underflowed"
         )
     lams = None
-    if alloc.case == 5:
+    if case == 5:
         try:
             lams = _pencil_eigenvalues((a, b, c))
         except DegenerateCase as exc:
@@ -546,12 +645,11 @@ def _prediction_3p2l(case: int, A, B, a, b, c) -> CountPrediction:
         return CountPrediction(
             0, 2, "case 4: determinant/incidence product positive", pred
         )
-    sides = (a[0] * a[1], b[0] * b[1], c[0] * c[1])
-    if 0.0 in sides:
+    sa, sb, sc = a[0] * a[1], b[0] * b[1], c[0] * c[1]
+    if sa == 0.0 or sb == 0.0 or sc == 0.0:
         raise _undecided("a case 5 side product")
-    pred = sides[0] * sides[1] * sides[2]
-    same = all(s > 0.0 for s in sides) or all(s < 0.0 for s in sides)
-    if same:
+    pred = sa * sb * sc
+    if (sa > 0.0 and sb > 0.0 and sc > 0.0) or (sa < 0.0 and sb < 0.0 and sc < 0.0):
         return CountPrediction(4, 0, "case 5: all side products share a sign", pred)
     return CountPrediction(0, 4, "case 5: side products have mixed signs", pred)
 

@@ -157,6 +157,38 @@ def test_a_zero_element_fails_the_count_with_nan():
     assert cert.not_judged == ()
 
 
+SQUARE = [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)]
+
+
+@pytest.mark.parametrize(
+    "points, lines, nan_checks",
+    [
+        # a zero line: both tangency residuals divide by its squared norm
+        (SQUARE, [(0, 0, 0)], ["tangency[0]", "tangency[1]", "count-consistency"]),
+        # a zero fourth point: the incidence residuals, and the self-polar
+        # check of the triangle whose sides it zeroes
+        (
+            SQUARE[:3] + [(0, 0, 0)],
+            [(1, 1, -3)],
+            ["incidence[0]", "incidence[1]", "self-polar[0]", "self-polar[1]", "count-consistency"],
+        ),
+    ],
+    ids=["zero line", "zero point"],
+)
+def test_a_zero_element_beside_real_conics_fails_its_checks_with_nan(points, lines, nan_checks):
+    # with real conics the element also enters the residuals: each check
+    # it makes a division by zero fails with NaN, and every other check
+    # still runs and passes
+    sol = solve(SQUARE, [(1, 1, -3)])
+    assert sol.real_count == 2
+    cert = certify(points, lines, sol)
+    names = [f"{kind}[{i}]" for i in range(2) for kind in ("incidence", "tangency", "nondegenerate")]
+    assert [c.name for c in cert.checks] == names + ["self-polar[0]", "self-polar[1]", "count-consistency"]
+    assert [c.name for c in cert.failures()] == nan_checks
+    assert all(math.isnan(c.magnitude) for c in cert.failures())
+    assert cert.not_judged == ()
+
+
 # ---------------------------------------------------------------------------
 # the determinant bound on rank
 

@@ -160,6 +160,16 @@ def test_diag_vertices_and_triangle_match_their_compositions(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
+def test_triangle_deviation_is_the_alarm_of_the_composed_triangle(kind):
+    # the alarm of vertices built beforehand, as the 4p1l builder takes it
+    # from the analysis's vertices
+    quads, _ = triples(kind, 4, 4)
+    for quad in quads:
+        xi1, xi2, xi3, dev = ref_diag_triangle(*quad)
+        assert repr(_k.triangle_deviation(*quad, xi1, xi2, xi3)) == repr(dev)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_conic_from_pencil_matches_its_composition(kind):
     quads, rng = triples(kind, 2, 4)
     for quad in quads:

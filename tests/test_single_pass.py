@@ -113,23 +113,34 @@ def inputs_of(family):
 @pytest.mark.parametrize("family", ["4p1l", "1p4l", "5p", "5l"] + CASES_3P2L)
 def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
     # the reported deviation is that of the one triangle whose alarm is
-    # taken, with the value the composed kernel gives: for 4p1l and 1p4l the
-    # triangle of the four points (the four lines of a dual input), for 5p
-    # and 5l that of the first four points the conic is fitted on; for 3p2l
-    # and 2p3l every root gets its vertices and the alarm runs once, on the
-    # quadrangle of the last root built, whose fourth point is one that the
-    # context and parameters give, and with no real root there is neither
+    # taken, with the value the composed kernel gives. For 4p1l and 1p4l the
+    # analysis builds the vertices of the four points (the four lines of a
+    # dual input) once and the builder takes the alarm of those vertices:
+    # one diag_vertices call per solve and no diag_triangle. For 5p and 5l it
+    # is the triangle of the first four points the conic is fitted on; for
+    # 3p2l and 2p3l every root gets its vertices and the alarm runs once, on
+    # the quadrangle of the last root built, whose fourth point is one that
+    # the context and parameters give, and with no real root there is
+    # neither
+    inputs = inputs_of(family)
+    vertices = counted(monkeypatch, _k, "diag_vertices")
     calls = counted(monkeypatch, _k, "diag_triangle")
     real = []
-    for points, lines in inputs_of(family):
+    for points, lines in inputs:
+        vertices.clear()
         calls.clear()
         sol = solve(points, lines)
         real.append(sol.real_count > 0)
-        if family in CASES_3P2L and sol.real_count == 0:
+        if family in ("4p1l", "1p4l"):
+            assert sol.real_count > 0
+            assert len(vertices) == 1 and calls == []
+            quad = vertices[0]
+        elif family in CASES_3P2L and sol.real_count == 0:
             assert calls == [] and sol.diagnostics.triangle_deviation is None
             continue
-        assert len(calls) == 1
-        quad = calls[0]
+        else:
+            assert len(calls) == 1
+            quad = calls[0]
         assert sol.diagnostics.triangle_deviation == ref_diag_triangle(*quad)[3]
         if family in CASES_3P2L:
             ctx = sol.diagnostics.context
@@ -154,7 +165,9 @@ def test_predict_computes_each_norm_once(monkeypatch):
     # each point, line, vertex and line meet has its norm taken once per
     # predict: on 4p1l four point norms, which serve the collinearity and the
     # incidence tests, one line norm and three vertex norms; the single-pass
-    # analyses took 18 on a 4p1l input and 27 on a 3p2l one
+    # analyses took 18 on a 4p1l input and 27 on a 3p2l one. The analyses
+    # now write their norms out inline, so no norm3 call is left to count;
+    # tests/test_analyses.py pins their arithmetic instead
     rng = random.Random(3)
     pts, line = random_4p1l(rng)
     generic = [random_3p2l_case(rng, 5) for _ in range(3)]
