@@ -5,10 +5,11 @@ conic are closed forms in a handful of cross and dot products, written out
 as straight-line code on unpacked scalars: the same float operations, in the
 same order, as the cross and dot products they are made of. The triangle
 comes bare (diag_vertices) or with its cancellation alarm (diag_triangle);
-triangle_deviation takes the alarm of vertices already built. In the
-solvers only the builders take the alarm, once per solution set; the
-analyses that predict() runs take the bare vertices. Symmetric 3x3
-matrices travel as 6-tuples (m11, m12, m22, m13, m23, m33).
+triangle_deviation takes the alarm of vertices already built. The solvers
+build every triangle bare, in the analyses, the builders and the five-point
+fit alike: no solve or predict takes the alarm, which stays for callers
+that want it. Symmetric 3x3 matrices travel as 6-tuples (m11, m12, m22,
+m13, m23, m33).
 """
 
 #: the kernel implementation, named in every `minconic solve` report
@@ -146,13 +147,12 @@ def conic_from_pencil(xi1, xi2, xi3, s):
 
 
 def conic_from_five_points(x1, x2, x3, x4, x5):
-    """Unique conic through five points; returns (sym6, dev).
-
-    dev is the deviation of the diagonal triangle of x1..x4 (see
-    diag_triangle). sym6 is None when the triangle's determinant, its
-    divisor, is exactly 0.0 (an underflow); callers decide what that means.
+    """Unique conic through five points, fitted on the diagonal triangle of
+    x1..x4 (see diag_vertices); returns its sym6, or None when the
+    triangle's determinant, its divisor, is exactly 0.0 (an underflow);
+    callers decide what that means.
     """
-    xi1, xi2, xi3, dev = diag_triangle(x1, x2, x3, x4)
+    xi1, xi2, xi3 = diag_vertices(x1, x2, x3, x4)
     e0, e1, e2 = xi1
     f0, f1, f2 = xi2
     g0, g1, g2 = xi3
@@ -161,17 +161,16 @@ def conic_from_five_points(x1, x2, x3, x4, x5):
     w0, w1, w2 = e1 * f2 - e2 * f1, e2 * f0 - e0 * f2, e0 * f1 - e1 * f0
     d = u0 * e0 + u1 * e1 + u2 * e2
     if d == 0.0:
-        return None, dev
+        return None
     h0, h1, h2 = x5
     b1 = (u0 * h0 + u1 * h1 + u2 * h2) / d
     b2 = (v0 * h0 + v1 * h1 + v2 * h2) / d
     b3 = (w0 * h0 + w1 * h1 + w2 * h2) / d
-    m = _three_outers(
+    return _three_outers(
         b3 * b3 - b2 * b2, (u0, u1, u2),
         b1 * b1 - b3 * b3, (v0, v1, v2),
         b2 * b2 - b1 * b1, (w0, w1, w2),
     )
-    return m, dev
 
 
 def sym_adjugate(m):

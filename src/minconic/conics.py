@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import _kernels as _k
 from ._frozen import fast_init
 from .errors import (
+    CaseDegeneracy,
     ComplexLinePair,
     DegenerateCase,
     GeneralPositionError,
@@ -93,13 +94,13 @@ class ConicMatrix:
         Raises DegenerateCase for a zero matrix or one with an inf or NaN
         entry (an overflowed construction).
         """
-        return _normalized_conic(self.sym6())
+        return ConicMatrix(*_normalized_sym6(self.sym6()))
 
 
-def _normalized_conic(m: Sequence[float]) -> ConicMatrix:
-    """ConicMatrix.normalized of a sym6 tuple, unrolled: the sum of squares
-    left to right, the first largest-magnitude entry as the lead, and one
-    scale sign / n times each entry."""
+def _normalized_sym6(m: Sequence[float]) -> tuple[float, float, float, float, float, float]:
+    """The entries of ConicMatrix.normalized for a sym6 tuple, unrolled: the
+    sum of squares left to right, the first largest-magnitude entry as the
+    lead, and one scale sign / n times each entry."""
     a, b, c, d, e, f = m
     n = math.sqrt(a * a + b * b + c * c + d * d + e * e + f * f)
     if n == 0.0:
@@ -113,13 +114,13 @@ def _normalized_conic(m: Sequence[float]) -> ConicMatrix:
         # finite entries whose squares overflow: bring the largest to
         # [0.5, 1) by a power of two, which is exact and keeps the lead
         _, exp = math.frexp(max(abs(x) for x in m))
-        return _normalized_conic([math.ldexp(x, -exp) for x in m])
+        return _normalized_sym6([math.ldexp(x, -exp) for x in m])
     lead = a
     for x in (b, c, d, e, f):
         if abs(x) > abs(lead):
             lead = x
     k = (1.0 if lead > 0.0 else -1.0) / n
-    return ConicMatrix(k * a, k * b, k * c, k * d, k * e, k * f)
+    return (k * a, k * b, k * c, k * d, k * e, k * f)
 
 
 def _nonzero(w: Sequence[float]) -> list[float]:
@@ -203,8 +204,10 @@ def pencil_eigenvalues(points: Sequence, l1, l2) -> PencilEigenvalues:
     in pencil coordinates. Two of them coincide exactly when the line
     intersection point sits on a side of the point triangle, which breaks the
     generic 4-solution case, so a near-tie raises DegenerateCase instead of
-    returning garbage. UnsupportedCount unless there are exactly three points;
-    NonFiniteInput for an inf or NaN coordinate, naming the point or line.
+    returning garbage, as does an incidence product that underflows to
+    exactly 0.0 (CaseDegeneracy, a DegenerateCase). UnsupportedCount unless
+    there are exactly three points; NonFiniteInput for an inf or NaN
+    coordinate, naming the point or line.
     """
     if len(points) != 3:
         raise UnsupportedCount("exactly three points required")
@@ -228,11 +231,18 @@ def pencil_eigenvalues(points: Sequence, l1, l2) -> PencilEigenvalues:
 
 def _pencil_eigenvalues(incs: Sequence) -> PencilEigenvalues:
     """pencil_eigenvalues from the incidences (x . l1, x . l2) of the three
-    points, none of them zero; DegenerateCase on a near-tie."""
+    points, none of them zero; CaseDegeneracy when a divisor underflows to
+    exactly 0.0, DegenerateCase on a near-tie."""
     (a1, a2), (b1, b2), (c1, c2) = incs
-    lam1 = (a2 * b2) / (a1 * b1)
-    lam2 = (a2 * c2) / (a1 * c1)
-    lam3 = (b2 * c2) / (b1 * c1)
+    ab, ac, bc = a1 * b1, a1 * c1, b1 * c1
+    if ab == 0.0 or ac == 0.0 or bc == 0.0:
+        raise CaseDegeneracy(
+            "generic case: an incidence product a1*b1, a1*c1 or b1*c1 of the "
+            "pencil eigenvalues is exactly 0.0 (underflow)"
+        )
+    lam1 = (a2 * b2) / ab
+    lam2 = (a2 * c2) / ac
+    lam3 = (b2 * c2) / bc
     # a tie is |u - v| within EIGENVALUE_TIE times max(|u|, |v|), written
     # out as max() picks: |v| when |v| > |u|, else |u|
     u1, u2, u3 = abs(lam1), abs(lam2), abs(lam3)

@@ -58,12 +58,19 @@ def _vec(p) -> Vec3:
     whatever real number type it holds: the one reader of caller input.
     MalformedCoordinates for anything that is not exactly three real
     coordinates, text included; NonFiniteInput for a coordinate no float can
-    hold (an int or Fraction beyond the float range, a signaling NaN)."""
-    v = p.vec() if hasattr(p, "vec") else p
-    try:
-        x, y, w = v
-    except (TypeError, ValueError):
-        raise MalformedCoordinates(f"not three real coordinates: {p!r}") from None
+    hold (an int or Fraction beyond the float range, a signaling NaN).
+    The package's own value types are read off their fields; a subclass is
+    read through its vec()."""
+    if type(p) is HomogeneousPoint:
+        v = x, y, w = p.x, p.y, p.w
+    elif type(p) is ProjectiveLine:
+        v = x, y, w = p.a, p.b, p.c
+    else:
+        v = p.vec() if hasattr(p, "vec") else p
+        try:
+            x, y, w = v
+        except (TypeError, ValueError):
+            raise MalformedCoordinates(f"not three real coordinates: {p!r}") from None
     if type(x) is float and type(y) is float and type(w) is float:
         return (x, y, w)  # the common case: three floats already
     if isinstance(v, _TEXT) or isinstance(x, _TEXT) or isinstance(y, _TEXT) or isinstance(w, _TEXT):

@@ -1,7 +1,7 @@
 """The general-position guard of the self-polar construction.
 
 The solvers build the diagonal (self-polar) triangle of a quadrangle and the
-pencil members it carries in `_kernels` (`diag_triangle`, `diag_vertices`,
+pencil members it carries in `_kernels` (`diag_vertices`,
 `conic_from_pencil`, `conic_from_five_points`). Those closed forms hold only
 when no three of the points are collinear, which this module checks for any
 number of points. The 5p and 4p1l analyses of `solvers` make the same test,

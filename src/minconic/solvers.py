@@ -32,6 +32,11 @@ operations, and in the order, of _kernels.norm3, det3, dot3 and cross, and
 each band test keeps its expression, so predict() pays for arithmetic and
 not for one call per value. The 5p and 4p1l analyses test collinearity
 themselves; the 4p1l one hands the builder its diagonal-triangle vertices.
+
+The builders pay only for what solve() returns: each returns the normalized
+sym6 tuples of its real conics, and _solve adjugates those of a dual family
+and wraps each returned conic in one ConicMatrix. No builder takes a
+diagonal triangle's cancellation alarm.
 """
 from __future__ import annotations
 
@@ -45,7 +50,7 @@ from ._frozen import fast_init
 from .conics import (
     ConicMatrix,
     PencilEigenvalues,
-    _normalized_conic,
+    _normalized_sym6,
     _pencil_eigenvalues,
     _stable_roots,
 )
@@ -111,13 +116,6 @@ class SolveDiagnostics:
     parameters: tuple[tuple[float, float], ...] = ()
     prediction: Optional[CountPrediction] = None
     context: Optional[CaseContext] = None
-    #: the cancellation alarm of one diagonal triangle (see
-    #: _kernels.triangle_deviation), taken by the family's builder and never by
-    #: the analysis that predict() shares: for 4p1l that of the four points,
-    #: for 5p that of the first four points, for 3p2l that of the quadrangle
-    #: of the last root built (None when no conic is real); a dual family
-    #: reports the triangle of its dual-plane problem
-    triangle_deviation: Optional[float] = None
     double_root: bool = False
 
 
@@ -204,13 +202,12 @@ def _analyse_5p(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
     return _FIVE_POINT_PREDICTION, vecs
 
 
-def _build_5p(vecs: Sequence[Vec3], prediction: CountPrediction) -> SolutionSet:
+def _build_5p(vecs: Sequence[Vec3], prediction: CountPrediction):
     # the conic is fitted on the diagonal triangle of the first four points
-    m6, dev = _k.conic_from_five_points(*vecs)
+    m6 = _k.conic_from_five_points(*vecs)
     if m6 is None:
         raise DegenerateCase("five-point fit: the diagonal triangle's determinant is exactly 0.0")
-    diag = SolveDiagnostics(triangle_deviation=dev, prediction=prediction)
-    return SolutionSet((_normalized_conic(m6),), 0, "5p", diag)
+    return (_normalized_sym6(m6),), "5p", SolveDiagnostics(prediction=prediction)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +224,13 @@ def _tangency_quadratic(d: Vec3) -> tuple[float, float, float]:
     return (d3 * d3, -(d1 * d1 - d2 * d2 + d3 * d3), d1 * d1)
 
 
-def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float) -> ConicMatrix:
-    """The normalized pencil member at parameter s of the diagonal triangle
-    (xi1, xi2, xi3); DegenerateCase within PARAMETER of the line pairs at
-    s = 0 and s = 1."""
+def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float):
+    """The normalized sym6 of the pencil member at parameter s of the
+    diagonal triangle (xi1, xi2, xi3); DegenerateCase within PARAMETER of the
+    line pairs at s = 0 and s = 1."""
     if abs(s) <= PARAMETER or abs(s - 1.0) <= PARAMETER:
         raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
-    return _normalized_conic(_k.conic_from_pencil(xi1, xi2, xi3, s))
+    return _normalized_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s))
 
 
 def _undecided(what: str) -> DegenerateCase:
@@ -347,11 +344,8 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
     return prediction, (vecs, (vu, vv, vw), on_line, on_vertex, xi)
 
 
-def _build_4p1l(state, prediction: CountPrediction) -> SolutionSet:
-    vecs, vdots, on_line, on_vertex, (xi1, xi2, xi3) = state
-    # the analysis's vertices, with the cancellation alarm, which only the
-    # solution reports
-    dev = _k.triangle_deviation(*vecs, xi1, xi2, xi3)
+def _build_4p1l(state, prediction: CountPrediction):
+    _, vdots, on_line, on_vertex, (xi1, xi2, xi3) = state
     q2, q1, q0 = _tangency_quadratic(vdots)
     if on_line:
         # tangency is pinned at the incident point: the two roots coincide
@@ -392,10 +386,9 @@ def _build_4p1l(state, prediction: CountPrediction) -> SolutionSet:
         discriminant=disc,
         parameters=tuple((s, math.nan) for s in roots),
         prediction=prediction,
-        triangle_deviation=dev,
         double_root=bool(on_line),
     )
-    return SolutionSet(tuple(conics), prediction.predicted_complex, label, diag)
+    return conics, label, diag
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +604,9 @@ def _analyse_3p2l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
     if case == 5:
         try:
             lams = _pencil_eigenvalues((a, b, c))
-        except DegenerateCase as exc:
+        except CaseDegeneracy:  # an incidence product underflowed
+            raise
+        except DegenerateCase as exc:  # two eigenvalues tie
             raise CaseDegeneracy(
                 "generic-case pencil is degenerate: the line intersection "
                 "point lies on a side of the point triangle"
@@ -664,7 +659,7 @@ def solve_three_points_two_lines(points: Sequence, l1, l2) -> SolutionSet:
     return _solve(*_triples(points, (l1, l2), _THREE_POINTS), DEFAULT.geometry)
 
 
-def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
+def _build_3p2l(state, prediction: CountPrediction):
     alloc, (x1, x2, x3, lv1, lv2), (p, A, B, D, a, b, c), lams = state
     C = _k.det3(x1, x2, p)  # read by cases 3-5, not by the prediction
     diag = SolveDiagnostics(
@@ -727,17 +722,12 @@ def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
                 )
 
     diag.context = CaseContext(anchor, offset)
-    conics: list[ConicMatrix] = []
+    conics = []
     params: list[tuple[float, float]] = []
-    last = len(roots) - 1
     (g0, g1, g2), (h0, h1, h2) = anchor, offset
-    for k, (s, t) in enumerate(roots):
+    for s, t in roots:
         x4 = (t * g0 + h0, t * g1 + h1, t * g2 + h2)
-        if k < last:
-            xi1, xi2, xi3 = _k.diag_vertices(x1, x2, x3, x4)
-        else:
-            # the cancellation alarm once, for the last root's quadrangle
-            xi1, xi2, xi3, diag.triangle_deviation = _k.diag_triangle(x1, x2, x3, x4)
+        xi1, xi2, xi3 = _k.diag_vertices(x1, x2, x3, x4)
         if s is None:
             d1, d2 = _k.dot3(xi1, lv1), _k.dot3(xi2, lv1)
             den = d1 * d1 - d2 * d2
@@ -752,8 +742,7 @@ def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
 
     order = sorted(range(len(conics)), key=lambda i: params[i])
     diag.parameters = tuple(params[i] for i in order)
-    complex_count = prediction.predicted_complex
-    return SolutionSet(tuple(conics[i] for i in order), complex_count, alloc.label, diag)
+    return [conics[i] for i in order], alloc.label, diag
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +752,8 @@ def _build_3p2l(state, prediction: CountPrediction) -> SolutionSet:
 #: lines-heavy one is dualized: (analysis, builder). The analysis takes
 #: (point triples, line triples, geometric tolerance), makes every general-position
 #: decision and returns (prediction, state); the builder takes (state,
-#: prediction), reads no tolerance setting, and returns the SolutionSet
+#: prediction), reads no tolerance setting, and returns (the normalized sym6
+#: of each real conic, case label, diagnostics), which _solve wraps
 _FAMILIES = {
     5: (_analyse_5p, _build_5p),
     4: (_analyse_4p1l, _build_4p1l),
@@ -840,13 +830,14 @@ def _front_door(vecs: list[Vec3], lvs: list[Vec3], geometry: float):
 
 def _solve(vecs: list[Vec3], lvs: list[Vec3], geometry: float) -> SolutionSet:
     prediction, state, build, dual = _front_door(vecs, lvs, geometry)
-    sol = build(state, prediction)
+    conics, label, diag = build(state, prediction)
     if dual:
         # the dual solutions are conics in the dual plane; their adjugates
         # are the answers in the original plane
-        conics = tuple(_normalized_conic(_k.sym_adjugate(cm.sym6())) for cm in sol.real_conics)
-        sol = SolutionSet(conics, sol.complex_count, "dual:" + sol.case_label, sol.diagnostics)
-    return sol
+        conics = [_normalized_sym6(_k.sym_adjugate(m)) for m in conics]
+        label = "dual:" + label
+    real = tuple([ConicMatrix(*m) for m in conics])
+    return SolutionSet(real, prediction.predicted_complex, label, diag)
 
 
 def solve_dual(points: Sequence, lines: Sequence) -> SolutionSet:

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import pytest
 
-from minconic import solvers
+from minconic import MinconicError, predict, solve, solvers
 from minconic.conics import PencilEigenvalues, _pencil_eigenvalues
 from minconic.errors import CaseDegeneracy, DegenerateCase, GeneralPositionError
 from minconic.solvers import CaseAllocation, CountPrediction
@@ -150,10 +150,16 @@ def ref_classify_3p2l(vecs, lv1, lv2, geometry):
 
 def ref_pencil_eigenvalues(incs):
     (a1, a2), (b1, b2), (c1, c2) = incs
+    divisors = (a1 * b1, a1 * c1, b1 * c1)
+    if 0.0 in divisors:
+        raise CaseDegeneracy(
+            "generic case: an incidence product a1*b1, a1*c1 or b1*c1 of the "
+            "pencil eigenvalues is exactly 0.0 (underflow)"
+        )
     lams = PencilEigenvalues(
-        (a2 * b2) / (a1 * b1),
-        (a2 * c2) / (a1 * c1),
-        (b2 * c2) / (b1 * c1),
+        (a2 * b2) / divisors[0],
+        (a2 * c2) / divisors[1],
+        (b2 * c2) / divisors[2],
     )
     pairs = ((lams.lam1, lams.lam2), (lams.lam1, lams.lam3), (lams.lam2, lams.lam3))
     for u, v in pairs:
@@ -220,6 +226,8 @@ def ref_analyse_3p2l(vecs, lvs, geometry):
     if alloc.case == 5:
         try:
             lams = ref_pencil_eigenvalues((a, b, c))
+        except CaseDegeneracy:
+            raise
         except DegenerateCase as exc:
             raise CaseDegeneracy(
                 "generic-case pencil is degenerate: the line intersection "
@@ -440,6 +448,8 @@ DECISIONS = {
     "CaseDegeneracy: case # denominator D*D*a#*a# is exactly #.#: a factor underflowed",
     "CaseDegeneracy: generic-case pencil is degenerate: the line intersection point "
     "lies on a side of the point triangle",
+    "CaseDegeneracy: generic case: an incidence product a#*b#, a#*c# or b#*c# of the "
+    "pencil eigenvalues is exactly #.# (underflow)",
 } | {
     f"DegenerateCase: {what} is exactly #.#: a factor vanished or underflowed, so the "
     "real/complex count is undecided"
@@ -460,3 +470,24 @@ def test_the_inputs_reach_every_decision():
             for vecs, lvs, geometry in inputs(family, kind, 1):
                 seen.add(decision(reference, vecs, lvs, geometry))
     assert DECISIONS <= seen
+
+
+def test_mixed_scale_3p2l_inputs_raise_only_named_errors():
+    # an incidence product a1*b1, a1*c1 or b1*c1 that the generic case
+    # divides by can underflow to exactly 0.0 while the side products the
+    # prediction reads do not; predict and solve then refuse the input with
+    # a CaseDegeneracy, never a bare ZeroDivisionError
+    underflows = 0
+    for seed in range(1, 40):
+        for vecs, lvs, _ in inputs("3p2l", "mixed scales", seed):
+            outcomes = []
+            for fn in (predict, solve):
+                try:
+                    fn(vecs, lvs)
+                    outcomes.append(None)
+                except MinconicError as exc:
+                    outcomes.append(str(exc))
+            if "exactly 0.0 (underflow)" in (outcomes[0] or ""):
+                underflows += 1
+                assert outcomes[1] == outcomes[0]
+    assert underflows > 0

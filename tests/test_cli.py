@@ -249,20 +249,32 @@ def test_overflowing_input_exits_nonzero_without_traceback(tmp_path, capsys, con
     assert "Traceback" not in err
 
 
-UNDERFLOW = FIXTURES / "underflow" / "5p_square_1e-40.json"
+UNDERFLOW = FIXTURES / "underflow"
 
 
-def test_underflowing_five_point_fit_exits_3_without_traceback(capsys):
-    # SQUARE_FIFTH_POINT scaled by 1e-40: the five-point fit's divisor
-    # underflows to 0.0, which solve names as a degenerate case (exit 3)
-    # instead of dividing by it
-    expected = json.loads(UNDERFLOW.read_text())["expected"]["error"]
-    assert cli.main(["solve", str(UNDERFLOW)]) == 3
+@pytest.mark.parametrize("name", sorted(p.name for p in UNDERFLOW.glob("*.json")))
+def test_underflowing_divisor_exits_3_without_traceback(capsys, name):
+    # 5p_square_1e-40: SQUARE_FIFTH_POINT scaled by 1e-40, whose five-point
+    # fit's divisor underflows to 0.0; 3p2l_incidence_underflow: a generic
+    # input whose pencil-eigenvalue divisor a1*b1 underflows to 0.0. solve
+    # names each as a degenerate case (exit 3) instead of dividing by it, and
+    # so does predict where the divisor is the analysis's; the five-point fit
+    # is the builder's, so predict answers that input
+    path = UNDERFLOW / name
+    expected = json.loads(path.read_text())["expected"]["error"]
+    assert cli.main(["solve", str(path)]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {expected}\n")
+    if name.startswith("5p"):
+        assert cli.main(["predict", str(path)]) == 0
+        capsys.readouterr()
+    else:
+        assert cli.main(["predict", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {expected}\n")
     # and batch reports it with that code, not as an unexpected error[1]
-    assert cli.main(["batch", str(UNDERFLOW.parent)]) == 3
-    assert capsys.readouterr().out == f"{UNDERFLOW.name}: error[3] {expected}\n"
+    assert cli.main(["batch", str(UNDERFLOW)]) == 3
+    assert f"{name}: error[3] {expected}\n" in capsys.readouterr().out
 
 
 def test_non_finite_input_exits_nonzero_without_traceback(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from minconic import ConicMatrix, HomogeneousPoint, ProjectiveLine
+from minconic.errors import MalformedCoordinates, NonFiniteInput
 from minconic.projective import _finite, _vec
 
 
@@ -81,3 +82,73 @@ def test_line_through_reads_any_number_type_as_its_float_twin(number):
         assert out == want
         assert all(type(v) is float for v in out.vec())
     assert _vec(rows[2]) == twins[2]
+
+
+def ref_vec(p):
+    """_vec as every value was read through vec(): the reader the package's
+    own types now bypass."""
+    v = p.vec() if hasattr(p, "vec") else p
+    try:
+        x, y, w = v
+    except (TypeError, ValueError):
+        raise MalformedCoordinates(f"not three real coordinates: {p!r}") from None
+    if type(x) is float and type(y) is float and type(w) is float:
+        return (x, y, w)
+    if any(isinstance(u, (str, bytes, bytearray)) for u in (v, x, y, w)):
+        raise MalformedCoordinates(f"not three real coordinates: {p!r}")
+    try:
+        return (float(x), float(y), float(w))
+    except (OverflowError, ValueError) as exc:
+        raise NonFiniteInput(f"a coordinate no float can hold: {exc}") from None
+    except TypeError:
+        raise MalformedCoordinates(f"not three real coordinates: {p!r}") from None
+
+
+def read(fn, p):
+    try:
+        out = fn(p)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc).__name__, str(exc)
+    return repr(out), [type(x).__name__ for x in out]
+
+
+#: coordinates of every kind the reader meets in a value type's fields
+FIELDS = [
+    (1.5, -2.0, 0.25),
+    (-0.0, 0.0, float("inf")),
+    (float("nan"), 1.0, 1.0),
+    (2, 4, 2),
+    (Fraction(1, 3), Fraction(-7, 2), 1),
+    (True, False, True),
+    (10**400, 1, 1),
+    (Fraction(10**400, 3), 1.0, 1.0),
+    ("1", 2.0, 3.0),
+    (b"1", 2.0, 3.0),
+    (1.0, None, 3.0),
+    (Decimal("0.1"), Decimal("sNaN"), 1),
+    ([1.0], 2.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("fields", FIELDS, ids=repr)
+@pytest.mark.parametrize("cls", [HomogeneousPoint, ProjectiveLine])
+def test_value_types_read_off_their_fields_as_through_vec(cls, fields):
+    # the package's own point and line are read off their fields without a
+    # vec() call: the same triple, of the same types, or the same error with
+    # the same message, whatever the fields hold
+    p = cls(*fields)
+    assert read(_vec, p) == read(ref_vec, p)
+
+
+def test_a_subclass_is_read_through_its_vec():
+    class Doubled(HomogeneousPoint):
+        def vec(self):
+            return (2.0 * self.x, 2.0 * self.y, 2.0 * self.w)
+
+    class Named(ProjectiveLine):
+        def vec(self):
+            return "abc"
+
+    assert _vec(Doubled(1.0, 2.0)) == (2.0, 4.0, 2.0)
+    with pytest.raises(MalformedCoordinates, match="not three real coordinates"):
+        _vec(Named(1.0, 2.0, 3.0))

@@ -58,7 +58,7 @@ MEMBERS = {
     ProjectiveLine: ["a", "b", "c", "through", "vec"],
     SolveDiagnostics: [
         "allocation", "context", "discriminant", "double_root", "eigenvalues",
-        "lines_swapped", "parameters", "prediction", "triangle_deviation",
+        "lines_swapped", "parameters", "prediction",
     ],
 }
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import minconic._kernels as _k
-from minconic import ConicClass, classify, point_residual, solve
+from minconic import ConicClass, ConicMatrix, classify, point_residual, solve
 from minconic.errors import DegenerateCase, GeneralPositionError, UnsupportedCount
 from minconic.selfpolar import require_no_collinear_triple
 from minconic.solvers import _pencil_member
@@ -75,7 +75,7 @@ def test_pencil_members_pass_through_the_quadrangle(square):
     xi1, xi2, xi3, _ = square_triangle(square)
     verts = (xi1, xi2, xi3)
     for s in (-3.0, 0.25, 0.5, 2.0, 17.0):
-        conic = _pencil_member(xi1, xi2, xi3, s)
+        conic = ConicMatrix(*_pencil_member(xi1, xi2, xi3, s))
         for p in square:
             assert point_residual(conic, p) < 1e-14
         # polarity: vertex i maps to the opposite side, so x_i^T C x_j = 0

@@ -39,7 +39,6 @@ from minconic.oracle import (
 from minconic.tolerances import DEFAULT
 
 from conftest import gallery_names, load_gallery_case
-from test_kernels import ref_diag_triangle
 
 
 def counted(monkeypatch, owner, name):
@@ -112,40 +111,33 @@ def inputs_of(family):
 
 @pytest.mark.parametrize("family", ["4p1l", "1p4l", "5p", "5l"] + CASES_3P2L)
 def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
-    # the reported deviation is that of the one triangle whose alarm is
-    # taken, with the value the composed kernel gives. For 4p1l and 1p4l the
-    # analysis builds the vertices of the four points (the four lines of a
-    # dual input) once and the builder takes the alarm of those vertices:
-    # one diag_vertices call per solve and no diag_triangle. For 5p and 5l it
-    # is the triangle of the first four points the conic is fitted on; for
-    # 3p2l and 2p3l every root gets its vertices and the alarm runs once, on
-    # the quadrangle of the last root built, whose fourth point is one that
-    # the context and parameters give, and with no real root there is
-    # neither
+    # every triangle a solve builds is bare, and none is built twice: for
+    # 4p1l and 1p4l the analysis builds the vertices of the four points (the
+    # four lines of a dual input) once and the builder reuses them; for 5p
+    # and 5l the five-point fit builds the triangle of the first four points;
+    # for 3p2l and 2p3l the builder builds one per root, whose fourth point
+    # the context and parameters give, and none when no conic is real. No
+    # solve takes the cancellation alarm
     inputs = inputs_of(family)
     vertices = counted(monkeypatch, _k, "diag_vertices")
-    calls = counted(monkeypatch, _k, "diag_triangle")
+    alarms = counted(monkeypatch, _k, "diag_triangle")
+    alarms_of_built = counted(monkeypatch, _k, "triangle_deviation")
     real = []
     for points, lines in inputs:
         vertices.clear()
-        calls.clear()
         sol = solve(points, lines)
         real.append(sol.real_count > 0)
-        if family in ("4p1l", "1p4l"):
-            assert sol.real_count > 0
-            assert len(vertices) == 1 and calls == []
-            quad = vertices[0]
-        elif family in CASES_3P2L and sol.real_count == 0:
-            assert calls == [] and sol.diagnostics.triangle_deviation is None
-            continue
-        else:
-            assert len(calls) == 1
-            quad = calls[0]
-        assert sol.diagnostics.triangle_deviation == ref_diag_triangle(*quad)[3]
         if family in CASES_3P2L:
+            assert len(vertices) == sol.real_count
             ctx = sol.diagnostics.context
             ts = [t for _, t in sol.diagnostics.parameters]
-            assert quad[3] in [tuple(t * u + v for u, v in zip(ctx.anchor, ctx.offset)) for t in ts]
+            x4s = [tuple(t * u + v for u, v in zip(ctx.anchor, ctx.offset)) for t in ts]
+            assert sorted(quad[3] for quad in vertices) == sorted(x4s)
+        else:
+            # the first four points, or the lines of a dual input
+            assert sol.real_count > 0 and len(vertices) == 1
+            assert vertices[0] == tuple(e.vec() for e in max(points, lines, key=len)[:4])
+    assert alarms == [] and alarms_of_built == []
     if family in CASES_3P2L:
         # cases 3-5 have inputs with and without real conics
         assert any(real) and (family[-1] in "12" or not all(real))
@@ -153,12 +145,13 @@ def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
 
 @pytest.mark.parametrize("name", gallery_names())
 def test_predict_takes_no_cancellation_alarm(monkeypatch, name):
-    # the alarm is a diagnostic of the solution, which the builders take
-    # (test_solve_builds_one_diagonal_triangle): predict takes none
+    # the alarm is taken by neither predict nor solve
+    # (test_solve_builds_one_diagonal_triangle)
     points, lines, _ = load_gallery_case(name)
     calls = counted(monkeypatch, _k, "diag_triangle")
+    calls_of_built = counted(monkeypatch, _k, "triangle_deviation")
     predict(points, lines)
-    assert calls == []
+    assert calls == [] and calls_of_built == []
 
 
 def test_predict_computes_each_norm_once(monkeypatch):
