@@ -541,7 +541,7 @@ def random_4p1l(rng: random.Random) -> tuple[list[HomogeneousPoint], ProjectiveL
         lv = line.vec()
         if any(_rel_inc(v, lv) < floor for v in vecs):
             continue
-        xi1, xi2, xi3, _ = _k.diag_triangle(*vecs)
+        xi1, xi2, xi3 = _k.diag_vertices(*vecs)
         if any(_rel_inc(x, lv) < floor for x in (xi1, xi2, xi3)):
             continue
         return pts, line

@@ -341,11 +341,11 @@ def _analyse_4p1l(vecs: Sequence[Vec3], lvs: Sequence[Vec3], geometry: float):
         prediction = CountPrediction(2, 0, "orientation/side sign product positive", pred)
     else:
         prediction = CountPrediction(0, 2, "orientation/side sign product negative", pred)
-    return prediction, (vecs, (vu, vv, vw), on_line, on_vertex, xi)
+    return prediction, ((vu, vv, vw), on_line, on_vertex, xi)
 
 
 def _build_4p1l(state, prediction: CountPrediction):
-    _, vdots, on_line, on_vertex, (xi1, xi2, xi3) = state
+    vdots, on_line, on_vertex, (xi1, xi2, xi3) = state
     q2, q1, q0 = _tangency_quadratic(vdots)
     if on_line:
         # tangency is pinned at the incident point: the two roots coincide

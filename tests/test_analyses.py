@@ -98,7 +98,7 @@ def ref_analyse_4p1l(vecs, lvs, geometry):
         prediction = CountPrediction(2, 0, "orientation/side sign product positive", pred)
     else:
         prediction = CountPrediction(0, 2, "orientation/side sign product negative", pred)
-    return prediction, (vecs, vdots, on_line, on_vertex)
+    return prediction, (vdots, on_line, on_vertex)
 
 
 def ref_classify_3p2l(vecs, lv1, lv2, geometry):
@@ -241,8 +241,8 @@ def live_analyse_4p1l(vecs, lvs, geometry):
     also hands the builder the diagonal-triangle vertices it built, as the
     last entry of its state, and those must be the composed vertices."""
     prediction, state = solvers._analyse_4p1l(vecs, lvs, geometry)
-    assert repr(state[4:]) in ("()", repr((ref_diag_vertices(*vecs),)))
-    return prediction, state[:4]
+    assert repr(state[3:]) == repr((ref_diag_vertices(*vecs),))
+    return prediction, state[:3]
 
 
 def outcome(fn, *args):

@@ -63,7 +63,7 @@ def ref_build_5p(vecs, prediction):
 
 
 def ref_build_4p1l(state, prediction):
-    _, vdots, on_line, on_vertex, (xi1, xi2, xi3) = state
+    vdots, on_line, on_vertex, (xi1, xi2, xi3) = state
     q2, q1, q0 = solvers._tangency_quadratic(vdots)
     if on_line:
         scale = max(abs(q2), abs(q1), abs(q0))

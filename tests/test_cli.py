@@ -272,9 +272,19 @@ def test_underflowing_divisor_exits_3_without_traceback(capsys, name):
         assert cli.main(["predict", str(path)]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {expected}\n")
-    # and batch reports it with that code, not as an unexpected error[1]
+
+
+def test_batch_reports_every_underflowing_divisor_with_exit_3(capsys):
+    # one error[3] row per file, in batch's order, and nothing else: not an
+    # unexpected error[1], a duplicated row or a stray line
+    names = sorted(p.name for p in UNDERFLOW.iterdir() if p.name.endswith(".json"))
+    rows = "".join(
+        f"{name}: error[3] {json.loads((UNDERFLOW / name).read_text())['expected']['error']}\n"
+        for name in names
+    )
+    assert len(names) >= 2
     assert cli.main(["batch", str(UNDERFLOW)]) == 3
-    assert f"{name}: error[3] {expected}\n" in capsys.readouterr().out
+    assert capsys.readouterr().out == rows
 
 
 def test_non_finite_input_exits_nonzero_without_traceback(tmp_path, capsys):
