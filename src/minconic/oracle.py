@@ -10,8 +10,10 @@ lines through the Cremona frame that sends the points to the coordinate
 triangle. Its self-polar check builds each diagonal triangle from its own
 meets of opposite sides, and a determinant bound proves a conic's rank 3,
 leaving to LAPACK's eigenvalues (one numpy call on the stacked matrices of a
-set) only the conics it cannot clear. These are the ground truth the solver
-tests compare against.
+set) only the conics it cannot clear. Certification is straight-line float
+code on unpacked scalars, with no call per cross product, dot product or
+residual, and it calls nothing in the solvers' kernels. These are the ground
+truth the solver tests compare against.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import _kernels as _k
 from ._frozen import fast_init
-from .conics import ConicMatrix, _residual, _sym6_frobenius
+from .conics import ConicMatrix, _sym6_frobenius
 from .errors import RankDeficient, UnsupportedCount
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
 from .solvers import SolutionSet, _triples
@@ -143,26 +145,6 @@ def scan_tangency_roots(points: Sequence, line) -> list[float]:
 # the count judge
 
 
-def _cross(a: Vec3, b: Vec3) -> Vec3:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _dot(a: Vec3, b: Vec3) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _unit(v: Vec3) -> Vec3:
-    """v over its largest coordinate magnitude; a zero vector, which is no
-    point or line, divides by zero."""
-    x, y, w = v
-    m = abs(x)
-    if abs(y) > m:
-        m = abs(y)
-    if abs(w) > m:
-        m = abs(w)
-    return (x / m, y / m, w / m)
-
-
 def _real_pair(t1: float, t2: float) -> Optional[int]:
     """The real roots, 2 or 0, of a quadratic whose discriminant is t1 - t2,
     or None within DISCRIMINANT of the larger of |t1| and |t2|."""
@@ -179,17 +161,26 @@ def _judge_4p1l(xs: list[Vec3], l: Vec3, band: float):
     a binary quadratic with coefficients linear in lam; its members tangent
     to the line are the roots of that quadratic's discriminant,
     k2 lam^2 + k1 lam + k0."""
-    x1, x2, x3, x4 = xs
+    l0, l1, l2 = l
+    for x, y, w in xs:
+        if abs(x * l0 + y * l1 + w * l2) <= band:
+            return None  # a point on the line
     # a side restricts to the linear form of its meet with the line, read
     # on the two coordinates other than the one where |l| is 1
-    k = (abs(l[0]), abs(l[1]), abs(l[2])).index(1.0)
+    k = (abs(l0), abs(l1), abs(l2)).index(1.0)
+    i, j = k - 2, k - 1
+    x1, x2, x3, x4 = xs
     pairs = []
-    for (a, b), (c, d) in (((x1, x2), (x3, x4)), ((x1, x3), (x2, x4)), ((x1, x4), (x2, x3))):
-        side, opposite = _cross(a, b), _cross(c, d)
-        u, v = _cross(side, l), _cross(opposite, l)
-        u0, u1, v0, v1 = u[k - 2], u[k - 1], v[k - 2], v[k - 1]
+    for (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) in (
+        (x1, x2, x3, x4), (x1, x3, x2, x4), (x1, x4, x2, x3)
+    ):
+        s0, s1, s2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0  # the side
+        o0, o1, o2 = c1 * d2 - c2 * d1, c2 * d0 - c0 * d2, c0 * d1 - c1 * d0  # its opposite
+        u = (s1 * l2 - s2 * l1, s2 * l0 - s0 * l2, s0 * l1 - s1 * l0)
+        v = (o1 * l2 - o2 * l1, o2 * l0 - o0 * l2, o0 * l1 - o1 * l0)
+        u0, u1, v0, v1 = u[i], u[j], v[i], v[j]
         det = u0 * v1 - u1 * v0  # 0: the forms share a root, the sides' meet on the line
-        if det * det <= band * band * _dot(side, side) * _dot(opposite, opposite):
+        if det * det <= band * band * (s0 * s0 + s1 * s1 + s2 * s2) * (o0 * o0 + o1 * o1 + o2 * o2):
             return None
         pairs.append((u0 * v0, u0 * v1 + u1 * v0, u1 * v1, det))
     (a0, b0, c0, d0), (a1, b1, c1, d1), _ = pairs
@@ -199,7 +190,7 @@ def _judge_4p1l(xs: list[Vec3], l: Vec3, band: float):
     return None if real is None else (real, 2 - real)
 
 
-def _judge_3p2l(alpha: list[float], beta: list[float], l1: Vec3, l2: Vec3, band: float):
+def _judge_3p2l(xs: list[Vec3], l1: Vec3, l2: Vec3, band: float):
     """A Cremona change of frame sends the points to the coordinate triangle
     and the lines to alpha and beta, alpha_i = x_i . l1 and beta_i = x_i . l2.
     The conics a yz + b xz + c xy through the triangle tangent to l1 are
@@ -208,13 +199,24 @@ def _judge_3p2l(alpha: list[float], beta: list[float], l1: Vec3, l2: Vec3, band:
     (r1 - r3) z^2 - 2 (r3 +- sqrt(r1 r2)) z + (r2 - r3) = 0 in z = s / t,
     complex conjugates with no real root when r1 r2 < 0; each real root is
     one real conic."""
-    meet = _cross(l1, l2)
-    limit = band * band * _dot(meet, meet)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = alpha[i] * beta[j] - alpha[j] * beta[i]  # (x_i x x_j) . meet
+    f0, f1, f2 = l1
+    g0, g1, g2 = l2
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = xs
+    al1, be1 = x0 * f0 + x1 * f1 + x2 * f2, x0 * g0 + x1 * g1 + x2 * g2
+    al2, be2 = y0 * f0 + y1 * f1 + y2 * f2, y0 * g0 + y1 * g1 + y2 * g2
+    al3, be3 = z0 * f0 + z1 * f1 + z2 * f2, z0 * g0 + z1 * g1 + z2 * g2
+    if (
+        abs(al1) <= band or abs(al2) <= band or abs(al3) <= band
+        or abs(be1) <= band or abs(be2) <= band or abs(be3) <= band
+    ):
+        return None  # a point on a line
+    m0, m1, m2 = f1 * g2 - f2 * g1, f2 * g0 - f0 * g2, f0 * g1 - f1 * g0  # the lines' meet
+    limit = band * band * (m0 * m0 + m1 * m1 + m2 * m2)
+    # (x_i x x_j) . meet: 0 when x_i, x_j and the meet of the lines are collinear
+    for det in (al1 * be2 - al2 * be1, al1 * be3 - al3 * be1, al2 * be3 - al3 * be2):
         if det * det <= limit:
-            return None  # r_i = r_j: x_i, x_j and the meet of the lines collinear
-    r1, r2, r3 = beta[0] / alpha[0], beta[1] / alpha[1], beta[2] / alpha[2]
+            return None
+    r1, r2, r3 = be1 / al1, be2 / al2, be3 / al3
     if r1 * r2 < 0.0:
         return 0, 4
     root = math.sqrt(r1 * r2)
@@ -239,26 +241,24 @@ def _judged_count(vecs: list[Vec3], lvs: list[Vec3], band: float):
         vecs, lvs = lvs, vecs
     if not lvs:
         return 1, 0
-    xs = [_unit(v) for v in vecs]
-    ls = [_unit(l) for l in lvs]
-    dots = [[_dot(x, l) for x in xs] for l in ls]
-    for row in dots:
-        for d in row:
-            if abs(d) <= band:
-                return None  # a point on a line
-    if len(ls) == 1:
-        return _judge_4p1l(xs, ls[0], band)
-    return _judge_3p2l(dots[0], dots[1], ls[0], ls[1], band)
+    # each element over its largest coordinate magnitude: a zero vector,
+    # which is no point or line, divides by zero
+    units = []
+    for x, y, w in vecs + lvs:
+        m, ay, aw = abs(x), abs(y), abs(w)
+        if ay > m:
+            m = ay
+        if aw > m:
+            m = aw
+        units.append((x / m, y / m, w / m))
+    xs = units[: len(vecs)]
+    if len(lvs) == 1:
+        return _judge_4p1l(xs, units[-1], band)
+    return _judge_3p2l(xs, units[-2], units[-1], band)
 
 
 # ---------------------------------------------------------------------------
 # certification
-
-
-def _sym_det(m6) -> float:
-    """Cofactor expansion of a sym6 matrix's determinant along its first row."""
-    a, b, c, d, e, f = m6  # rows (a b d), (b c e), (d e f)
-    return a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d)
 
 
 def _ranks(m6s: Sequence[Sequence[float]], fros: Sequence[float]) -> list[int]:
@@ -278,7 +278,10 @@ def _ranks(m6s: Sequence[Sequence[float]], fros: Sequence[float]) -> list[int]:
     ranks: list[Optional[int]] = []
     rest = []
     for m6, fro in zip(m6s, fros):
-        if 1e-50 <= fro <= 1e50 and abs(_sym_det(m6)) > 2.0 * RANK_ZERO * (fro * fro * fro):
+        a, b, c, d, e, f = m6  # rows (a b d), (b c e), (d e f); det along the first row
+        if 1e-50 <= fro <= 1e50 and abs(
+            a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d)
+        ) > 2.0 * RANK_ZERO * (fro * fro * fro):
             ranks.append(3)
         else:
             ranks.append(None)
@@ -325,38 +328,108 @@ class Certification:
         return [c for c in self.checks if not c.passed]
 
 
+def _check_names(i: int) -> tuple[str, str, str, str]:
+    """The names of the checks of conic i."""
+    return f"incidence[{i}]", f"tangency[{i}]", f"nondegenerate[{i}]", f"self-polar[{i}]"
+
+
+#: the check names of the first conics of a set; a solve returns at most four
+_CHECK_NAMES = [_check_names(i) for i in range(4)]
+
+
+def _conic_residuals(m6, fro: float, vecs: list[Vec3], lvs: list[Vec3]):
+    """(worst incidence, worst tangency) of the sym6 conic m6 of Frobenius
+    norm fro: the largest |v^T M v| / (||M||_F ||v||^2) over the points vecs,
+    and over the lines lvs with M the adjugate of m6. The worst is NaN when
+    one residual is NaN, or when a divisor is zero (a zero conic, the
+    adjugate of a conic of rank 1 or 0, entries whose squares underflow, or a
+    zero element): a failed check. No points, or no lines, give 0.0."""
+    a, b, c, d, e, f = m6
+    pin = 0.0
+    for x, y, w in vecs:
+        div = fro * (x * x + y * y + w * w)
+        if div == 0.0:
+            pin = math.nan
+            break
+        r = abs(a * x * x + c * y * y + f * w * w + 2.0 * (b * x * y + d * x * w + e * y * w)) / div
+        if r > pin:
+            pin = r
+        elif r != r:
+            pin = math.nan
+            break
+    if not lvs:
+        return pin, 0.0
+    # the adjugate, in the same sym6 layout
+    A, B, C = c * f - e * e, d * e - b * f, a * f - d * d
+    D, E, F = b * e - c * d, b * d - a * e, a * c - b * b
+    adj_fro = math.sqrt(A * A + C * C + F * F + 2.0 * (B * B + D * D + E * E))
+    tan = 0.0
+    for x, y, w in lvs:
+        div = adj_fro * (x * x + y * y + w * w)
+        if div == 0.0:
+            tan = math.nan
+            break
+        r = abs(A * x * x + C * y * y + F * w * w + 2.0 * (B * x * y + D * x * w + E * y * w)) / div
+        if r > tan:
+            tan = r
+        elif r != r:
+            tan = math.nan
+            break
+    return pin, tan
+
+
 def _triangle(x1: Vec3, x2: Vec3, x3: Vec3, x4: Vec3):
     """The diagonal triangle of a quadrangle, its vertices the meets of the
     opposite sides x1x2 / x3x4, x1x3 / x2x4 and x1x4 / x2x3, and their
     norms."""
-    xi = (
-        _cross(_cross(x1, x2), _cross(x3, x4)),
-        _cross(_cross(x1, x3), _cross(x2, x4)),
-        _cross(_cross(x1, x4), _cross(x2, x3)),
+    a0, a1, a2 = x1
+    b0, b1, b2 = x2
+    c0, c1, c2 = x3
+    d0, d1, d2 = x4
+    p0, p1, p2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    q0, q1, q2 = c1 * d2 - c2 * d1, c2 * d0 - c0 * d2, c0 * d1 - c1 * d0
+    r0, r1, r2 = a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0
+    s0, s1, s2 = b1 * d2 - b2 * d1, b2 * d0 - b0 * d2, b0 * d1 - b1 * d0
+    t0, t1, t2 = a1 * d2 - a2 * d1, a2 * d0 - a0 * d2, a0 * d1 - a1 * d0
+    u0, u1, u2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+    e0, e1, e2 = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
+    f0, f1, f2 = r1 * s2 - r2 * s1, r2 * s0 - r0 * s2, r0 * s1 - r1 * s0
+    g0, g1, g2 = t1 * u2 - t2 * u1, t2 * u0 - t0 * u2, t0 * u1 - t1 * u0
+    return ((e0, e1, e2), (f0, f1, f2), (g0, g1, g2)), (
+        (e0 * e0 + e1 * e1 + e2 * e2) ** 0.5,
+        (f0 * f0 + f1 * f1 + f2 * f2) ** 0.5,
+        (g0 * g0 + g1 * g1 + g2 * g2) ** 0.5,
     )
-    return xi, tuple(_dot(v, v) ** 0.5 for v in xi)
 
 
-def _self_polar_triangles(vecs: list[Vec3], sol: SolutionSet):
-    """The diagonal triangle behind each solution, when its quadrangle can be
-    rebuilt from the diagnostics: one triangle for every conic of a 5p or
-    4p1l set, one per root for 3p2l."""
-    diag = sol.diagnostics
-    n = len(sol.real_conics)
-    if sol.case_label.startswith("dual:"):
-        return None
-    if len(vecs) >= 4:
-        return [_triangle(*vecs[:4])] * n if n else []
-    ctx = diag.context
-    if ctx is None or len(diag.parameters) != n:
-        return None
-    x1, x2, x3 = (vecs[i] for i in diag.allocation)
-    (g0, g1, g2), (h0, h1, h2) = ctx.anchor, ctx.offset
-    tris = []
-    for s, t in diag.parameters:
-        x4 = (t * g0 + h0, t * g1 + h1, t * g2 + h2)
-        tris.append(_triangle(x1, x2, x3, x4))
-    return tris
+def _self_polar(m6, fro: float, triangle) -> float:
+    """The largest |u^T M v| / (||M||_F |u| |v|) over the vertex pairs u, v of
+    the triangle, vertices and their norms as _triangle gives them, for the
+    sym6 conic m6 of Frobenius norm fro: 0 when the triangle is self-polar.
+    NaN when one value is NaN, or when a divisor is zero (a zero conic or
+    vertex: a zero or repeated point, or an underflow), as for the
+    residuals: a failed check."""
+    a, b, c, d, e, f = m6
+    ((p0, p1, p2), (q0, q1, q2), (r0, r1, r2)), (n1, n2, n3) = triangle
+    f1 = fro * n1
+    d12, d13, d23 = f1 * n2, f1 * n3, fro * n2 * n3
+    if d12 == 0.0 or d13 == 0.0 or d23 == 0.0:
+        return math.nan
+    w12 = abs(
+        a * p0 * q0 + c * p1 * q1 + f * p2 * q2
+        + b * (p0 * q1 + p1 * q0) + d * (p0 * q2 + p2 * q0) + e * (p1 * q2 + p2 * q1)
+    ) / d12
+    w13 = abs(
+        a * p0 * r0 + c * p1 * r1 + f * p2 * r2
+        + b * (p0 * r1 + p1 * r0) + d * (p0 * r2 + p2 * r0) + e * (p1 * r2 + p2 * r1)
+    ) / d13
+    w23 = abs(
+        a * q0 * r0 + c * q1 * r1 + f * q2 * r2
+        + b * (q0 * r1 + q1 * r0) + d * (q0 * r2 + q2 * r0) + e * (q1 * r2 + q2 * r1)
+    ) / d23
+    if math.isnan(w12 + w13 + w23):  # magnitudes: NaN exactly when one is
+        return math.nan
+    return max(w12, w13, w23)
 
 
 def certify(
@@ -378,7 +451,6 @@ def certify(
     all its residuals, and LAPACK ranks, in one call, only the conics that
     the determinant bound cannot prove rank 3.
     """
-    checks: list[CheckResult] = []
     try:
         vecs, lvs = _triples(points, lines)
         read = True
@@ -386,44 +458,51 @@ def certify(
         vecs = [_vec(p) for p in points]
         lvs = [_vec(l) for l in lines]
         read = False
-    limit = RESIDUAL
 
-    rows = []  # per conic: sym6, Frobenius norm, worst incidence, worst tangency
+    m6s: list = []
+    fros: list[float] = []
+    worst: list[tuple[float, float]] = []  # per conic: worst incidence, worst tangency
     try:
         for cm in sol.real_conics:
             m6 = cm.sym6()
             fro = _sym6_frobenius(m6)
-            pin = _worst_residual(m6, fro, vecs)
-            tan = 0.0
-            if lvs:
-                adj = _k.sym_adjugate(m6)
-                tan = _worst_residual(adj, _sym6_frobenius(adj), lvs)
-            rows.append((m6, fro, pin, tan))
+            worst.append(_conic_residuals(m6, fro, vecs, lvs))
+            m6s.append(m6)
+            fros.append(fro)
     except Exception:
         # checked conic by conic, every earlier conic's rank came first
-        _ranks([row[0] for row in rows], [row[1] for row in rows])
+        _ranks(m6s, fros)
         raise
-    ranks = _ranks([row[0] for row in rows], [row[1] for row in rows])
-    for i, ((_, _, pin, tan), r) in enumerate(zip(rows, ranks)):
-        checks.append(CheckResult(f"incidence[{i}]", pin <= limit, pin, limit))
-        checks.append(CheckResult(f"tangency[{i}]", tan <= limit, tan, limit))
-        checks.append(CheckResult(f"nondegenerate[{i}]", r == 3, float(r), 3.0))
+    ranks = _ranks(m6s, fros)
+    n = len(m6s)
+    names = _CHECK_NAMES if n <= len(_CHECK_NAMES) else [_check_names(i) for i in range(n)]
+    limit = RESIDUAL
+    checks: list[CheckResult] = []
+    for (pin, tan), r, (inc_name, tan_name, rank_name, _) in zip(worst, ranks, names):
+        checks.append(CheckResult(inc_name, pin <= limit, pin, limit))
+        checks.append(CheckResult(tan_name, tan <= limit, tan, limit))
+        checks.append(CheckResult(rank_name, r == 3, float(r), 3.0))
 
-    tris = _self_polar_triangles(vecs, sol)
-    if tris is not None:
-        for i, ((m6, fro, _, _), ((u1, u2, u3), (n1, n2, n3))) in enumerate(zip(rows, tris)):
-            f1 = fro * n1
-            try:
-                worst = _worst(
-                    abs(_sym_bilinear(m6, u1, u2)) / (f1 * n2),
-                    abs(_sym_bilinear(m6, u1, u3)) / (f1 * n3),
-                    abs(_sym_bilinear(m6, u2, u3)) / (fro * n2 * n3),
-                )
-            except ZeroDivisionError:
-                # a zero conic or vertex (a zero or repeated point, or an
-                # underflow), as for the residuals: NaN, a failed check
-                worst = math.nan
-            checks.append(CheckResult(f"self-polar[{i}]", worst <= limit, worst, limit))
+    # the diagonal triangle behind each conic, when its quadrangle can be
+    # rebuilt from the diagnostics: one triangle for every conic of a 5p or
+    # 4p1l set, one per root for 3p2l
+    tris = []
+    if not sol.case_label.startswith("dual:"):
+        if len(vecs) >= 4:
+            tris = [_triangle(*vecs[:4])] * n if n else []
+        else:
+            diag = sol.diagnostics
+            ctx = diag.context
+            if ctx is not None and len(diag.parameters) == n:
+                x1, x2, x3 = (vecs[i] for i in diag.allocation)
+                (g0, g1, g2), (h0, h1, h2) = ctx.anchor, ctx.offset
+                tris = [
+                    _triangle(x1, x2, x3, (t * g0 + h0, t * g1 + h1, t * g2 + h2))
+                    for _, t in diag.parameters
+                ]
+    for m6, fro, tri, (_, _, _, polar_name) in zip(m6s, fros, tris, names):
+        polar = _self_polar(m6, fro, tri)
+        checks.append(CheckResult(polar_name, polar <= limit, polar, limit))
 
     not_judged: tuple[str, ...] = ()
     count: Optional[tuple[int, int]] = None
@@ -444,41 +523,6 @@ def certify(
         )
 
     return Certification(tuple(checks), not_judged)
-
-
-def _worst(*values: float) -> float:
-    """The largest of values, or NaN when any is NaN: max() keeps an earlier
-    value over a later NaN. Values are magnitudes, so their sum is NaN
-    exactly when one of them is."""
-    if math.isnan(sum(values)):
-        return math.nan
-    return max(values)
-
-
-def _worst_residual(m6, norm: float, vecs: list[Vec3]) -> float:
-    """The largest residual of vecs against the symmetric matrix m6 of
-    Frobenius norm `norm`, NaN when any is NaN. A zero norm (a zero conic,
-    the adjugate of a conic of rank 1 or 0, or entries whose squares
-    underflow) or a zero element leaves a residual a division by zero: NaN,
-    a failed check."""
-    if not vecs:
-        return 0.0
-    try:
-        return _worst(*[_residual(m6, norm, v) for v in vecs])
-    except ZeroDivisionError:
-        return math.nan
-
-
-def _sym_bilinear(m6, u: Vec3, v: Vec3) -> float:
-    m11, m12, m22, m13, m23, m33 = m6
-    return (
-        m11 * u[0] * v[0]
-        + m22 * u[1] * v[1]
-        + m33 * u[2] * v[2]
-        + m12 * (u[0] * v[1] + u[1] * v[0])
-        + m13 * (u[0] * v[2] + u[2] * v[0])
-        + m23 * (u[1] * v[2] + u[2] * v[1])
-    )
 
 
 # ---------------------------------------------------------------------------

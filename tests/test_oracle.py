@@ -218,14 +218,14 @@ def test_eigenvalue_failure_keeps_its_place_in_the_check_order(monkeypatch):
     points, lines, sol = _case5_four_real()
     marked = ConicMatrix(2.0, 0.0, 1.0, 0.0, 0.0, -1.0)
     line_pair = ConicMatrix(1.0, 0.0, -1.0, 0.0, 0.0, 0.0)
-    residual = oracle._residual
+    residuals = oracle._conic_residuals
 
-    def failing(m6, norm, v):
+    def failing(m6, norm, vecs, lvs):
         if tuple(m6) == marked.sym6():
             raise ArithmeticError("residual failed")
-        return residual(m6, norm, v)
+        return residuals(m6, norm, vecs, lvs)
 
-    monkeypatch.setattr(oracle, "_residual", failing)
+    monkeypatch.setattr(oracle, "_conic_residuals", failing)
     with pytest.raises(ArithmeticError):
         certify(points, lines, _with_conic(sol, 0, marked))
     monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)

@@ -152,23 +152,21 @@ def test_predict_takes_no_cancellation_alarm(monkeypatch, name):
     assert calls == []
 
 
-def test_predict_computes_each_norm_once(monkeypatch):
-    # each point, line, vertex and line meet has its norm taken once per
-    # predict: on 4p1l four point norms, which serve the collinearity and the
-    # incidence tests, one line norm and three vertex norms; the single-pass
-    # analyses took 18 on a 4p1l input and 27 on a 3p2l one. The analyses
-    # now write their norms out inline, so no norm3 call is left to count;
-    # tests/test_analyses.py pins their arithmetic instead
+def test_predict_builds_the_diagonal_triangle_once(monkeypatch):
+    # a 4p1l predict builds the diagonal triangle of its four points (of the
+    # four lines of a 1p4l input) once, and its vertex tests read that one
+    # triangle; a 3p2l predict builds none. The analyses write their norms
+    # out inline, so the vertices are the one kernel call left to count;
+    # tests/test_analyses.py pins their arithmetic
     rng = random.Random(3)
     pts, line = random_4p1l(rng)
-    generic = [random_3p2l_case(rng, 5) for _ in range(3)]
-    calls = counted(monkeypatch, _k, "norm3")
-    predict(pts, [line])
-    assert len(calls) <= 8
-    for pts, l1, l2 in generic:
+    inputs = [(pts, [line], 1), (*dualize_input(pts, [line]), 1)]
+    inputs += [(p, [l1, l2], 0) for p, l1, l2 in (random_3p2l_case(rng, 5) for _ in range(3))]
+    calls = counted(monkeypatch, _k, "diag_vertices")
+    for points, lines, built in inputs:
         calls.clear()
-        predict(pts, [l1, l2])
-        assert len(calls) <= 6
+        predict(points, lines)
+        assert len(calls) == built
 
 
 def corpus(seed=20):
