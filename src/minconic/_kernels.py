@@ -7,8 +7,9 @@ same order, as the cross and dot products they are made of. The triangle
 comes bare (diag_vertices) or with its cancellation alarm (diag_triangle).
 The solvers and the oracle's samplers build every triangle bare, in the
 analyses, the builders and the five-point fit alike: no solve or predict
-takes the alarm, which stays for callers that want it. Symmetric 3x3 matrices travel as 6-tuples (m11, m12, m22,
-m13, m23, m33).
+takes the alarm. diag_triangle stays because perfbench/spans.py `LAYERS`
+wraps it and perfbench/run.py reads its `kernels.diag_triangle.*` metrics.
+Symmetric 3x3 matrices travel as 6-tuples (m11, m12, m22, m13, m23, m33).
 """
 
 #: the kernel implementation, named in every `minconic solve` report
@@ -67,7 +68,8 @@ def diag_triangle(x1, x2, x3, x4):
     Returns (xi1, xi2, xi3, dev): the vertices of diag_vertices and dev, the
     worst relative deviation between them and the equivalent determinant
     combination. dev is a cancellation alarm: it stays near machine epsilon
-    for healthy quadrangles.
+    for healthy quadrangles. No solve or predict calls this; perfbench/spans.py
+    `LAYERS` names it.
     """
     xi1, xi2, xi3 = diag_vertices(x1, x2, x3, x4)
     a0, a1, a2 = x1

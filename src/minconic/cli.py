@@ -125,23 +125,15 @@ def _prediction_dict(pred: CountPrediction) -> dict:
     }
 
 
-def _residuals(sol: SolutionSet, cfg: dict) -> tuple[float, float]:
-    """The worst incidence and tangency residuals of sol's conics on the
-    configuration's points and lines."""
-    pin = tan = 0.0
-    for cm in sol.real_conics:
-        for p in cfg["points"]:
-            pin = max(pin, point_residual(cm, p))
-        for l in cfg["lines"]:
-            tan = max(tan, tangency_residual(cm, l))
-    return pin, tan
-
-
 def _solution_dict(sol: SolutionSet, cfg: dict) -> dict:
+    """The solve report: every float as float(_g(x)), and the worst incidence
+    and tangency residuals of sol's conics on the configuration."""
     diag = sol.diagnostics
-    pin, tan = _residuals(sol, cfg)
+    pin = tan = 0.0
     conics = []
     for i, cm in enumerate(sol.real_conics):
+        pin = max([pin] + [point_residual(cm, p) for p in cfg["points"]])
+        tan = max([tan] + [tangency_residual(cm, l) for l in cfg["lines"]])
         entry = {
             "index": i,
             "class": classify(cm).value,
@@ -171,40 +163,37 @@ def _solution_dict(sol: SolutionSet, cfg: dict) -> dict:
     return out
 
 
-def _solution_text(sol: SolutionSet, cfg: dict) -> str:
-    diag = sol.diagnostics
+def _solution_text(rec: dict) -> str:
+    # rec holds each float as float(_g(x)); _g(float(_g(x))) == _g(x) for every
+    # double, subnormals, inf and NaN included: the double nearest a 15-digit
+    # decimal lies no farther from it than x does, so it rounds to the same digits
     rows = [
-        f"case: {sol.case_label}",
-        f"solutions: {sol.real_count} real, {sol.complex_count} complex",
+        f"case: {rec['case']}",
+        f"solutions: {rec['real_count']} real, {rec['complex_count']} complex",
     ]
-    if diag.prediction is not None:
-        p = diag.prediction
-        rows.append(
-            f"prediction: {p.predicted_real} real, {p.predicted_complex} complex "
-            f"({p.rule})"
-        )
-    if diag.discriminant is not None:
-        rows.append(f"discriminant: {_g(diag.discriminant)}")
-    if diag.eigenvalues is not None:
-        rows.append(
-            "pencil eigenvalues: "
-            + ", ".join(_g(v) for v in diag.eigenvalues)
-        )
-    for i, cm in enumerate(sol.real_conics):
-        rows.append(f"conic[{i}]: class={classify(cm).value}")
-        rows.append(
-            "  six-vector: [" + ", ".join(_g(v) for v in cm.sym6()) + "]"
-        )
-        if i < len(diag.parameters):
-            s, t = diag.parameters[i]
-            trep = "-" if math.isnan(t) else _g(t)
-            rows.append(f"  s={_g(s)} t={trep}")
-    pin, tan = _residuals(sol, cfg)
-    rows.append(f"residuals: max incidence={_g(pin)} max tangency={_g(tan)}")
-    if diag.double_root:
+    if "prediction" in rec:
+        p = rec["prediction"]
+        rows.append(f"prediction: {p['real']} real, {p['complex']} complex ({p['rule']})")
+    if "discriminant" in rec:
+        rows.append(f"discriminant: {_g(rec['discriminant'])}")
+    if "pencil_eigenvalues" in rec:
+        rows.append("pencil eigenvalues: " + ", ".join(map(_g, rec["pencil_eigenvalues"])))
+    for c in rec["conics"]:
+        rows.append(f"conic[{c['index']}]: class={c['class']}")
+        rows.append("  six-vector: [" + ", ".join(map(_g, c["six_vector"])) + "]")
+        if "s" in c:
+            rows.append(f"  s={_g(c['s'])} t={'-' if c['t'] is None else _g(c['t'])}")
+    res = rec["residuals"]
+    pin, tan = _g(res["max_incidence"]), _g(res["max_tangency"])
+    rows.append(f"residuals: max incidence={pin} max tangency={tan}")
+    if "double_root" in rec:
         rows.append("note: double root; one conic with multiplicity two")
-    rows.append(f"backend: {_kernels.BACKEND}")
+    rows.append(f"backend: {rec['backend']}")
     return "\n".join(rows) + "\n"
+
+
+def _prediction_text(rec: dict) -> str:
+    return f"prediction: {rec['real']} real, {rec['complex']} complex\nrule: {rec['rule']}\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -214,40 +203,34 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_solve(args) -> int:
+def _read(args, run):
+    """The configuration at args.config, its tolerances, and run's answer on it."""
     cfg = load_config(args.config)
     tol = _tolerances(cfg["options"], args.tolerance)
-    sol = solve(cfg["points"], cfg["lines"], tol)
-    fmt = args.format or cfg["options"].get("format", "text")
-    if fmt == "json":
-        _emit(json.dumps(_solution_dict(sol, cfg), indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(_solution_text(sol, cfg), args.out)
+    return cfg, tol, run(cfg["points"], cfg["lines"], tol)
+
+
+def _report(args, options: dict, rec: dict, text) -> int:
+    """Print rec as JSON or as text(rec), by --format, else options.format."""
+    as_json = (args.format or options.get("format", "text")) == "json"
+    _emit(json.dumps(rec, indent=2, sort_keys=True) + "\n" if as_json else text(rec), args.out)
     return EXIT_OK
+
+
+def cmd_solve(args) -> int:
+    cfg, _, sol = _read(args, solve)
+    return _report(args, cfg["options"], _solution_dict(sol, cfg), _solution_text)
 
 
 def cmd_predict(args) -> int:
-    cfg = load_config(args.config)
-    tol = _tolerances(cfg["options"], args.tolerance)
-    pred = predict(cfg["points"], cfg["lines"], tol)
-    fmt = args.format or cfg["options"].get("format", "text")
-    if fmt == "json":
-        _emit(json.dumps(_prediction_dict(pred), indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(
-            f"prediction: {pred.predicted_real} real, {pred.predicted_complex} "
-            f"complex\nrule: {pred.rule}\n",
-            args.out,
-        )
-    return EXIT_OK
+    cfg, _, pred = _read(args, predict)
+    return _report(args, cfg["options"], _prediction_dict(pred), _prediction_text)
 
 
 def cmd_check(args) -> int:
     from . import oracle  # imports numpy: loaded only by the commands that use it
 
-    cfg = load_config(args.config)
-    tol = _tolerances(cfg["options"], args.tolerance)
-    sol = solve(cfg["points"], cfg["lines"], tol)
+    cfg, tol, sol = _read(args, solve)
     cert = oracle.certify(cfg["points"], cfg["lines"], sol, tol)
     rows = [f"case: {sol.case_label}"]
     for chk in cert.checks:
@@ -282,13 +265,9 @@ def _viewport(args, options: dict) -> plotting.Viewport:
 
 
 def cmd_plot(args) -> int:
-    cfg = load_config(args.config)
-    tol = _tolerances(cfg["options"], args.tolerance)
-    sol = solve(cfg["points"], cfg["lines"], tol)
-    svg = plotting.render_svg(
-        cfg["points"], cfg["lines"], sol.real_conics, _viewport(args, cfg["options"])
-    )
-    _emit(svg, args.out)
+    cfg, _, sol = _read(args, solve)
+    viewport = _viewport(args, cfg["options"])
+    _emit(plotting.render_svg(cfg["points"], cfg["lines"], sol.real_conics, viewport), args.out)
     return EXIT_OK
 
 

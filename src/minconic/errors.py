@@ -7,7 +7,8 @@ class MinconicError(Exception):
 
 class PointAtInfinity(MinconicError, ValueError):
     """A homogeneous vector has no finite representative. No minconic
-    function raises it; it stays importable for callers that name it."""
+    function raises it; it stays because perfbench/workloads.py imports it
+    and maps it to an exit code."""
 
 
 class GeneralPositionError(MinconicError, ValueError):
@@ -36,8 +37,8 @@ class UnsupportedCount(MinconicError, ValueError):
 
 class DegenerateParameter(MinconicError, ValueError):
     """Pencil parameter hit 0 or 1, where the pencil member is a line pair.
-    No minconic function raises it; it stays importable for callers that
-    name it."""
+    No minconic function raises it; it stays because perfbench/workloads.py
+    imports it and maps it to an exit code."""
 
 
 class DegenerateCase(MinconicError, ArithmeticError):

@@ -490,7 +490,7 @@ def certify(
     if not sol.case_label.startswith("dual:"):
         if len(vecs) >= 4:
             tris = [_triangle(*vecs[:4])] * n if n else []
-        else:
+        elif len(vecs) == 3:  # the allocation names points 0, 1 and 2
             diag = sol.diagnostics
             ctx = diag.context
             if ctx is not None and len(diag.parameters) == n:

@@ -73,6 +73,31 @@ def test_solve_reports_the_public_functions_residuals(name, capsys):
     assert doc["residuals"] == {"max_incidence": float(cli._g(pin)), "max_tangency": float(cli._g(tan))}
 
 
+@pytest.mark.parametrize("name", gallery_names())
+def test_text_report_prints_the_json_reports_numbers(name, capsys):
+    # each number of the text report is _g of the JSON report's number: a
+    # 15-digit float read back rounds to the same 15 digits
+    path = str(FIXTURES / "gallery" / f"{name}.json")
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert cli.main(["solve", path]) == 0
+    text = capsys.readouterr().out
+    g, gs = cli._g, lambda xs: ", ".join(map(cli._g, xs))
+    want = []
+    if "discriminant" in doc:
+        want.append(f"discriminant: {g(doc['discriminant'])}")
+    if "pencil_eigenvalues" in doc:
+        want.append(f"pencil eigenvalues: {gs(doc['pencil_eigenvalues'])}")
+    for c in doc["conics"]:
+        want.append(f"  six-vector: [{gs(c['six_vector'])}]")
+        if "s" in c:
+            want.append(f"  s={g(c['s'])} t={'-' if c['t'] is None else g(c['t'])}")
+    res = doc["residuals"]
+    want.append(f"residuals: max incidence={g(res['max_incidence'])} max tangency={g(res['max_tangency'])}")
+    keys = ("discriminant:", "pencil eigenvalues:", "  six-vector:", "  s=", "residuals:")
+    assert [row for row in text.splitlines() if row.startswith(keys)] == want
+
+
 def test_solve_output_is_byte_stable(square_cfg, capsys):
     cli.main(["solve", square_cfg, "--format", "json"])
     first = capsys.readouterr().out

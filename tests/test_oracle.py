@@ -114,6 +114,23 @@ def test_certify_catches_a_count_lie(square):
     assert any(c.name == "count-consistency" for c in cert.failures())
 
 
+@pytest.mark.parametrize(
+    "name, k",
+    [(n, k) for n in gallery_names() if n[:4] in ("3p2l", "2p3l") for k in range(int(n[0]))],
+)
+def test_certify_against_too_few_points_fails_only_its_count(name, k):
+    # as for a 5p set checked against four points: the residuals are taken
+    # on the points given, no self-polar triangle is built from a point that
+    # is not there, and the count check fails with NaN
+    points, lines, _ = load_gallery_case(name)
+    sol = solve(points, lines)
+    cert = certify(points[:k], lines, sol)
+    (failed,) = cert.failures()
+    assert failed.name == "count-consistency"
+    assert math.isnan(failed.magnitude) and math.isnan(failed.limit)
+    assert len(cert.checks) == 3 * sol.real_count + 1 and cert.not_judged == ()
+
+
 def _kernel_triangle(x1, x2, x3, x4):
     """The diagonal triangle and its norms as the solvers' kernels build it."""
     xi = _k.diag_vertices(x1, x2, x3, x4)
