@@ -5,10 +5,15 @@ conic are closed forms in a handful of cross and dot products, written out
 as straight-line code on unpacked scalars: the same float operations, in the
 same order, as the cross and dot products they are made of. The triangle
 comes bare (diag_vertices) or with its cancellation alarm (diag_triangle).
-The solvers and the oracle's samplers build every triangle bare, in the
-analyses, the builders and the five-point fit alike: no solve or predict
-takes the alarm. diag_triangle stays because perfbench/spans.py `LAYERS`
-wraps it and perfbench/run.py reads its `kernels.diag_triangle.*` metrics.
+diag_vertices serves the 4p1l analysis of `solvers`, the five-point fit
+(conic_from_five_points) and the oracle's `scan_tangency_roots` and 4p1l
+sampler; conic_from_pencil serves `oracle.scan_tangency_roots`. The 3p2l
+builder of `solvers` and its `_pencil_member` write both out in the same
+float operations, so that the sides a quadrangle keeps from root to root
+are computed once, and no solve calls conic_from_pencil. No solve or
+predict takes the alarm. diag_triangle and conic_from_pencil are also
+wrapped by perfbench/spans.py `LAYERS`, and perfbench/run.py reads their
+`kernels.diag_triangle.*` and `kernels.conic_from_pencil.*` metrics.
 Symmetric 3x3 matrices travel as 6-tuples (m11, m12, m22, m13, m23, m33).
 """
 

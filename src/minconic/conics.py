@@ -94,31 +94,50 @@ class ConicMatrix:
         Raises DegenerateCase for a zero matrix or one with an inf or NaN
         entry (an overflowed construction).
         """
-        return ConicMatrix(*_normalized_sym6(self.sym6()))
+        return ConicMatrix(*_normalized6(self.a, self.b, self.c, self.d, self.e, self.f))
 
 
 def _normalized_sym6(m: Sequence[float]) -> tuple[float, float, float, float, float, float]:
-    """The entries of ConicMatrix.normalized for a sym6 tuple, unrolled: the
-    sum of squares left to right, the first largest-magnitude entry as the
-    lead, and one scale sign / n times each entry."""
-    a, b, c, d, e, f = m
+    """_normalized6 of a sym6 tuple."""
+    return _normalized6(*m)
+
+
+def _normalized6(
+    a: float, b: float, c: float, d: float, e: float, f: float
+) -> tuple[float, float, float, float, float, float]:
+    """The entries of ConicMatrix.normalized for the six entries of a sym6,
+    unrolled: the sum of squares left to right, the first largest-magnitude
+    entry as the lead, and one scale sign / n times each entry."""
     n = math.sqrt(a * a + b * b + c * c + d * d + e * e + f * f)
     if n == 0.0:
         raise DegenerateCase("zero conic matrix cannot be normalized")
     if not n < math.inf:
-        if not all(map(math.isfinite, m)):
+        if not (
+            math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+            and math.isfinite(d) and math.isfinite(e) and math.isfinite(f)
+        ):
             raise DegenerateCase(
                 "conic matrix has a non-finite entry (overflow or NaN); it "
                 "cannot be normalized"
             )
         # finite entries whose squares overflow: bring the largest to
         # [0.5, 1) by a power of two, which is exact and keeps the lead
-        _, exp = math.frexp(max(abs(x) for x in m))
-        return _normalized_sym6([math.ldexp(x, -exp) for x in m])
-    lead = a
-    for x in (b, c, d, e, f):
-        if abs(x) > abs(lead):
-            lead = x
+        _, exp = math.frexp(max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f)))
+        return _normalized6(
+            math.ldexp(a, -exp), math.ldexp(b, -exp), math.ldexp(c, -exp),
+            math.ldexp(d, -exp), math.ldexp(e, -exp), math.ldexp(f, -exp),
+        )
+    lead, top = a, abs(a)
+    if abs(b) > top:
+        lead, top = b, abs(b)
+    if abs(c) > top:
+        lead, top = c, abs(c)
+    if abs(d) > top:
+        lead, top = d, abs(d)
+    if abs(e) > top:
+        lead, top = e, abs(e)
+    if abs(f) > top:
+        lead = f
     k = (1.0 if lead > 0.0 else -1.0) / n
     return (k * a, k * b, k * c, k * d, k * e, k * f)
 

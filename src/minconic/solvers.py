@@ -33,10 +33,19 @@ each band test keeps its expression, so predict() pays for arithmetic and
 not for one call per value. The 5p and 4p1l analyses test collinearity
 themselves; the 4p1l one hands the builder its diagonal-triangle vertices.
 
-The builders pay only for what solve() returns: each returns the normalized
-sym6 tuples of its real conics, and _solve adjugates those of a dual family
-and wraps each returned conic in one ConicMatrix. No builder takes a
-diagonal triangle's cancellation alarm.
+The input reader (_triples) and the builders are straight-line float code
+as well, and pay only for what solve() returns. _triples reads the input in
+one pass, the package's own points and lines off their fields. Each builder
+returns the normalized sym6 tuples of its real conics, one _pencil_member
+call per pencil member, or one _k.conic_from_five_points fit for five
+points, and _solve adjugates those of a dual family inline and wraps each
+returned conic in one ConicMatrix; conics._normalized6 normalizes every one.
+The 4p1l builder reuses the diagonal triangle its analysis built with
+_k.diag_vertices. The 3p2l builder computes the three quadrangle sides
+through the given points once per input and, per root, only the three sides
+through the moving point and the three meets, in the float operations of
+_k.diag_vertices. No solve calls _k.conic_from_pencil, and no builder takes
+a diagonal triangle's cancellation alarm.
 """
 from __future__ import annotations
 
@@ -50,7 +59,7 @@ from ._frozen import fast_init
 from .conics import (
     ConicMatrix,
     PencilEigenvalues,
-    _normalized_sym6,
+    _normalized6,
     _pencil_eigenvalues,
     _stable_roots,
 )
@@ -60,7 +69,7 @@ from .errors import (
     GeneralPositionError,
     UnsupportedCount,
 )
-from .projective import Vec3, _named_vec, _vec
+from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _named_vec, _vec
 from .tolerances import DEFAULT, PARAMETER, Tolerances
 
 KINDS = {
@@ -207,7 +216,7 @@ def _build_5p(vecs: Sequence[Vec3], prediction: CountPrediction):
     m6 = _k.conic_from_five_points(*vecs)
     if m6 is None:
         raise DegenerateCase("five-point fit: the diagonal triangle's determinant is exactly 0.0")
-    return (_normalized_sym6(m6),), "5p", SolveDiagnostics(prediction=prediction)
+    return (_normalized6(*m6),), "5p", SolveDiagnostics(prediction=prediction)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +236,31 @@ def _tangency_quadratic(d: Vec3) -> tuple[float, float, float]:
 def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float):
     """The normalized sym6 of the pencil member at parameter s of the
     diagonal triangle (xi1, xi2, xi3); DegenerateCase within PARAMETER of the
-    line pairs at s = 0 and s = 1."""
+    line pairs at s = 0 and s = 1. The member is _k.conic_from_pencil's, in
+    its float operations: the adjugate rows, then the three weighted outer
+    products summed from 0.0, which turns a -0.0 sum into 0.0."""
     if abs(s) <= PARAMETER or abs(s - 1.0) <= PARAMETER:
         raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
-    return _normalized_sym6(_k.conic_from_pencil(xi1, xi2, xi3, s))
+    e0, e1, e2 = xi1
+    f0, f1, f2 = xi2
+    g0, g1, g2 = xi3
+    # the adjugate's rows xi2 x xi3, xi3 x xi1, xi1 x xi2
+    u0, u1, u2 = f1 * g2 - f2 * g1, f2 * g0 - f0 * g2, f0 * g1 - f1 * g0
+    v0, v1, v2 = g1 * e2 - g2 * e1, g2 * e0 - g0 * e2, g0 * e1 - g1 * e0
+    w0, w1, w2 = e1 * f2 - e2 * f1, e2 * f0 - e0 * f2, e0 * f1 - e1 * f0
+    # weights -s, s - 1 and 1
+    ku, kv = -s, s - 1.0
+    ku0, ku1, ku2 = ku * u0, ku * u1, ku * u2
+    kv0, kv1, kv2 = kv * v0, kv * v1, kv * v2
+    kw0, kw1, kw2 = 1.0 * w0, 1.0 * w1, 1.0 * w2
+    return _normalized6(
+        0.0 + ku0 * u0 + kv0 * v0 + kw0 * w0,
+        0.0 + ku0 * u1 + kv0 * v1 + kw0 * w1,
+        0.0 + ku1 * u1 + kv1 * v1 + kw1 * w1,
+        0.0 + ku0 * u2 + kv0 * v2 + kw0 * w2,
+        0.0 + ku1 * u2 + kv1 * v2 + kw1 * w2,
+        0.0 + ku2 * u2 + kv2 * v2 + kw2 * w2,
+    )
 
 
 def _undecided(what: str) -> DegenerateCase:
@@ -661,7 +691,12 @@ def solve_three_points_two_lines(points: Sequence, l1, l2) -> SolutionSet:
 
 def _build_3p2l(state, prediction: CountPrediction):
     alloc, (x1, x2, x3, lv1, lv2), (p, A, B, D, a, b, c), lams = state
-    C = _k.det3(x1, x2, p)  # read by cases 3-5, not by the prediction
+    (e0, e1, e2), (f0, f1, f2), (g0, g1, g2) = x1, x2, x3
+    p0, p1, p2 = p
+    # the quadrangle side x1 x2, whose first entry is also the last minor of
+    # C = det3(x1, x2, p), read by cases 3-5 and not by the prediction
+    j0, j1, j2 = e1 * f2 - e2 * f1, e2 * f0 - e0 * f2, e0 * f1 - e1 * f0
+    C = e0 * (f1 * p2 - f2 * p1) - f0 * (e1 * p2 - e2 * p1) + p0 * j0
     diag = SolveDiagnostics(
         allocation=alloc.order,
         lines_swapped=alloc.swap_lines,
@@ -679,10 +714,15 @@ def _build_3p2l(state, prediction: CountPrediction):
         roots = [(0.5, -A / (2.0 * D))]
 
     elif alloc.case == 2:
-        q = _k.cross(p, lv2)
-        anchor, offset = p, q
-        t = (_k.det3(q, x2, x3) * a[1] - _k.det3(x1, q, x3) * b[1]) / (2.0 * B * b[1])
-        roots = [(2.0, t)]
+        # q = p x l2, and det3(q, x2, x3) and det3(x1, q, x3) sharing the
+        # minor q1 g2 - q2 g1, in the float operations of _k.cross and det3
+        z0, z1, z2 = lv2
+        q0, q1, q2 = p1 * z2 - p2 * z1, p2 * z0 - p0 * z2, p0 * z1 - p1 * z0
+        anchor, offset = p, (q0, q1, q2)
+        mq = q1 * g2 - q2 * g1
+        dq23 = q0 * (f1 * g2 - f2 * g1) - f0 * mq + g0 * (q1 * f2 - q2 * f1)
+        d1q3 = e0 * mq - q0 * (e1 * g2 - e2 * g1) + g0 * (e1 * q2 - e2 * q1)
+        roots = [(2.0, (dq23 * a[1] - d1q3 * b[1]) / (2.0 * B * b[1]))]
 
     elif alloc.case == 3:
         # second and third points are collinear with the line crossing; s is
@@ -711,10 +751,16 @@ def _build_3p2l(state, prediction: CountPrediction):
         if prediction.predicted_real:
             roots = _case5_roots(A, B, C, D, a, b, c)
             # a root this close to a degenerate member is rounding off a
-            # near tie of the eigenvalues, whose gap bounds its accuracy
+            # near tie of the eigenvalues, whose gap bounds its accuracy;
+            # s is the first root nearest to s = 0 or 1
             band = sys.float_info.epsilon / _smallest_gap(lams)
-            s = min((s for s, _ in roots), key=lambda s: min(abs(s), abs(1.0 - s)))
-            if min(abs(s), abs(1.0 - s)) <= band:
+            s = near = None
+            for r, _ in roots:
+                x, y = abs(r), abs(1.0 - r)
+                dist = y if y < x else x
+                if near is None or dist < near:
+                    s, near = r, dist
+            if near <= band:
                 raise CaseDegeneracy(
                     f"generic-case pencil is degenerate: root s={s!r} lies "
                     f"within {band:.3g} of a degenerate member (s = 0 or 1), "
@@ -722,14 +768,30 @@ def _build_3p2l(state, prediction: CountPrediction):
                 )
 
     diag.context = CaseContext(anchor, offset)
+    if not roots:
+        return [], alloc.label, diag
+
+    # the diagonal triangle of x1 x2 x3 x4 per root, in the float operations
+    # of _k.diag_vertices: the sides x1 x3 and x2 x3 are fixed like x1 x2,
+    # and only the three sides through x4 and the three meets move with t
+    k0, k1, k2 = e1 * g2 - e2 * g1, e2 * g0 - e0 * g2, e0 * g1 - e1 * g0
+    m0, m1, m2 = f1 * g2 - f2 * g1, f2 * g0 - f0 * g2, f0 * g1 - f1 * g0
+    (n0, n1, n2), (o0, o1, o2) = anchor, offset
+    h0, h1, h2 = lv1
     conics = []
     params: list[tuple[float, float]] = []
-    (g0, g1, g2), (h0, h1, h2) = anchor, offset
     for s, t in roots:
-        x4 = (t * g0 + h0, t * g1 + h1, t * g2 + h2)
-        xi1, xi2, xi3 = _k.diag_vertices(x1, x2, x3, x4)
+        y0, y1, y2 = t * n0 + o0, t * n1 + o1, t * n2 + o2
+        # the sides x3 x4, x2 x4 and x1 x4
+        q0, q1, q2 = g1 * y2 - g2 * y1, g2 * y0 - g0 * y2, g0 * y1 - g1 * y0
+        r0, r1, r2 = f1 * y2 - f2 * y1, f2 * y0 - f0 * y2, f0 * y1 - f1 * y0
+        w0, w1, w2 = e1 * y2 - e2 * y1, e2 * y0 - e0 * y2, e0 * y1 - e1 * y0
+        # the meets x1x2 / x3x4, x1x3 / x2x4 and x1x4 / x2x3
+        u0, u1, u2 = j1 * q2 - j2 * q1, j2 * q0 - j0 * q2, j0 * q1 - j1 * q0
+        v0, v1, v2 = k1 * r2 - k2 * r1, k2 * r0 - k0 * r2, k0 * r1 - k1 * r0
         if s is None:
-            d1, d2 = _k.dot3(xi1, lv1), _k.dot3(xi2, lv1)
+            d1 = u0 * h0 + u1 * h1 + u2 * h2
+            d2 = v0 * h0 + v1 * h1 + v2 * h2
             den = d1 * d1 - d2 * d2
             if den == 0.0:
                 raise CaseDegeneracy(
@@ -737,12 +799,20 @@ def _build_3p2l(state, prediction: CountPrediction):
                     "(underflow)"
                 )
             s = d1 * d1 / den
-        conics.append(_pencil_member(xi1, xi2, xi3, s))
+        conics.append(_pencil_member(
+            (u0, u1, u2),
+            (v0, v1, v2),
+            (w1 * m2 - w2 * m1, w2 * m0 - w0 * m2, w0 * m1 - w1 * m0),
+            s,
+        ))
         params.append((s, t))
 
-    order = sorted(range(len(conics)), key=lambda i: params[i])
-    diag.parameters = tuple(params[i] for i in order)
-    return [conics[i] for i in order], alloc.label, diag
+    if len(roots) > 1:
+        order = sorted(range(len(params)), key=params.__getitem__)
+        conics = [conics[i] for i in order]
+        params = [params[i] for i in order]
+    diag.parameters = tuple(params)
+    return conics, alloc.label, diag
 
 
 # ---------------------------------------------------------------------------
@@ -765,32 +835,45 @@ def _triples(
     points: Sequence, lines: Sequence, wrong_count: Optional[str] = None
 ) -> tuple[list[Vec3], list[Vec3]]:
     """The coordinate triples of a five-element configuration, each element
-    read once through _vec as three Python floats; only an input with a
-    faulty element is read again, to name the first one.
+    read once as three Python floats, in one pass: an exact HomogeneousPoint
+    or ProjectiveLine off its fields, a plain tuple by unpacking, anything
+    else through _vec, and so is a triple that is not three floats. Only an
+    input with a faulty element is read again, to name the first one.
 
     Raises UnsupportedCount when the total is not five, with the message
     wrong_count if given; for the first element that is not three real
     coordinates or has one that is inf, NaN or beyond the float range,
     MalformedCoordinates or NonFiniteInput naming it.
     """
-    if (len(points), len(lines)) not in KINDS:
+    n = len(points)
+    if (n, len(lines)) not in KINDS:
         raise UnsupportedCount(
             wrong_count
-            or f"{len(points)} points and {len(lines)} lines do not form a "
+            or f"{n} points and {len(lines)} lines do not form a "
             "five-element minimal configuration"
         )
-    try:
-        vecs = [_vec(item) for item in points]
-        lvs = [_vec(item) for item in lines]
-    except Exception:  # the named reads below raise what a read of this input raises
-        pass
-    else:
-        # x - x is 0.0 exactly when x is finite (inf - inf and nan - nan are nan)
-        for x, y, w in vecs + lvs:
-            if not (x - x == 0.0 and y - y == 0.0 and w - w == 0.0):
-                break
+    out = []
+    for item in (*points, *lines):
+        kind = type(item)
+        if kind is HomogeneousPoint:
+            x, y, w = item.x, item.y, item.w
+        elif kind is ProjectiveLine:
+            x, y, w = item.a, item.b, item.c
+        elif kind is tuple and len(item) == 3:
+            x, y, w = item
         else:
-            return vecs, lvs
+            x = None  # not a float: read through _vec below
+        if not (type(x) is float and type(y) is float and type(w) is float):
+            try:
+                x, y, w = _vec(item)
+            except Exception:  # the named reads below raise what a read of this input raises
+                break
+        # x - x is 0.0 exactly when x is finite (inf - inf and nan - nan are nan)
+        if not (x - x == 0.0 and y - y == 0.0 and w - w == 0.0):
+            break
+        out.append((x, y, w))
+    else:
+        return out[:n], out[n:]
     # read again to name the first faulty element
     vecs = [_named_vec(item, "point", idx) for idx, item in enumerate(points)]
     lvs = [_named_vec(item, "line", idx) for idx, item in enumerate(lines)]
@@ -834,7 +917,17 @@ def _solve(vecs: list[Vec3], lvs: list[Vec3], geometry: float) -> SolutionSet:
     if dual:
         # the dual solutions are conics in the dual plane; their adjugates
         # are the answers in the original plane
-        conics = [_normalized_sym6(_k.sym_adjugate(m)) for m in conics]
+        conics = [
+            _normalized6(
+                m22 * m33 - m23 * m23,
+                m13 * m23 - m12 * m33,
+                m11 * m33 - m13 * m13,
+                m12 * m23 - m22 * m13,
+                m12 * m13 - m11 * m23,
+                m11 * m22 - m12 * m12,
+            )
+            for m11, m12, m22, m13, m23, m33 in conics
+        ]
         label = "dual:" + label
     real = tuple([ConicMatrix(*m) for m in conics])
     return SolutionSet(real, prediction.predicted_complex, label, diag)

@@ -29,6 +29,7 @@ from minconic import (
     solve,
     solvers,
 )
+from minconic.conics import ConicMatrix, _normalized_sym6
 from minconic.oracle import (
     certify,
     dualize_input,
@@ -114,10 +115,12 @@ def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
     # every triangle a solve builds is bare, and none is built twice: for
     # 4p1l and 1p4l the analysis builds the vertices of the four points (the
     # four lines of a dual input) once and the builder reuses them; for 5p
-    # and 5l the five-point fit builds the triangle of the first four points;
-    # for 3p2l and 2p3l the builder builds one per root, whose fourth point
-    # the context and parameters give, and none when no conic is real. No
-    # solve takes the cancellation alarm
+    # and 5l the five-point fit builds the triangle of the first four points.
+    # For 3p2l and 2p3l the builder builds the triangle of each root itself,
+    # and each conic is, repr for repr, the composed pencil member at its
+    # (s, t) on the triangle of x1 x2 x3, in the allocation's order, and
+    # x4 = t*anchor + offset, adjugated and normalized again for a dual
+    # input. No solve takes the cancellation alarm
     inputs = inputs_of(family)
     vertices = counted(monkeypatch, _k, "diag_vertices")
     alarms = counted(monkeypatch, _k, "diag_triangle")
@@ -127,11 +130,16 @@ def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
         sol = solve(points, lines)
         real.append(sol.real_count > 0)
         if family in CASES_3P2L:
-            assert len(vertices) == sol.real_count
-            ctx = sol.diagnostics.context
-            ts = [t for _, t in sol.diagnostics.parameters]
-            x4s = [tuple(t * u + v for u, v in zip(ctx.anchor, ctx.offset)) for t in ts]
-            assert sorted(quad[3] for quad in vertices) == sorted(x4s)
+            diag, ctx = sol.diagnostics, sol.diagnostics.context
+            vecs = [e.vec() for e in max(points, lines, key=len)]
+            x1, x2, x3 = (vecs[i] for i in diag.allocation)
+            assert len(diag.parameters) == sol.real_count
+            for conic, (s, t) in zip(sol.real_conics, diag.parameters):
+                x4 = tuple(t * u + v for u, v in zip(ctx.anchor, ctx.offset))
+                m6 = _normalized_sym6(_k.conic_from_pencil(*_k.diag_vertices(x1, x2, x3, x4), s))
+                if family[0] == "2":
+                    m6 = _normalized_sym6(_k.sym_adjugate(m6))
+                assert repr(conic) == repr(ConicMatrix(*m6))
         else:
             # the first four points, or the lines of a dual input
             assert sol.real_count > 0 and len(vertices) == 1
