@@ -228,7 +228,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from . import oracle  # imports numpy: loaded only by the commands that use it
+    # check needs numpy, though certify loads it only for a rank its
+    # determinant bound cannot prove: a missing numpy fails every check alike
+    import numpy
+
+    from . import oracle
 
     cfg, tol, sol = _read(args, solve)
     cert = oracle.certify(cfg["points"], cfg["lines"], sol, tol)

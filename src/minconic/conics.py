@@ -97,11 +97,6 @@ class ConicMatrix:
         return ConicMatrix(*_normalized6(self.a, self.b, self.c, self.d, self.e, self.f))
 
 
-def _normalized_sym6(m: Sequence[float]) -> tuple[float, float, float, float, float, float]:
-    """_normalized6 of a sym6 tuple."""
-    return _normalized6(*m)
-
-
 def _normalized6(
     a: float, b: float, c: float, d: float, e: float, f: float
 ) -> tuple[float, float, float, float, float, float]:

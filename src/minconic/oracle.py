@@ -10,10 +10,11 @@ lines through the Cremona frame that sends the points to the coordinate
 triangle. Its self-polar check builds each diagonal triangle from its own
 meets of opposite sides, and a determinant bound proves a conic's rank 3,
 leaving to LAPACK's eigenvalues (one numpy call on the stacked matrices of a
-set) only the conics it cannot clear. Certification is straight-line float
-code on unpacked scalars, with no call per cross product, dot product or
-residual, and it calls nothing in the solvers' kernels. These are the ground
-truth the solver tests compare against.
+set, and the one place numpy is imported) only the conics it cannot clear.
+Certification is straight-line float code on unpacked scalars, with no call
+per cross product, dot product or residual, and it calls nothing in the
+solvers' kernels. These are the ground truth the solver tests compare
+against.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import _kernels as _k
 from ._frozen import fast_init
@@ -288,6 +287,8 @@ def _ranks(m6s: Sequence[Sequence[float]], fros: Sequence[float]) -> list[int]:
             rest.append(m6)
     if not rest:
         return ranks
+    import numpy as np  # only the conics the bound cannot clear need numpy
+
     flat = [x for a, b, c, d, e, f in rest for x in (a, b, d, b, c, e, d, e, f)]
     mats = np.array(flat, dtype=float).reshape(len(rest), 3, 3)
     found = []

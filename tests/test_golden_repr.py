@@ -1,24 +1,41 @@
-"""Golden `solve` and `predict` outcomes: a sha256 per block of inputs.
+"""Golden outcomes: a sha256 per block of inputs.
 
-Each input gives two lines, the repr of its `solve` outcome and of its
-`predict` outcome; an error is written as its type, message and indices.
-golden_repr.tsv holds, per block, the line count, the sha256 of the lines
-and the sha256 of the inputs' reprs, so a change to the generators shows as
-a changed corpus and not as changed outputs. The blocks:
+A block names its inputs and the functions whose outcomes it records: each
+input gives one line per function, the repr of its outcome; an error is
+written as its type, message and indices. golden_repr.tsv holds, per block,
+the line count, the sha256 of the lines and the sha256 of the inputs' reprs,
+so a change to the generators shows as a changed corpus and not as changed
+outputs. The blocks:
 
-- `mixed_<form>_<seed>`: perfbench's solve_mix corpus, `mixed_corpus`
-  at seeds 1-3 with 100 inputs per category, as HomogeneousPoint and
-  ProjectiveLine objects and as float tuples;
-- `ransac_<seed>`: `ransac_samples(Random(seed), 20, 50)` at seeds 1-3;
-- `fixtures`: every file of tests/fixtures, as its JSON numbers, as float
-  tuples and as objects, at geometry tolerances 1e-10, 0 and 1e-3;
-- `elements`, `fault_pairs` and `counts`: the faulty and unusual reads of
-  tests/test_reader.py.
+- `solve` and `predict`:
+  - `mixed_<form>_<seed>`: perfbench's solve_mix corpus, `mixed_corpus`
+    at seeds 1-3 with 100 inputs per category, as HomogeneousPoint and
+    ProjectiveLine objects and as float tuples;
+  - `ransac_<seed>`: `ransac_samples(Random(seed), 20, 50)` at seeds 1-3;
+  - `fixtures`: every file of tests/fixtures, as its JSON numbers, as float
+    tuples and as objects, at geometry tolerances 1e-10, 0 and 1e-3;
+  - `elements`, `fault_pairs` and `counts`: the faulty and unusual reads of
+    tests/test_reader.py;
+- the kernels, on the kinds of triple of tests/test_kernels.py:
+  - `diag_triangle_<kind>`: `_k.diag_vertices` and `_k.diag_triangle`;
+  - `conic_from_pencil_<kind>`: `_k.conic_from_pencil`;
+  - `conic_from_five_points_<kind>`: `_k.conic_from_five_points`;
+- the analyses and builders, on the inputs of tests/test_analyses.py:
+  - `analyse_<family>_<kind>`: `solvers._analyse_5p`, `_analyse_4p1l` and
+    `_analyse_3p2l`;
+  - `classify_3p2l_<kind>`: `solvers._classify_3p2l`;
+  - `pencil_eigenvalues_<kind>`: `conics._pencil_eigenvalues`;
+  - `solve_<family>_<kind>`: `solvers._solve`, as drawn and dualized;
+- `certify_<corpus>`: `oracle.certify` of the `solve` outcome, every check's
+  name, verdict, magnitude and limit and the checks not judged, on the
+  `mixed_objects` and `ransac` corpora; an input that `solve` refuses
+  records its error.
 
-The `mixed` and `ransac` blocks draw their inputs with the oracle's
-generators, and `minconic.oracle` imports numpy, so they skip without it;
-the other blocks need only the standard library. An intended output change
-rewrites the file with
+The kernel, analysis and builder inputs are built with the live
+`_k.cross`, `_k.dot3`, `_k.norm3` and `_k.diag_vertices`, so a change to
+those can also show as changed inputs. The `certify` blocks skip without
+numpy, as the oracle's rank of a conic that its determinant bound cannot
+clear is LAPACK's; the other blocks need only the standard library. An intended output change rewrites the file with
 
     PYTHONPATH=src python tests/test_golden_repr.py
 
@@ -29,12 +46,17 @@ import importlib.util
 import json
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from minconic import HomogeneousPoint, ProjectiveLine, Tolerances, predict, solve
+import minconic._kernels as _k
+from minconic import HomogeneousPoint, ProjectiveLine, Tolerances, oracle, predict, solve, solvers
+from minconic.conics import _pencil_eigenvalues
 
+import test_analyses as analyses
+import test_kernels as kernels
 from test_reader import ELEMENTS, fault_pairs, placed, wrong_counts
 
 HERE = Path(__file__).parent
@@ -85,17 +107,55 @@ def elements():
             yield points, lines, Tolerances()
 
 
-#: block name -> a function of no arguments yielding (points, lines, tol)
-BLOCKS = {f"mixed_{form}_{seed}": (lambda s=seed, f=form: mixed(s, f))
-          for form in ("objects", "tuples") for seed in SEEDS}
-BLOCKS.update({f"ransac_{seed}": (lambda s=seed: ransac(s)) for seed in SEEDS})
-BLOCKS["fixtures"] = fixtures
-BLOCKS["elements"] = elements
-BLOCKS["fault_pairs"] = lambda: ((p, l, Tolerances()) for p, l in fault_pairs())
-BLOCKS["counts"] = lambda: ((p, l, Tolerances()) for p, l in wrong_counts())
+def certify(points, lines, tol):
+    """The oracle's certificate of the solution set that solve returns."""
+    return oracle.certify(points, lines, solve(points, lines, tol), tol)
 
-#: blocks whose inputs come from the oracle's generators
-NEEDS_NUMPY = {name for name in BLOCKS if name.startswith(("mixed", "ransac"))}
+
+def slug(kind):
+    return kind.replace(", ", "_").replace(" ", "_")
+
+
+SOLVE_PREDICT = (solve, predict)
+
+#: block name -> (the functions recorded, a function of no arguments that
+#: yields the argument tuples they are called with)
+BLOCKS = {f"mixed_{form}_{seed}": (SOLVE_PREDICT, partial(mixed, seed, form))
+          for form in ("objects", "tuples") for seed in SEEDS}
+BLOCKS.update({f"ransac_{seed}": (SOLVE_PREDICT, partial(ransac, seed)) for seed in SEEDS})
+BLOCKS["fixtures"] = SOLVE_PREDICT, fixtures
+BLOCKS["elements"] = SOLVE_PREDICT, elements
+BLOCKS["fault_pairs"] = SOLVE_PREDICT, lambda: ((p, l, Tolerances()) for p, l in fault_pairs())
+BLOCKS["counts"] = SOLVE_PREDICT, lambda: ((p, l, Tolerances()) for p, l in wrong_counts())
+for kind in kernels.KINDS:
+    BLOCKS[f"diag_triangle_{slug(kind)}"] = (
+        (_k.diag_vertices, _k.diag_triangle), lambda kind=kind: kernels.triples(kind, 1, 4)[0])
+for kind in kernels.KINDS:
+    BLOCKS[f"conic_from_pencil_{slug(kind)}"] = (
+        (_k.conic_from_pencil,), partial(kernels.pencil_inputs, kind))
+for kind in kernels.KINDS:
+    BLOCKS[f"conic_from_five_points_{slug(kind)}"] = (
+        (_k.conic_from_five_points,), lambda kind=kind: kernels.triples(kind, 3, 5)[0])
+for family, (analyse, *_) in analyses.FAMILIES.items():
+    for kind in analyses.KINDS:
+        BLOCKS[f"analyse_{family}_{slug(kind)}"] = (
+            (analyse,), partial(analyses.inputs, family, kind, 1))
+for kind in analyses.KINDS:
+    BLOCKS[f"classify_3p2l_{slug(kind)}"] = (
+        (solvers._classify_3p2l,), partial(analyses.classify_inputs, kind))
+for kind in analyses.KINDS:
+    BLOCKS[f"pencil_eigenvalues_{slug(kind)}"] = (
+        (_pencil_eigenvalues,), partial(analyses.near_ties, kind))
+for family in analyses.FAMILIES:
+    for kind in analyses.KINDS:
+        BLOCKS[f"solve_{family}_{slug(kind)}"] = (
+            (solvers._solve,), partial(analyses.cases, family, kind, 4))
+BLOCKS.update({f"certify_mixed_objects_{seed}": ((certify,), partial(mixed, seed, "objects"))
+               for seed in SEEDS})
+BLOCKS.update({f"certify_ransac_{seed}": ((certify,), partial(ransac, seed)) for seed in SEEDS})
+
+#: blocks that can reach the oracle's LAPACK rank
+NEEDS_NUMPY = {name for name in BLOCKS if name.startswith("certify")}
 
 
 def outcome(fn, *args):
@@ -107,12 +167,13 @@ def outcome(fn, *args):
 
 def digest(name):
     """(line count, sha256 of the outcome lines, sha256 of the inputs)."""
+    functions, draw = BLOCKS[name]
     outputs, inputs = hashlib.sha256(), hashlib.sha256()
     count = 0
-    for points, lines, tol in BLOCKS[name]():
-        inputs.update(f"{points!r} {lines!r} {tol!r}\n".encode())
-        for fn in (solve, predict):
-            outputs.update(f"{fn.__name__}: {outcome(fn, points, lines, tol)}\n".encode())
+    for args in draw():
+        inputs.update((" ".join(map(repr, args)) + "\n").encode())
+        for fn in functions:
+            outputs.update(f"{fn.__name__}: {outcome(fn, *args)}\n".encode())
             count += 1
     return count, outputs.hexdigest(), inputs.hexdigest()
 
@@ -132,8 +193,9 @@ def test_block_matches_golden(name):
         pytest.importorskip("numpy")
     count, out, inp = digest(name)
     want_count, want_out, want_inp = golden()[name]
+    names = "/".join(fn.__name__ for fn in BLOCKS[name][0])
     assert (count, inp) == (want_count, want_inp), f"block {name}: the inputs changed"
-    assert out == want_out, f"block {name}: the solve/predict outcomes changed"
+    assert out == want_out, f"block {name}: the {names} outcomes changed"
 
 
 if __name__ == "__main__":

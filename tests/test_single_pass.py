@@ -29,7 +29,7 @@ from minconic import (
     solve,
     solvers,
 )
-from minconic.conics import ConicMatrix, _normalized_sym6
+from minconic.conics import ConicMatrix, _normalized6
 from minconic.oracle import (
     certify,
     dualize_input,
@@ -136,9 +136,9 @@ def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
             assert len(diag.parameters) == sol.real_count
             for conic, (s, t) in zip(sol.real_conics, diag.parameters):
                 x4 = tuple(t * u + v for u, v in zip(ctx.anchor, ctx.offset))
-                m6 = _normalized_sym6(_k.conic_from_pencil(*_k.diag_vertices(x1, x2, x3, x4), s))
+                m6 = _normalized6(*_k.conic_from_pencil(*_k.diag_vertices(x1, x2, x3, x4), s))
                 if family[0] == "2":
-                    m6 = _normalized_sym6(_k.sym_adjugate(m6))
+                    m6 = _normalized6(*_k.sym_adjugate(m6))
                 assert repr(conic) == repr(ConicMatrix(*m6))
         else:
             # the first four points, or the lines of a dual input
@@ -165,7 +165,8 @@ def test_predict_builds_the_diagonal_triangle_once(monkeypatch):
     # four lines of a 1p4l input) once, and its vertex tests read that one
     # triangle; a 3p2l predict builds none. The analyses write their norms
     # out inline, so the vertices are the one kernel call left to count;
-    # tests/test_analyses.py pins their arithmetic
+    # the analyse_<family>_<kind> blocks of tests/golden_repr.tsv pin their
+    # arithmetic
     rng = random.Random(3)
     pts, line = random_4p1l(rng)
     inputs = [(pts, [line], 1), (*dualize_input(pts, [line]), 1)]
