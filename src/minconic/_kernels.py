@@ -5,15 +5,13 @@ conic are closed forms in a handful of cross and dot products, written out
 as straight-line code on unpacked scalars: the same float operations, in the
 same order, as the cross and dot products they are made of. The triangle
 comes bare (diag_vertices) or with its cancellation alarm (diag_triangle).
-diag_vertices serves the 4p1l analysis of `solvers`, the five-point fit
-(conic_from_five_points) and the oracle's `scan_tangency_roots` and 4p1l
-sampler; conic_from_pencil serves `oracle.scan_tangency_roots`. The 3p2l
-builder of `solvers` and its `_pencil_member` write both out in the same
-float operations, so that the sides a quadrangle keeps from root to root
-are computed once, and no solve calls conic_from_pencil. No solve or
-predict takes the alarm. diag_triangle and conic_from_pencil are also
-wrapped by perfbench/spans.py `LAYERS`, and perfbench/run.py reads their
-`kernels.diag_triangle.*` and `kernels.conic_from_pencil.*` metrics.
+conic_from_pencil is the one pencil-member formula: the 4p1l and 3p2l
+builders of `solvers` and `oracle.scan_tangency_roots` call it. The 3p2l
+builder writes its triangles out in the float operations of diag_vertices,
+so that the sides a quadrangle keeps from root to root are computed once.
+No solve or predict takes the alarm. diag_triangle and conic_from_pencil
+are also wrapped by perfbench/spans.py `LAYERS`, and perfbench/run.py reads
+their `kernels.diag_triangle.*` and `kernels.conic_from_pencil.*` metrics.
 Symmetric 3x3 matrices travel as 6-tuples (m11, m12, m22, m13, m23, m33).
 """
 
@@ -110,47 +108,42 @@ def diag_triangle(x1, x2, x3, x4):
     return xi1, xi2, xi3, dev
 
 
-def _three_outers(ku, u, kv, v, kw, w):
-    """The sym6 of ku u u^T + kv v v^T + kw w w^T, each entry summed left to
-    right from 0.0, which turns a -0.0 sum into 0.0."""
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    w0, w1, w2 = w
-    ku0, ku1, ku2 = ku * u0, ku * u1, ku * u2
-    kv0, kv1, kv2 = kv * v0, kv * v1, kv * v2
-    kw0, kw1, kw2 = kw * w0, kw * w1, kw * w2
-    return (
-        0.0 + ku0 * u0 + kv0 * v0 + kw0 * w0,
-        0.0 + ku0 * u1 + kv0 * v1 + kw0 * w1,
-        0.0 + ku1 * u1 + kv1 * v1 + kw1 * w1,
-        0.0 + ku0 * u2 + kv0 * v2 + kw0 * w2,
-        0.0 + ku1 * u2 + kv1 * v2 + kw1 * w2,
-        0.0 + ku2 * u2 + kv2 * v2 + kw2 * w2,
-    )
-
-
 def conic_from_pencil(xi1, xi2, xi3, s):
     """Pencil member through the quadrangle behind (xi1, xi2, xi3).
 
     Computes adj^T Diag(-s, s-1, 1) adj where adj is the adjugate of the
     matrix with columns xi1, xi2, xi3; this is det^2 times the inverse
-    sandwich, so it is the same projective conic.
+    sandwich, so it is the same projective conic. Each off-diagonal entry is
+    summed from 0.0, which turns a -0.0 sum into 0.0; a diagonal entry ends
+    in a square, so it cannot sum to -0.0.
     """
     e0, e1, e2 = xi1
     f0, f1, f2 = xi2
     g0, g1, g2 = xi3
     # the adjugate's rows xi2 x xi3, xi3 x xi1, xi1 x xi2
-    u = (f1 * g2 - f2 * g1, f2 * g0 - f0 * g2, f0 * g1 - f1 * g0)
-    v = (g1 * e2 - g2 * e1, g2 * e0 - g0 * e2, g0 * e1 - g1 * e0)
-    w = (e1 * f2 - e2 * f1, e2 * f0 - e0 * f2, e0 * f1 - e1 * f0)
-    return _three_outers(-s, u, s - 1.0, v, 1.0, w)
+    u0, u1, u2 = f1 * g2 - f2 * g1, f2 * g0 - f0 * g2, f0 * g1 - f1 * g0
+    v0, v1, v2 = g1 * e2 - g2 * e1, g2 * e0 - g0 * e2, g0 * e1 - g1 * e0
+    w0, w1, w2 = e1 * f2 - e2 * f1, e2 * f0 - e0 * f2, e0 * f1 - e1 * f0
+    # weights -s, s - 1 and 1
+    ku, kv = -s, s - 1.0
+    ku0, ku1, ku2 = ku * u0, ku * u1, ku * u2
+    kv0, kv1, kv2 = kv * v0, kv * v1, kv * v2
+    return (
+        ku0 * u0 + kv0 * v0 + w0 * w0,
+        0.0 + ku0 * u1 + kv0 * v1 + w0 * w1,
+        ku1 * u1 + kv1 * v1 + w1 * w1,
+        0.0 + ku0 * u2 + kv0 * v2 + w0 * w2,
+        0.0 + ku1 * u2 + kv1 * v2 + w1 * w2,
+        ku2 * u2 + kv2 * v2 + w2 * w2,
+    )
 
 
 def conic_from_five_points(x1, x2, x3, x4, x5):
     """Unique conic through five points, fitted on the diagonal triangle of
     x1..x4 (see diag_vertices); returns its sym6, or None when the
     triangle's determinant, its divisor, is exactly 0.0 (an underflow);
-    callers decide what that means.
+    callers decide what that means. Each entry is summed from 0.0, which
+    turns a -0.0 sum into 0.0.
     """
     xi1, xi2, xi3 = diag_vertices(x1, x2, x3, x4)
     e0, e1, e2 = xi1
@@ -166,10 +159,17 @@ def conic_from_five_points(x1, x2, x3, x4, x5):
     b1 = (u0 * h0 + u1 * h1 + u2 * h2) / d
     b2 = (v0 * h0 + v1 * h1 + v2 * h2) / d
     b3 = (w0 * h0 + w1 * h1 + w2 * h2) / d
-    return _three_outers(
-        b3 * b3 - b2 * b2, (u0, u1, u2),
-        b1 * b1 - b3 * b3, (v0, v1, v2),
-        b2 * b2 - b1 * b1, (w0, w1, w2),
+    ku, kv, kw = b3 * b3 - b2 * b2, b1 * b1 - b3 * b3, b2 * b2 - b1 * b1
+    ku0, ku1, ku2 = ku * u0, ku * u1, ku * u2
+    kv0, kv1, kv2 = kv * v0, kv * v1, kv * v2
+    kw0, kw1, kw2 = kw * w0, kw * w1, kw * w2
+    return (
+        0.0 + ku0 * u0 + kv0 * v0 + kw0 * w0,
+        0.0 + ku0 * u1 + kv0 * v1 + kw0 * w1,
+        0.0 + ku1 * u1 + kv1 * v1 + kw1 * w1,
+        0.0 + ku0 * u2 + kv0 * v2 + kw0 * w2,
+        0.0 + ku1 * u2 + kv1 * v2 + kw1 * w2,
+        0.0 + ku2 * u2 + kv2 * v2 + kw2 * w2,
     )
 
 

@@ -2,11 +2,11 @@
 
 The solvers build the diagonal (self-polar) triangle of a quadrangle and the
 pencil members it carries with the closed forms of `_kernels`
-(`diag_vertices`, `conic_from_pencil`, `conic_from_five_points`), some
-written out in the builders of `solvers`. Those closed forms hold only
-when no three of the points are collinear, which this module checks for any
-number of points. The 5p and 4p1l analyses of `solvers` make the same test,
-with the same determinants and bands, in straight-line code of their own.
+(`diag_vertices`, `conic_from_pencil`, `conic_from_five_points`). Those
+closed forms hold only when no three of the points are collinear, which this
+module checks for any number of points. The 5p and 4p1l analyses of
+`solvers` make the same test, with the same determinants and bands, in
+straight-line code of their own.
 """
 from __future__ import annotations
 

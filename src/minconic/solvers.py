@@ -33,19 +33,17 @@ each band test keeps its expression, so predict() pays for arithmetic and
 not for one call per value. The 5p and 4p1l analyses test collinearity
 themselves; the 4p1l one hands the builder its diagonal-triangle vertices.
 
-The input reader (_triples) and the builders are straight-line float code
-as well, and pay only for what solve() returns. _triples reads the input in
-one pass, the package's own points and lines off their fields. Each builder
-returns the normalized sym6 tuples of its real conics, one _pencil_member
-call per pencil member, or one _k.conic_from_five_points fit for five
-points, and _solve adjugates those of a dual family inline and wraps each
-returned conic in one ConicMatrix; conics._normalized6 normalizes every one.
-The 4p1l builder reuses the diagonal triangle its analysis built with
-_k.diag_vertices. The 3p2l builder computes the three quadrangle sides
-through the given points once per input and, per root, only the three sides
-through the moving point and the three meets, in the float operations of
-_k.diag_vertices. No solve calls _k.conic_from_pencil, and no builder takes
-a diagonal triangle's cancellation alarm.
+The input reader (_triples) reads the input in one pass, the package's own
+points and lines off their fields. Each builder returns the normalized sym6
+tuples of its real conics, one _k.conic_from_pencil call per pencil member
+or one _k.conic_from_five_points fit for five points, and _solve adjugates
+those of a dual family with _k.sym_adjugate and wraps each returned conic in
+one ConicMatrix; conics._normalized6 normalizes every one. The 4p1l builder
+reuses the diagonal triangle its analysis built with _k.diag_vertices. The
+3p2l builder computes the three quadrangle sides through the given points
+once per input and, per root, only the three sides through the moving point
+and the three meets, in the float operations of _k.diag_vertices. No builder
+takes a diagonal triangle's cancellation alarm.
 """
 from __future__ import annotations
 
@@ -233,34 +231,10 @@ def _tangency_quadratic(d: Vec3) -> tuple[float, float, float]:
     return (d3 * d3, -(d1 * d1 - d2 * d2 + d3 * d3), d1 * d1)
 
 
-def _pencil_member(xi1: Vec3, xi2: Vec3, xi3: Vec3, s: float):
-    """The normalized sym6 of the pencil member at parameter s of the
-    diagonal triangle (xi1, xi2, xi3); DegenerateCase within PARAMETER of the
-    line pairs at s = 0 and s = 1. The member is _k.conic_from_pencil's, in
-    its float operations: the adjugate rows, then the three weighted outer
-    products summed from 0.0, which turns a -0.0 sum into 0.0."""
-    if abs(s) <= PARAMETER or abs(s - 1.0) <= PARAMETER:
-        raise DegenerateCase(f"pencil member at s={s!r} is degenerate")
-    e0, e1, e2 = xi1
-    f0, f1, f2 = xi2
-    g0, g1, g2 = xi3
-    # the adjugate's rows xi2 x xi3, xi3 x xi1, xi1 x xi2
-    u0, u1, u2 = f1 * g2 - f2 * g1, f2 * g0 - f0 * g2, f0 * g1 - f1 * g0
-    v0, v1, v2 = g1 * e2 - g2 * e1, g2 * e0 - g0 * e2, g0 * e1 - g1 * e0
-    w0, w1, w2 = e1 * f2 - e2 * f1, e2 * f0 - e0 * f2, e0 * f1 - e1 * f0
-    # weights -s, s - 1 and 1
-    ku, kv = -s, s - 1.0
-    ku0, ku1, ku2 = ku * u0, ku * u1, ku * u2
-    kv0, kv1, kv2 = kv * v0, kv * v1, kv * v2
-    kw0, kw1, kw2 = 1.0 * w0, 1.0 * w1, 1.0 * w2
-    return _normalized6(
-        0.0 + ku0 * u0 + kv0 * v0 + kw0 * w0,
-        0.0 + ku0 * u1 + kv0 * v1 + kw0 * w1,
-        0.0 + ku1 * u1 + kv1 * v1 + kw1 * w1,
-        0.0 + ku0 * u2 + kv0 * v2 + kw0 * w2,
-        0.0 + ku1 * u2 + kv1 * v2 + kw1 * w2,
-        0.0 + ku2 * u2 + kv2 * v2 + kw2 * w2,
-    )
+def _degenerate_member(s: float) -> DegenerateCase:
+    """The error for a pencil root within PARAMETER of the line pairs at
+    s = 0 and s = 1."""
+    return DegenerateCase(f"pencil member at s={s!r} is degenerate")
 
 
 def _undecided(what: str) -> DegenerateCase:
@@ -410,7 +384,11 @@ def _build_4p1l(state, prediction: CountPrediction):
         roots = sorted(_stable_roots(q2, q1, q0, disc)) if prediction.predicted_real else []
         label = "4p1l/generic"
 
-    conics = [_pencil_member(xi1, xi2, xi3, s) for s in roots]
+    conics = []
+    for s in roots:
+        if abs(s) <= PARAMETER or abs(s - 1.0) <= PARAMETER:
+            raise _degenerate_member(s)
+        conics.append(_normalized6(*_k.conic_from_pencil(xi1, xi2, xi3, s)))
     diag = SolveDiagnostics(
         allocation=(0, 1, 2, 3),
         discriminant=disc,
@@ -799,12 +777,14 @@ def _build_3p2l(state, prediction: CountPrediction):
                     "(underflow)"
                 )
             s = d1 * d1 / den
-        conics.append(_pencil_member(
+        if abs(s) <= PARAMETER or abs(s - 1.0) <= PARAMETER:
+            raise _degenerate_member(s)
+        conics.append(_normalized6(*_k.conic_from_pencil(
             (u0, u1, u2),
             (v0, v1, v2),
             (w1 * m2 - w2 * m1, w2 * m0 - w0 * m2, w0 * m1 - w1 * m0),
             s,
-        ))
+        )))
         params.append((s, t))
 
     if len(roots) > 1:
@@ -917,17 +897,7 @@ def _solve(vecs: list[Vec3], lvs: list[Vec3], geometry: float) -> SolutionSet:
     if dual:
         # the dual solutions are conics in the dual plane; their adjugates
         # are the answers in the original plane
-        conics = [
-            _normalized6(
-                m22 * m33 - m23 * m23,
-                m13 * m23 - m12 * m33,
-                m11 * m33 - m13 * m13,
-                m12 * m23 - m22 * m13,
-                m12 * m13 - m11 * m23,
-                m11 * m22 - m12 * m12,
-            )
-            for m11, m12, m22, m13, m23, m33 in conics
-        ]
+        conics = [_normalized6(*_k.sym_adjugate(m)) for m in conics]
         label = "dual:" + label
     real = tuple([ConicMatrix(*m) for m in conics])
     return SolutionSet(real, prediction.predicted_complex, label, diag)

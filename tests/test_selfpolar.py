@@ -7,9 +7,10 @@ import pytest
 
 import minconic._kernels as _k
 from minconic import ConicClass, ConicMatrix, classify, point_residual, solve
+from minconic.conics import _normalized6
 from minconic.errors import DegenerateCase, GeneralPositionError, UnsupportedCount
+from minconic.oracle import dualize_input
 from minconic.selfpolar import require_no_collinear_triple
-from minconic.solvers import _pencil_member
 
 from conftest import conic_rows
 
@@ -75,7 +76,7 @@ def test_pencil_members_pass_through_the_quadrangle(square):
     xi1, xi2, xi3, _ = square_triangle(square)
     verts = (xi1, xi2, xi3)
     for s in (-3.0, 0.25, 0.5, 2.0, 17.0):
-        conic = ConicMatrix(*_pencil_member(xi1, xi2, xi3, s))
+        conic = ConicMatrix(*_normalized6(*_k.conic_from_pencil(xi1, xi2, xi3, s)))
         for p in square:
             assert point_residual(conic, p) < 1e-14
         # polarity: vertex i maps to the opposite side, so x_i^T C x_j = 0
@@ -88,10 +89,14 @@ def test_pencil_members_pass_through_the_quadrangle(square):
 
 
 def test_pencil_degenerate_parameters_rejected(square):
-    xi1, xi2, xi3, _ = square_triangle(square)
-    for s in (0.0, 1.0, 1e-13, 1.0 - 1e-13):
-        with pytest.raises(DegenerateCase):
-            _pencil_member(xi1, xi2, xi3, s)
+    # a line this close to the origin, the diagonal vertex where the
+    # square's diagonals meet, pins its tangent member within PARAMETER of
+    # the line pair at s = 1, primal and dual
+    for eps in (1e-8, 1e-7, 1e-6):
+        line = (2.0, -1.0, eps)
+        for points, lines in ((square, [line]), dualize_input(square, [line])):
+            with pytest.raises(DegenerateCase, match=r"^pencil member at s=.* is degenerate$"):
+                solve(points, lines)
 
 
 def test_five_point_conic_through_inputs(square):

@@ -150,6 +150,22 @@ def test_solve_builds_one_diagonal_triangle(monkeypatch, family):
         assert any(real) and (family[-1] in "12" or not all(real))
 
 
+@pytest.mark.parametrize("family", ["4p1l", "1p4l", "5p", "5l"] + CASES_3P2L)
+def test_solve_builds_each_conic_with_one_kernel_call(monkeypatch, family):
+    # every pencil member a solve returns is one _k.conic_from_pencil call,
+    # and the five-point fit makes none; a dual family adjugates each
+    # returned conic with one _k.sym_adjugate call, a primal one with none
+    members = counted(monkeypatch, _k, "conic_from_pencil")
+    adjugates = counted(monkeypatch, _k, "sym_adjugate")
+    dual = family in ("1p4l", "5l") or family.startswith("2p3l")
+    for points, lines in inputs_of(family):
+        members.clear()
+        adjugates.clear()
+        n = solve(points, lines).real_count
+        assert len(members) == (0 if family in ("5p", "5l") else n)
+        assert len(adjugates) == (n if dual else 0)
+
+
 @pytest.mark.parametrize("name", gallery_names())
 def test_predict_takes_no_cancellation_alarm(monkeypatch, name):
     # the alarm is taken by neither predict nor solve
