@@ -6,8 +6,6 @@ six-vector with a deterministic sign.
 
 Everything is plain float arithmetic: rank, classify and split_line_pair
 read their rank and sign decisions off one closed-form eigenvalue helper.
-numpy is used only outside this module, by the oracle's reference rank and
-by plotting.
 """
 from __future__ import annotations
 

@@ -9,8 +9,8 @@ of the quadrangle's line pairs restricted to the line, three points and two
 lines through the Cremona frame that sends the points to the coordinate
 triangle. Its self-polar check builds each diagonal triangle from its own
 meets of opposite sides, and a determinant bound proves a conic's rank 3,
-leaving to LAPACK's eigenvalues (one numpy call on the stacked matrices of a
-set, and the one place numpy is imported) only the conics it cannot clear.
+leaving to the eigenvalues of cyclic Jacobi sweeps only the conics it cannot
+clear.
 Certification is straight-line float code on unpacked scalars, with no call
 per cross product, dot product or residual, and it calls nothing in the
 solvers' kernels. These are the ground truth the solver tests compare
@@ -260,48 +260,72 @@ def _judged_count(vecs: list[Vec3], lvs: list[Vec3], band: float):
 # certification
 
 
-def _ranks(m6s: Sequence[Sequence[float]], fros: Sequence[float]) -> list[int]:
-    """Numeric rank of each sym6 conic of Frobenius norm fros[i]: eigenvalues
+def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
+    """The smaller Jacobi rotation that zeroes apq in the symmetric 2x2 block
+    (app apq; apq aqq): its tangent t, its sine and tau = sin / (1 + cos)."""
+    h = 0.5 * (aqq - app)
+    t = apq / (abs(h) + math.hypot(h, apq))
+    if h < 0.0:
+        t = -t
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    sn = t * cs
+    return t, sn, sn / (1.0 + cs)
+
+
+def _sweep_rank(a: float, b: float, c: float, d: float, e: float, f: float) -> int:
+    """Numeric rank of the symmetric matrix (a b d; b c e; d e f) from its
+    eigenvalues, found by cyclic Jacobi sweeps: a NaN or inf entry gives rank 0.
+
+    Each entry is first scaled, exactly, by the power of two that brings the
+    largest magnitude into [0.5, 1). The sweeps then stop once the
+    off-diagonal entries sum to at most 1e-20, far below the rounding of the
+    diagonal, which holds the eigenvalues.
+    """
+    top = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
+    k = -math.frexp(top)[1]
+    ldexp = math.ldexp
+    a, b, c, d, e, f = ldexp(a, k), ldexp(b, k), ldexp(c, k), ldexp(d, k), ldexp(e, k), ldexp(f, k)
+    s = a + b + c + d + e + f  # finite entries now sum to below 6
+    if s - s != 0.0:
+        return 0
+    # each rotation zeroes its entry: b is 0 in the second one, d in the third
+    for _ in range(16):  # a triple eigenvalue, the slowest case, takes about ten
+        if b:
+            t, sn, tau = _rotation(a, c, b)
+            a, c, b = a - t * b, c + t * b, 0.0
+            d, e = d - sn * (e + tau * d), e + sn * (d - tau * e)
+        if d:
+            t, sn, tau = _rotation(a, f, d)
+            a, f, d = a - t * d, f + t * d, 0.0
+            b, e = -sn * e, e - sn * (tau * e)
+        if e:
+            t, sn, tau = _rotation(c, f, e)
+            c, f, e = c - t * e, f + t * e, 0.0
+            b, d = b - sn * (tau * b), sn * b
+        if abs(b) + abs(d) + abs(e) <= 1e-20:
+            break
+    x, y, z = abs(a), abs(c), abs(f)
+    limit = RANK_ZERO * max(x, y, z)
+    return (x > limit) + (y > limit) + (z > limit)
+
+
+def _rank(m6: Sequence[float], fro: float) -> int:
+    """Numeric rank of the sym6 conic m6 of Frobenius norm fro: eigenvalues
     below RANK_ZERO times the spectral radius are zero.
 
     A symmetric 3x3 matrix has |lmin| / |lmax| >= |det| / F^3, so
-    |det| > 2 RANK_ZERO F^3 proves rank 3, the rank LAPACK reports too: the
-    factor 2 is far above the rounding of det and LAPACK's backward error.
-    The bound is applied only for 1e-50 <= F <= 1e50, where neither det nor
-    F^3 can overflow or underflow. Every other conic, NaN and inf included,
-    is ranked from one LAPACK call on the stacked matrices, with thresholds
-    on plain floats: a NaN eigenvalue makes the spectral radius NaN, as
-    ndarray.max does, so no eigenvalue clears it: rank 0. An unconverged
-    eigenvalue problem raises numpy's LinAlgError.
+    |det| > 2 RANK_ZERO F^3 proves rank 3, the rank the eigenvalues give too:
+    the factor 2 is far above the rounding of det and of the eigenvalues. The
+    bound is applied only for 1e-50 <= F <= 1e50, where neither det nor F^3
+    can overflow or underflow. Every other conic, NaN and inf included, is
+    ranked by _sweep_rank.
     """
-    ranks: list[Optional[int]] = []
-    rest = []
-    for m6, fro in zip(m6s, fros):
-        a, b, c, d, e, f = m6  # rows (a b d), (b c e), (d e f); det along the first row
-        if 1e-50 <= fro <= 1e50 and abs(
-            a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d)
-        ) > 2.0 * RANK_ZERO * (fro * fro * fro):
-            ranks.append(3)
-        else:
-            ranks.append(None)
-            rest.append(m6)
-    if not rest:
-        return ranks
-    import numpy as np  # only the conics the bound cannot clear need numpy
-
-    flat = [x for a, b, c, d, e, f in rest for x in (a, b, d, b, c, e, d, e, f)]
-    mats = np.array(flat, dtype=float).reshape(len(rest), 3, 3)
-    found = []
-    for w in np.linalg.eigvalsh(mats).tolist():
-        x, y, z = abs(w[0]), abs(w[1]), abs(w[2])
-        top = max(x, y, z)
-        if top == 0.0 or math.isnan(x + y + z):
-            found.append(0)
-        else:
-            limit = RANK_ZERO * top
-            found.append((x > limit) + (y > limit) + (z > limit))
-    ranked = iter(found)
-    return [next(ranked) if r is None else r for r in ranks]
+    a, b, c, d, e, f = m6  # rows (a b d), (b c e), (d e f); det along the first row
+    if 1e-50 <= fro <= 1e50 and abs(
+        a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d)
+    ) > 2.0 * RANK_ZERO * (fro * fro * fro):
+        return 3
+    return _sweep_rank(a, b, c, d, e, f)
 
 
 @fast_init
@@ -449,8 +473,8 @@ def certify(
     check is named in `not_judged` and not run. An input that the solvers'
     reads refuse, or a zero element, fails the count check with NaN. Each
     point, line and conic is read once, a conic's norm and adjugate serve
-    all its residuals, and LAPACK ranks, in one call, only the conics that
-    the determinant bound cannot prove rank 3.
+    all its residuals, and Jacobi sweeps rank only the conics that the
+    determinant bound cannot prove rank 3.
     """
     try:
         vecs, lvs = _triples(points, lines)
@@ -460,26 +484,19 @@ def certify(
         lvs = [_vec(l) for l in lines]
         read = False
 
-    m6s: list = []
-    fros: list[float] = []
-    worst: list[tuple[float, float]] = []  # per conic: worst incidence, worst tangency
-    try:
-        for cm in sol.real_conics:
-            m6 = cm.sym6()
-            fro = _sym6_frobenius(m6)
-            worst.append(_conic_residuals(m6, fro, vecs, lvs))
-            m6s.append(m6)
-            fros.append(fro)
-    except Exception:
-        # checked conic by conic, every earlier conic's rank came first
-        _ranks(m6s, fros)
-        raise
-    ranks = _ranks(m6s, fros)
-    n = len(m6s)
+    n = len(sol.real_conics)
     names = _CHECK_NAMES if n <= len(_CHECK_NAMES) else [_check_names(i) for i in range(n)]
     limit = RESIDUAL
     checks: list[CheckResult] = []
-    for (pin, tan), r, (inc_name, tan_name, rank_name, _) in zip(worst, ranks, names):
+    m6s: list = []
+    fros: list[float] = []
+    for cm, (inc_name, tan_name, rank_name, _) in zip(sol.real_conics, names):
+        m6 = cm.sym6()
+        fro = _sym6_frobenius(m6)
+        pin, tan = _conic_residuals(m6, fro, vecs, lvs)
+        r = _rank(m6, fro)
+        m6s.append(m6)
+        fros.append(fro)
         checks.append(CheckResult(inc_name, pin <= limit, pin, limit))
         checks.append(CheckResult(tan_name, tan <= limit, tan, limit))
         checks.append(CheckResult(rank_name, r == 3, float(r), 3.0))

@@ -1,9 +1,10 @@
 """Deterministic SVG rendering of configurations and solution conics.
 
-Conics are drawn from their canonical affine form: eigen-decompose, build the
-center/axes (or the parabola axis), sample a fixed number of parameter values
-per branch, and map back. Output is byte-stable for identical input: fixed
-sample counts, fixed float formatting, no timestamps.
+Conics are drawn from their canonical affine form: eigen-decompose the 2x2
+block in closed form, build the center/axes (or the parabola axis), sample a
+fixed number of parameter values per branch, and map back. Output is
+byte-stable for identical input: fixed sample counts, fixed float formatting,
+no timestamps.
 """
 from __future__ import annotations
 
@@ -66,6 +67,25 @@ def _conic_center(cm: ConicMatrix) -> Optional[tuple[float, float]]:
     return (x0, y0)
 
 
+def _axes(cm: ConicMatrix):
+    """The eigenvalues of the leading block (a b; b c) of cm, the larger in
+    magnitude first, each with its unit eigenvector, in closed form.
+
+    The eigenvector (cos t, sin t) with t = atan2(2b, a - c) / 2 has the
+    eigenvalue (a + c)/2 + hypot((a - c)/2, b), and (-sin t, cos t) the one
+    with the minus sign. The larger in magnitude takes the sign of a + c, and
+    the smaller is det / larger, which does not cancel as the difference of
+    the two terms does when the block is nearly singular (a parabola).
+    """
+    a, b, c = cm.a, cm.b, cm.c
+    t = 0.5 * math.atan2(2.0 * b, a - c)
+    u = (math.cos(t), math.sin(t))
+    w = (-u[1], u[0])
+    half, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    big, vb, vs = (half + rad, u, w) if half >= 0.0 else (half - rad, w, u)
+    return (big, vb), ((a * c - b * b) / big, vs)
+
+
 def sample_conic(cm: ConicMatrix, viewport: Viewport) -> list[list[tuple[float, float]]]:
     """Sample a non-degenerate conic into one or more polyline branches of
     SAMPLES segments each.
@@ -74,14 +94,9 @@ def sample_conic(cm: ConicMatrix, viewport: Viewport) -> list[list[tuple[float, 
     open branch. Branches are world-coordinate polylines, already restricted
     to a generous neighborhood of the viewport.
     """
-    # LAPACK's eigenvector signs set the order of the sampled points, and so
-    # the bytes of the SVG; imported here, numpy is loaded only to plot
-    import numpy as np
-
     kind = classify(cm)
     xmin, ymin, xmax, ymax = viewport
     reach = 2.0 * math.hypot(xmax - xmin, ymax - ymin)
-    block = np.array([[cm.a, cm.b], [cm.b, cm.c]])
     branches: list[list[tuple[float, float]]] = []
 
     if kind in (ConicClass.REAL_ELLIPSE, ConicClass.HYPERBOLA):
@@ -90,10 +105,7 @@ def sample_conic(cm: ConicMatrix, viewport: Viewport) -> list[list[tuple[float, 
             return []
         x0, y0 = center
         fc = cm.point_value((x0, y0, 1.0))
-        w, v = np.linalg.eigh(block)
-        lam1, lam2 = float(w[0]), float(w[1])
-        v1 = (float(v[0, 0]), float(v[1, 0]))
-        v2 = (float(v[0, 1]), float(v[1, 1]))
+        (lam1, v1), (lam2, v2) = _axes(cm)
 
         if kind is ConicClass.REAL_ELLIPSE:
             r1 = math.sqrt(max(-fc / lam1, 0.0))
@@ -124,11 +136,7 @@ def sample_conic(cm: ConicMatrix, viewport: Viewport) -> list[list[tuple[float, 
                 branches.append(br)
 
     elif kind is ConicClass.PARABOLA:
-        w, v = np.linalg.eigh(block)
-        idx = int(np.argmax(np.abs(w)))
-        lam = float(w[idx])
-        v1 = (float(v[0, idx]), float(v[1, idx]))  # curved coordinate
-        v2 = (float(v[0, 1 - idx]), float(v[1, 1 - idx]))  # axis coordinate
+        (lam, v1), (_, v2) = _axes(cm)  # v1 the curved coordinate, v2 the axis
         # rotated frame: lam*u^2 + 2*du*u + 2*dv*s + f = 0  ->  s(u)
         du = cm.d * v1[0] + cm.e * v1[1]
         dv = cm.d * v2[0] + cm.e * v2[1]

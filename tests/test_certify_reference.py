@@ -86,7 +86,7 @@ def reference(points, lines, sol):
         vecs, lvs, read = [_vec(p) for p in points], [_vec(l) for l in lines], False
     conics, checks, diag, quads = sol.real_conics, [], sol.diagnostics, []
     m6s = [cm.sym6() for cm in conics]
-    for i, (cm, r) in enumerate(zip(conics, oracle._ranks(m6s, [_sym6_frobenius(m) for m in m6s]))):
+    for i, (cm, r) in enumerate(zip(conics, [oracle._rank(m, _sym6_frobenius(m)) for m in m6s])):
         pin = worst([lambda v=v: point_residual(cm, v) for v in vecs])
         tan = worst([lambda l=l: tangency_residual(cm, l) for l in lvs])
         checks += [CheckResult(f"incidence[{i}]", pin <= RESIDUAL, pin, RESIDUAL),

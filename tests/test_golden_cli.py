@@ -2,10 +2,9 @@
 
 Each row of golden_cli.tsv is one `minconic` call, its exit code and the
 sha256 of its stdout, a NUL byte, then its stderr. The calls are `solve` and
-`predict` (text and JSON) and `check` on every file of tests/fixtures, and
-`batch` on every fixture directory, run in tests/fixtures on relative paths.
-`plot` is left out: its SVG follows the signs of LAPACK's eigenvectors.
-`check` rows skip without numpy; the others run without it.
+`predict` (text and JSON), `check` and `plot` on every file of
+tests/fixtures, and `batch` on every fixture directory, run in tests/fixtures
+on relative paths.
 
 An intended report change rewrites the file with
 
@@ -39,6 +38,7 @@ def calls():
                 out.append([command, path])
                 out.append([command, path, "--format", "json"])
             out.append(["check", path])
+            out.append(["plot", path])
     out += [["batch", d] for d in dirs]
     return out
 
@@ -73,8 +73,6 @@ def test_golden_file_lists_every_call():
 
 @pytest.mark.parametrize("argv", calls(), ids=" ".join)
 def test_report_matches_golden(argv):
-    if argv[0] == "check":
-        pytest.importorskip("numpy")
     key = " ".join(argv)
     want = golden().get(key)
     code, out, err = run(argv)

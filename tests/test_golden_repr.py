@@ -33,9 +33,8 @@ outputs. The blocks:
 
 The kernel, analysis and builder inputs are built with the live
 `_k.cross`, `_k.dot3`, `_k.norm3` and `_k.diag_vertices`, so a change to
-those can also show as changed inputs. The `certify` blocks skip without
-numpy, as the oracle's rank of a conic that its determinant bound cannot
-clear is LAPACK's; the other blocks need only the standard library. An intended output change rewrites the file with
+those can also show as changed inputs. Every block needs only the standard
+library. An intended output change rewrites the file with
 
     PYTHONPATH=src python tests/test_golden_repr.py
 
@@ -154,9 +153,6 @@ BLOCKS.update({f"certify_mixed_objects_{seed}": ((certify,), partial(mixed, seed
                for seed in SEEDS})
 BLOCKS.update({f"certify_ransac_{seed}": ((certify,), partial(ransac, seed)) for seed in SEEDS})
 
-#: blocks that can reach the oracle's LAPACK rank
-NEEDS_NUMPY = {name for name in BLOCKS if name.startswith("certify")}
-
 
 def outcome(fn, *args):
     try:
@@ -189,8 +185,6 @@ def test_golden_file_lists_every_block():
 
 @pytest.mark.parametrize("name", list(BLOCKS))
 def test_block_matches_golden(name):
-    if name in NEEDS_NUMPY:
-        pytest.importorskip("numpy")
     count, out, inp = digest(name)
     want_count, want_out, want_inp = golden()[name]
     names = "/".join(fn.__name__ for fn in BLOCKS[name][0])

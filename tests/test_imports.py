@@ -1,6 +1,8 @@
-"""Every name a package module imports with `from ... import` is used there.
+"""Every name a package module imports with `from ... import` is used there,
+and no package module imports numpy.
 
-`__init__.py` is exempt: its imports are the public API it re-exports.
+`__init__.py` is exempt from the first check: its imports are the public API
+it re-exports.
 """
 import ast
 import pathlib
@@ -39,3 +41,24 @@ def test_module_uses_every_name_it_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from typing import Iterable, Sequence\n\ndef f(x: Sequence) -> None:\n    pass\n"
     assert unused_from_imports(source) == ["line 1: Iterable"]
+
+
+def imported_modules(source: str) -> list[str]:
+    """The top-level package of every module that source imports."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_numpy(path):
+    assert "numpy" not in imported_modules(path.read_text())
+
+
+def test_the_check_sees_a_numpy_import():
+    source = "def f():\n    import numpy.linalg as la\n    from numpy import array\n"
+    assert imported_modules(source) == ["numpy", "numpy"]

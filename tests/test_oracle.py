@@ -3,7 +3,6 @@ import math
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from minconic import (
@@ -169,8 +168,7 @@ def _rank_magnitudes(cert):
 
 
 def test_stacked_rank_flags_only_the_degenerate_conic():
-    # one LAPACK call ranks the whole set; the line pair x^2 - y^2 in slot 2
-    # must be the only rank failure, and the other conics stay certified (its
+    # the line pair x^2 - y^2 in slot 2 must be the only rank failure, and the other conics stay certified (its
     # own residuals fail too: no line pair through three points of a case-5
     # input is tangent to both lines)
     points, lines, sol = _case5_four_real()
@@ -182,24 +180,24 @@ def test_stacked_rank_flags_only_the_degenerate_conic():
     assert all("[2]" in name for name in failed), failed
 
 
-def test_lapack_ranks_only_the_conics_the_determinant_bound_cannot_clear(monkeypatch):
-    # |det| > 2 RANK_ZERO F^3 proves rank 3, so a solved set calls no LAPACK;
-    # the conics the bound cannot clear go to one call on the stacked matrices
+def test_the_sweep_ranks_only_the_conics_the_determinant_bound_cannot_clear(monkeypatch):
+    # |det| > 2 RANK_ZERO F^3 proves rank 3, so a solved set runs no Jacobi
+    # sweep; each conic the bound cannot clear runs one
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    sweep_rank = oracle._sweep_rank
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counted(*m6):
+        calls.append(m6)
+        return sweep_rank(*m6)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(oracle, "_sweep_rank", counted)
     points, lines, sol = _case5_four_real()
     assert certify(points, lines, sol).ok
     assert calls == []
 
     line_pair = ConicMatrix(1.0, 0.0, -1.0, 0.0, 0.0, 0.0)
     cert = certify(points, lines, _with_conic(_with_conic(sol, 1, line_pair), 3, line_pair))
-    assert calls == [(2, 3, 3)]
+    assert calls == [line_pair.sym6()] * 2
     assert _rank_magnitudes(cert) == [3.0, 2.0, 3.0, 2.0]
 
     calls.clear()
@@ -211,27 +209,26 @@ def test_lapack_ranks_only_the_conics_the_determinant_bound_cannot_clear(monkeyp
 
 
 def test_rank_of_non_finite_conics():
-    # as with ndarray.max, a NaN eigenvalue makes the spectral radius NaN and
-    # the rank 0: an inf entry gives NaN eigenvalues; LAPACK's eigenvalues of
-    # a NaN diagonal entry are (0, -0, 1), rank 1
+    # a conic with an inf or NaN entry has rank 0 and fails nondegenerate,
+    # beside off-diagonal zeros or not
     points, lines, sol = _case5_four_real()
     inf, nan = math.inf, math.nan
     conics = (
         ConicMatrix(inf, 0.0, 1.0, 0.0, 0.0, 1.0),
         ConicMatrix(nan, 0.0, 1.0, 0.0, 0.0, 1.0),
-    ) + sol.real_conics[2:]
+        ConicMatrix(nan, 0.5, 1.0, 0.25, 0.0, -3.0),
+    ) + sol.real_conics[3:]
     cert = certify(points, lines, replace(sol, real_conics=conics))
-    assert _rank_magnitudes(cert) == [0.0, 1.0, 3.0, 3.0]
+    assert _rank_magnitudes(cert) == [0.0, 0.0, 0.0, 3.0]
+    failed = {c.name for c in cert.failures()}
+    assert {"nondegenerate[0]", "nondegenerate[1]", "nondegenerate[2]"} <= failed
+    assert "nondegenerate[3]" not in failed
 
 
-def test_eigenvalue_failure_keeps_its_place_in_the_check_order(monkeypatch):
-    # conic by conic, conic 0's rank came before conic 1's residuals: an
-    # unconverged eigenvalue problem raises LinAlgError, even when a later
-    # conic's residual raises. Only a conic that the determinant bound cannot
-    # prove rank 3 (the line pair) goes to LAPACK
-    def unconverged(a, *args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
+def test_a_residual_failure_raises_beside_any_rank(monkeypatch):
+    # a residual that raises is not caught, whichever conic it belongs to,
+    # beside a conic that the determinant bound clears or one that the
+    # Jacobi sweep ranks (the line pair)
     points, lines, sol = _case5_four_real()
     marked = ConicMatrix(2.0, 0.0, 1.0, 0.0, 0.0, -1.0)
     line_pair = ConicMatrix(1.0, 0.0, -1.0, 0.0, 0.0, 0.0)
@@ -245,13 +242,10 @@ def test_eigenvalue_failure_keeps_its_place_in_the_check_order(monkeypatch):
     monkeypatch.setattr(oracle, "_conic_residuals", failing)
     with pytest.raises(ArithmeticError):
         certify(points, lines, _with_conic(sol, 0, marked))
-    monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(ArithmeticError):
         certify(points, lines, _with_conic(_with_conic(sol, 0, line_pair), 1, marked))
     with pytest.raises(ArithmeticError):
         certify(points, lines, _with_conic(sol, 1, marked))
-    with pytest.raises(ArithmeticError):
-        certify(points, lines, _with_conic(sol, 0, marked))
 
 
 def _checks_by_slot(cert, slot):
