@@ -4,14 +4,15 @@ A conic is stored by the six independent entries of its symmetric matrix.
 Everything here is scale-invariant; reported conics are normalized to a unit
 six-vector with a deterministic sign.
 
-Everything is plain float arithmetic: rank, classify and split_line_pair
-read their rank and sign decisions off one closed-form eigenvalue helper.
+Everything is plain float arithmetic. One eigenvalue routine, a cyclic
+Jacobi sweep, serves rank, classify, split_line_pair and the oracle's
+nondegenerate check; a determinant bound in front of it proves rank 3 for
+most conics without a sweep.
 """
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -143,33 +144,42 @@ def _nonzero(w: Sequence[float]) -> list[float]:
 
 
 def rank(c: ConicMatrix) -> int:
-    """Numeric rank: eigenvalues below RANK_ZERO times the spectral radius are zero."""
-    w = _spectrum(_equilibrated(c))
-    if w is None:
-        return 3
-    return len(_nonzero(w))
+    """Numeric rank: eigenvalues below RANK_ZERO times the spectral radius are zero.
+
+    A determinant bound proves rank 3 for most conics; the eigenvalues of a
+    Jacobi sweep rank the others (see _rank). Raises ValueError for an inf or
+    NaN entry.
+    """
+    m = tuple(map(float, c.sym6()))
+    if not all(map(math.isfinite, m)):
+        raise ValueError("conic matrix has a non-finite entry; it has no rank")
+    return _rank(m, _sym6_frobenius(m))
 
 
 def classify(c: ConicMatrix) -> ConicClass:
     """Affine class of a conic.
 
-    Degenerate cases are split by rank and by the signs of the nonzero
-    eigenvalues; non-degenerate ones by the leading 2x2 minor. Both read the
-    equilibrated entries, so huge and tiny matrices neither overflow nor
-    underflow.
+    The rank is that of rank(): the determinant bound, else a Jacobi sweep.
+    Degenerate cases are split by rank and by the signs of the sweep's
+    nonzero eigenvalues; non-degenerate ones by the leading 2x2 minor of the
+    entries scaled by the power of two that brings the largest into
+    [1/2, 1), so huge and tiny matrices neither overflow nor underflow.
+    Raises ValueError for a zero matrix or an inf or NaN entry.
     """
-    m = _equilibrated(c)
-    w = _spectrum(m)
-    if w is not None:
-        nonzero = _nonzero(w)
-        if not nonzero:
-            raise ValueError("zero conic matrix has no class")
-        if len(nonzero) == 1:
-            return ConicClass.DOUBLE_LINE
-        if len(nonzero) == 2:
-            return ConicClass.LINE_PAIR if nonzero[0] * nonzero[1] < 0.0 else ConicClass.POINT
+    r = rank(c)
+    if r == 0:
+        raise ValueError("zero conic matrix has no class")
+    if r == 1:
+        return ConicClass.DOUBLE_LINE
+    m = c.sym6()
+    if r == 2:
+        x, y = _nonzero(_sweep(*m))
+        return ConicClass.LINE_PAIR if x * y < 0.0 else ConicClass.POINT
 
-    # full rank: ellipse / parabola / hyperbola via the leading block
+    # full rank: ellipse / parabola / hyperbola via the leading block. The
+    # scale is exact, so the signs and ratios are those of c itself.
+    exp = math.frexp(max(abs(x) for x in m))[1]
+    m = tuple(math.ldexp(x, -exp) for x in m)
     a, b, cc = m[0], m[1], m[2]
     mean = 0.5 * (a + cc)
     rad = math.hypot(0.5 * (a - cc), b)
@@ -273,18 +283,6 @@ def _pencil_eigenvalues(incs: Sequence) -> PencilEigenvalues:
 #: sym6 index of the matrix entry (row, column)
 _SYM6 = ((0, 1, 3), (1, 2, 4), (3, 4, 5))
 
-#: Newton steps allowed for one eigenvalue. An isolated one settles in one
-#: or two; a double eigenvalue away from zero (rank 3) is approached
-#: linearly, halving the distance each step, and may use them all.
-_NEWTON_STEPS = 100
-
-#: bound on ||adj M||_F / ||M||_F^2 below which the two smaller eigenvalues
-#: are read off the adjugate. The ratio is within a factor 3 of
-#: |lam2 / lam1| (eigenvalues by decreasing magnitude), so below it lam1
-#: dominates the trace, and above it only lam3 can be near zero, isolated.
-_TWO_SMALL = 1e-3
-
-
 def _sym6_combo(k1: float, m1: Sequence[float], k2: float, m2: Sequence[float]):
     return tuple(k1 * a + k2 * b for a, b in zip(m1, m2))
 
@@ -300,116 +298,84 @@ def _stable_roots(q2: float, q1: float, q0: float, disc: float) -> tuple[float, 
     return qq / q2, q0 / qq
 
 
-def _cubic_root(x: float, e1: float, e2: float, e3: float) -> Optional[float]:
-    """A root of x^3 - e1 x^2 + e2 x - e3 by Newton steps from x, or None if
-    the steps do not settle. The coefficients are those of a matrix with
-    entries at most 1 in magnitude, whose rounding level is an absolute one."""
-    settled = 8.0 * sys.float_info.epsilon * (1.0 + abs(e1))
-    for _ in range(_NEWTON_STEPS):
-        slope = (3.0 * x - 2.0 * e1) * x + e2
-        if slope == 0.0:
-            return None
-        step = (((x - e1) * x + e2) * x - e3) / slope
-        x -= step
-        if abs(step) <= settled:
-            return x
-    return None
-
-
-def _adjugate_column(adj) -> tuple[Vec3, int]:
-    """The largest column of an adjugate and its index. When the matrix is
-    near rank 2 this column is, to first order, a multiple of its singular
-    point."""
+def _adjugate_column(adj) -> Vec3:
+    """The largest column of an adjugate. When the matrix is near rank 2
+    this column is, to first order, a multiple of its singular point."""
     a11, a12, a22, a13, a23, a33 = adj
     cols = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
     norms = [_k.norm3(v) for v in cols]
-    j = norms.index(max(norms))
-    return cols[j], j
+    return cols[norms.index(max(norms))]
 
 
-def _eigenvalues(m, adj, norm: float) -> Optional[tuple[float, float, float]]:
-    """The three eigenvalues of a symmetric matrix, or None if none is near zero.
+def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
+    """The smaller Jacobi rotation that zeroes apq in the symmetric 2x2 block
+    (app apq; apq aqq): its tangent t, its sine and tau = sin / (1 + cos)."""
+    h = 0.5 * (aqq - app)
+    t = apq / (abs(h) + math.hypot(h, apq))
+    if h < 0.0:
+        t = -t
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    sn = t * cs
+    return t, sn, sn / (1.0 + cs)
 
-    m is the matrix in sym6 layout with entries at most 1 in magnitude and
-    the largest at least 1/2, adj its adjugate and norm its Frobenius norm.
-    The eigenvalues are the roots of x^3 - e1 x^2 + e2 x - e3 (trace, trace
-    of the adjugate, determinant); one root is found by Newton steps and the
-    other two solve the deflated quadratic x^2 - s x + p. None means the
-    steps found no eigenvalue near zero: the matrix has rank 3.
+
+def _sweep(
+    a: float, b: float, c: float, d: float, e: float, f: float
+) -> Optional[tuple[float, float, float]]:
+    """The eigenvalues of the symmetric matrix (a b d; b c e; d e f), scaled,
+    found by cyclic Jacobi sweeps, or None for an inf or NaN entry.
+
+    Each entry is first scaled, exactly, by the power of two that brings the
+    largest magnitude into [0.5, 1); the eigenvalues come back at that
+    scale, so their signs and ratios are those of the matrix itself. The
+    sweeps stop once the off-diagonal entries sum to at most 1e-20, far
+    below the rounding of the diagonal, which holds the eigenvalues.
     """
-    m11, m12, m22, m13, m23, m33 = m
-    a11, a12, a22, a13, a23, a33 = adj
-    e1 = m11 + m22 + m33
-    e2 = a11 + a22 + a33
-    if _sym6_frobenius(adj) <= _TWO_SMALL * norm * norm:
-        # two eigenvalues near zero, which the cubic resolves only to about
-        # sqrt(eps). With lam1 dominant they are the nonzero eigenvalues of
-        # adj(M) / lam1, so read them off the adjugate: its principal 2x2
-        # minors sum to det(M) tr(M), and that sum keeps its relative
-        # accuracy where the plain determinant's rounding (about eps) would
-        # swamp lam1 lam2 lam3.
-        e3 = ((a11 * a22 - a12 * a12) + (a11 * a33 - a13 * a13) + (a22 * a33 - a23 * a23)) / e1
-        # lam1, a simple root within 6e-3 of e1 relative: the steps settle
-        x = _cubic_root(e1, e1, e2, e3)
-        p = e3 / x
-        s = (e2 - p) / x
-    else:
-        if e2 == 0.0:
-            return None
-        q, j = _adjugate_column(adj)
-        if 2.0 * abs(q[j]) >= _k.norm3(q):
-            # M q = det e_j, so q^T M q = det q_j. Read this way the
-            # determinant of a nearly singular matrix keeps its relative
-            # accuracy, because the rounding of the cofactors in q enters
-            # only to second order; the plain cofactor expansion below
-            # leaves an absolute error of about eps, which puts the near-zero
-            # eigenvalue about eps/e2 off. Near rank 2 the adjugate is close
-            # to a multiple of q q^T, and its largest column has
-            # q_j >= |q| / sqrt(3).
-            e3 = _k.sym_eval(m, q) / q[j]
-        else:
-            e3 = _k.dot3((m[_SYM6[j][0]], m[_SYM6[j][1]], m[_SYM6[j][2]]), q)
-        # det/e2 is the root nearest zero to first order when it is isolated
-        x = _cubic_root(e3 / e2, e1, e2, e3)
-        if x is None:
-            return None
-        s = e1 - x
-        # the product of the other two: from e2 when x is the small root,
-        # from the determinant when x is the large one
-        p = e3 / x if x * x > abs(e2) else e2 - x * s
-    disc = s * s - 4.0 * p
-    if disc <= 0.0:
-        # a symmetric matrix has real eigenvalues: a negative discriminant
-        # is rounding around a double root
-        return x, 0.5 * s, 0.5 * s
-    y1, y2 = _stable_roots(1.0, -s, p, disc)
-    return x, y1, y2
+    top = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
+    k = -math.frexp(top)[1]
+    ldexp = math.ldexp
+    a, b, c, d, e, f = ldexp(a, k), ldexp(b, k), ldexp(c, k), ldexp(d, k), ldexp(e, k), ldexp(f, k)
+    s = a + b + c + d + e + f  # finite entries now sum to below 6
+    if s - s != 0.0:
+        return None
+    # each rotation zeroes its entry: b is 0 in the second one, d in the third
+    for _ in range(16):  # a triple eigenvalue, the slowest case, takes about ten
+        if b:
+            t, sn, tau = _rotation(a, c, b)
+            a, c, b = a - t * b, c + t * b, 0.0
+            d, e = d - sn * (e + tau * d), e + sn * (d - tau * e)
+        if d:
+            t, sn, tau = _rotation(a, f, d)
+            a, f, d = a - t * d, f + t * d, 0.0
+            b, e = -sn * e, e - sn * (tau * e)
+        if e:
+            t, sn, tau = _rotation(c, f, e)
+            c, f, e = c - t * e, f + t * e, 0.0
+            b, d = b - sn * (tau * b), sn * b
+        if abs(b) + abs(d) + abs(e) <= 1e-20:
+            break
+    return a, c, f
 
 
-def _equilibrated(c: ConicMatrix) -> tuple[float, ...]:
-    """c's entries times the power of two that brings the largest into
-    [1/2, 1); a zero matrix stays zero.
+def _rank(m6: Sequence[float], fro: float) -> int:
+    """Numeric rank of the sym6 conic m6 of Frobenius norm fro: eigenvalues
+    below RANK_ZERO times the spectral radius are zero. The one rank
+    decision behind rank, classify and the oracle's nondegenerate check.
 
-    The scale is exact, so the signs and the ratios to the spectral radius,
-    which decide rank and class, are those of c itself. Raises ValueError
-    for an inf or NaN entry.
+    A symmetric 3x3 matrix has |lmin| / |lmax| >= |det| / F^3, so
+    |det| > 2 RANK_ZERO F^3 proves rank 3, the rank the eigenvalues give too:
+    the factor 2 is far above the rounding of det and of the eigenvalues. The
+    bound is applied only for 1e-50 <= F <= 1e50, where neither det nor F^3
+    can overflow or underflow. Every other conic is ranked by the
+    eigenvalues of _sweep; one with an inf or NaN entry has rank 0.
     """
-    v = c.sym6()
-    if not all(map(math.isfinite, v)):
-        raise ValueError("conic matrix has a non-finite entry; it has no rank")
-    top = max(abs(x) for x in v)
-    if top == 0.0:
-        return v
-    exp = math.frexp(top)[1]
-    return tuple(math.ldexp(x, -exp) for x in v)
-
-
-def _spectrum(m) -> Optional[tuple[float, float, float]]:
-    """Eigenvalues of an equilibrated matrix m (see _equilibrated), or None
-    if none is near zero (see _eigenvalues)."""
-    if not any(m):
-        return 0.0, 0.0, 0.0
-    return _eigenvalues(m, _k.sym_adjugate(m), _sym6_frobenius(m))
+    a, b, c, d, e, f = m6  # rows (a b d), (b c e), (d e f); det along the first row
+    if 1e-50 <= fro <= 1e50 and abs(
+        a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d)
+    ) > 2.0 * RANK_ZERO * (fro * fro * fro):
+        return 3
+    w = _sweep(a, b, c, d, e, f)
+    return 0 if w is None else len(_nonzero(w))
 
 
 def split_line_pair(c: ConicMatrix) -> tuple[ProjectiveLine, ProjectiveLine]:
@@ -419,9 +385,9 @@ def split_line_pair(c: ConicMatrix) -> tuple[ProjectiveLine, ProjectiveLine]:
     product of that point with itself); completing it to a basis removes one
     coordinate and leaves a binary quadratic that factors directly.
 
-    The rank and sign decisions use closed-form eigenvalues of the
-    equilibrated matrix (see _eigenvalues), gated by the rank cut of rank
-    and classify (see _nonzero).
+    The rank and sign decisions read the eigenvalues of a Jacobi sweep of
+    the row-balanced matrix (see _sweep), gated by the rank cut of rank and
+    classify (see _nonzero).
 
     Raises ComplexLinePair when the two lines are complex conjugates, RankOne
     for a double line, ValueError if the matrix is not degenerate, and
@@ -437,28 +403,24 @@ def split_line_pair(c: ConicMatrix) -> tuple[ProjectiveLine, ProjectiveLine]:
         scales.append(1.0 / math.sqrt(top) if top > 0.0 else 1.0)
     s1, s2, s3 = scales
     m = (a * s1 * s1, b * s1 * s2, cc * s2 * s2, d * s1 * s3, e * s2 * s3, f * s3 * s3)
-    norm = _sym6_frobenius(m)
-    if not norm < math.inf:
+    w = _sweep(*m)
+    if w is None:
         raise DegenerateCase(
             "conic matrix has a non-finite entry (overflow or NaN); it cannot "
             "be split into lines"
         )
-    if norm == 0.0:
-        raise RankOne("zero matrix")
-    adj = _k.sym_adjugate(m)
-    w = _eigenvalues(m, adj, norm)
-    if w is None:
-        raise ValueError("conic is not degenerate; it does not split into lines")
     nonzero = _nonzero(w)
+    if not nonzero:
+        raise RankOne("zero matrix")
     if len(nonzero) == 3:
         raise ValueError("conic is not degenerate; it does not split into lines")
-    if len(nonzero) <= 1:
+    if len(nonzero) == 1:
         raise RankOne("conic is a double line (rank 1)")
     if nonzero[0] * nonzero[1] > 0.0:
         raise ComplexLinePair("degenerate conic has no real line split")
 
     # the singular point q spans the adjugate; eliminate its largest coordinate
-    q, _ = _adjugate_column(adj)
+    q = _adjugate_column(_k.sym_adjugate(m))
     k = max(range(3), key=lambda i: abs(q[i]))
     i, j = [idx for idx in range(3) if idx != k]
     alpha, gamma, beta = m[_SYM6[i][i]], m[_SYM6[i][j]], m[_SYM6[j][j]]

@@ -8,9 +8,10 @@ reads only the points and lines: four points and a line through the pencil
 of the quadrangle's line pairs restricted to the line, three points and two
 lines through the Cremona frame that sends the points to the coordinate
 triangle. Its self-polar check builds each diagonal triangle from its own
-meets of opposite sides, and a determinant bound proves a conic's rank 3,
-leaving to the eigenvalues of cyclic Jacobi sweeps only the conics it cannot
-clear.
+meets of opposite sides. Its nondegenerate check is the rank decision of
+conics.rank itself (conics._rank): a determinant bound proves a conic's rank
+3, leaving to the eigenvalues of a cyclic Jacobi sweep only the conics it
+cannot clear, so certify and rank cannot disagree on a conic's rank.
 Certification is straight-line float code on unpacked scalars, with no call
 per cross product, dot product or residual, and it calls nothing in the
 solvers' kernels. These are the ground truth the solver tests compare
@@ -25,11 +26,11 @@ from typing import Optional, Sequence
 
 from . import _kernels as _k
 from ._frozen import fast_init
-from .conics import ConicMatrix, _sym6_frobenius
+from .conics import ConicMatrix, _rank, _sym6_frobenius
 from .errors import RankDeficient, UnsupportedCount
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
 from .solvers import SolutionSet, _triples
-from .tolerances import DEFAULT, DISCRIMINANT, RANK_ZERO, RESIDUAL, Tolerances
+from .tolerances import DEFAULT, DISCRIMINANT, RESIDUAL, Tolerances
 
 
 # ---------------------------------------------------------------------------
@@ -258,74 +259,6 @@ def _judged_count(vecs: list[Vec3], lvs: list[Vec3], band: float):
 
 # ---------------------------------------------------------------------------
 # certification
-
-
-def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
-    """The smaller Jacobi rotation that zeroes apq in the symmetric 2x2 block
-    (app apq; apq aqq): its tangent t, its sine and tau = sin / (1 + cos)."""
-    h = 0.5 * (aqq - app)
-    t = apq / (abs(h) + math.hypot(h, apq))
-    if h < 0.0:
-        t = -t
-    cs = 1.0 / math.sqrt(1.0 + t * t)
-    sn = t * cs
-    return t, sn, sn / (1.0 + cs)
-
-
-def _sweep_rank(a: float, b: float, c: float, d: float, e: float, f: float) -> int:
-    """Numeric rank of the symmetric matrix (a b d; b c e; d e f) from its
-    eigenvalues, found by cyclic Jacobi sweeps: a NaN or inf entry gives rank 0.
-
-    Each entry is first scaled, exactly, by the power of two that brings the
-    largest magnitude into [0.5, 1). The sweeps then stop once the
-    off-diagonal entries sum to at most 1e-20, far below the rounding of the
-    diagonal, which holds the eigenvalues.
-    """
-    top = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
-    k = -math.frexp(top)[1]
-    ldexp = math.ldexp
-    a, b, c, d, e, f = ldexp(a, k), ldexp(b, k), ldexp(c, k), ldexp(d, k), ldexp(e, k), ldexp(f, k)
-    s = a + b + c + d + e + f  # finite entries now sum to below 6
-    if s - s != 0.0:
-        return 0
-    # each rotation zeroes its entry: b is 0 in the second one, d in the third
-    for _ in range(16):  # a triple eigenvalue, the slowest case, takes about ten
-        if b:
-            t, sn, tau = _rotation(a, c, b)
-            a, c, b = a - t * b, c + t * b, 0.0
-            d, e = d - sn * (e + tau * d), e + sn * (d - tau * e)
-        if d:
-            t, sn, tau = _rotation(a, f, d)
-            a, f, d = a - t * d, f + t * d, 0.0
-            b, e = -sn * e, e - sn * (tau * e)
-        if e:
-            t, sn, tau = _rotation(c, f, e)
-            c, f, e = c - t * e, f + t * e, 0.0
-            b, d = b - sn * (tau * b), sn * b
-        if abs(b) + abs(d) + abs(e) <= 1e-20:
-            break
-    x, y, z = abs(a), abs(c), abs(f)
-    limit = RANK_ZERO * max(x, y, z)
-    return (x > limit) + (y > limit) + (z > limit)
-
-
-def _rank(m6: Sequence[float], fro: float) -> int:
-    """Numeric rank of the sym6 conic m6 of Frobenius norm fro: eigenvalues
-    below RANK_ZERO times the spectral radius are zero.
-
-    A symmetric 3x3 matrix has |lmin| / |lmax| >= |det| / F^3, so
-    |det| > 2 RANK_ZERO F^3 proves rank 3, the rank the eigenvalues give too:
-    the factor 2 is far above the rounding of det and of the eigenvalues. The
-    bound is applied only for 1e-50 <= F <= 1e50, where neither det nor F^3
-    can overflow or underflow. Every other conic, NaN and inf included, is
-    ranked by _sweep_rank.
-    """
-    a, b, c, d, e, f = m6  # rows (a b d), (b c e), (d e f); det along the first row
-    if 1e-50 <= fro <= 1e50 and abs(
-        a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d)
-    ) > 2.0 * RANK_ZERO * (fro * fro * fro):
-        return 3
-    return _sweep_rank(a, b, c, d, e, f)
 
 
 @fast_init

@@ -1,5 +1,6 @@
 """Conic matrix layer: construction, classification, degeneracy handling."""
 import math
+import random
 import sys
 
 import numpy as np
@@ -9,13 +10,16 @@ from hypothesis import assume, given, settings, strategies as st
 from minconic import (
     ConicClass,
     ConicMatrix,
+    MinconicError,
     classify,
     pencil_eigenvalues,
     point_residual,
     rank,
+    solve,
     tangency_residual,
 )
 from minconic import _kernels as _k
+from minconic import conics
 from minconic.conics import split_line_pair
 from minconic.errors import (
     ComplexLinePair,
@@ -28,6 +32,7 @@ from minconic.errors import (
 from minconic.projective import HomogeneousPoint, ProjectiveLine
 
 from conftest import conic_from_rows, conic_rows
+from test_single_pass import _benchmark_workloads
 
 CIRCLE = ConicMatrix(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
 
@@ -136,6 +141,53 @@ def test_rank():
     assert rank(CIRCLE) == 3
     assert rank(ConicMatrix.from_coefficients((1.0, 0.0, -1.0, 0.0, 0.0, 0.0))) == 2
     assert rank(ConicMatrix.from_coefficients((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))) == 1
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rank_and_classify_refuse_a_non_finite_entry(bad):
+    # the oracle's rank gives such a conic rank 0; the public rank refuses it
+    for i in range(6):
+        c = ConicMatrix(*(bad if j == i else x for j, x in enumerate(CIRCLE.sym6())))
+        for fn in (rank, classify):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                fn(c)
+
+
+def test_rank_and_classify_sweep_only_the_conics_the_bound_cannot_clear(monkeypatch):
+    # |det| > 2 RANK_ZERO F^3 proves rank 3; the Jacobi sweep sees only the
+    # conics it does not clear, once each for rank, and once more for
+    # classify's signs of a line pair or point
+    m6s = []
+    for _, points, lines in _benchmark_workloads().mixed_corpus(random.Random(1), 20):
+        try:
+            m6s += [cm.sym6() for cm in solve(points, lines).real_conics]
+        except MinconicError:
+            pass
+    uncleared = []
+    for m6 in m6s:
+        a, b, c, d, e, f = m6
+        fro = math.sqrt(a * a + c * c + f * f + 2.0 * (b * b + d * d + e * e))
+        ratio = abs(np.linalg.det(np.array([[a, b, d], [b, c, e], [d, e, f]]))) / fro**3
+        assert not 1.99e-9 < ratio < 2.01e-9  # clear of the bound's own rounding
+        if ratio < 2e-9:
+            uncleared.append(m6)
+    assert len(m6s) > 200 and 0 < len(uncleared) < len(m6s) // 10
+
+    sent = []
+    sweep = conics._sweep
+
+    def counted(*m6):
+        sent.append(m6)
+        return sweep(*m6)
+
+    monkeypatch.setattr(conics, "_sweep", counted)
+    ranks = [rank(ConicMatrix(*m6)) for m6 in m6s]
+    assert sent == uncleared
+    sent.clear()
+    for m6 in m6s:
+        classify(ConicMatrix(*m6))
+    twice = [m6 for m6, r in zip(m6s, ranks) if r == 2]
+    assert twice and sorted(sent) == sorted(uncleared + twice)
 
 
 def test_residuals_vanish_exactly_on_the_locus():
@@ -262,6 +314,8 @@ def test_split_line_pair_rejects_other_ranks():
         split_line_pair(ConicMatrix.from_coefficients((1.0, 0.0, 0.0, 0.0, 0.0, 0.0)))
     with pytest.raises(ComplexLinePair):
         split_line_pair(ConicMatrix.from_coefficients((1.0, 0.0, 1.0, 0.0, 0.0, 0.0)))
+    with pytest.raises(RankOne, match="zero matrix"):
+        split_line_pair(ConicMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def test_split_line_pair_rejects_non_finite_entries():

@@ -7,7 +7,8 @@ three points (three points and two lines). It must agree with `predict`
 wherever it judges, leave every special-position input not judged, and
 catch a count rule that is wrong. The determinant bound must never claim
 rank 3 where LAPACK reports less, and the Jacobi sweep that ranks the
-conics the bound cannot clear must give LAPACK's rank.
+conics the bound cannot clear must give LAPACK's rank, both through
+certify's rank and through conics.rank, which share them.
 """
 import math
 import random
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minconic import DEFAULT, MinconicError, predict, solve, solvers
-from minconic import oracle
+from minconic import DEFAULT, ConicMatrix, MinconicError, predict, rank, solve, solvers
+from minconic import conics, oracle
 from minconic.oracle import (
     MARGIN,
     certify,
@@ -204,18 +205,36 @@ def lapack_rank(m6) -> int:
     return int((w > RANK_ZERO * top).sum())
 
 
-def ranks_and_sweeps(m6s, monkeypatch):
-    """oracle._rank of each conic, and the conics it ranked by Jacobi sweeps."""
+def oracle_rank(m6) -> int:
+    return oracle._rank(m6, oracle._sym6_frobenius(m6))
+
+
+def public_rank(m6) -> int:
+    return rank(ConicMatrix(*m6))
+
+
+def sweep_rank(m6) -> int:
+    """The rank the Jacobi sweep's eigenvalues give, with no bound in front."""
+    return len(conics._nonzero(conics._sweep(*m6)))
+
+
+#: the two public faces of the one rank decision: certify's nondegenerate
+#: check and conics.rank
+RANKERS = pytest.mark.parametrize("ranker", [oracle_rank, public_rank], ids=["oracle._rank", "conics.rank"])
+
+
+def ranks_and_sweeps(ranker, m6s, monkeypatch):
+    """ranker's rank of each conic, and the conics it ranked by Jacobi sweeps."""
     sent = []
-    sweep_rank = oracle._sweep_rank
+    sweep = conics._sweep
 
     def counted(*m6):
         sent.append(m6)
-        return sweep_rank(*m6)
+        return sweep(*m6)
 
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_sweep_rank", counted)
-        ranks = [oracle._rank(m6, oracle._sym6_frobenius(m6)) for m6 in m6s]
+        m.setattr(conics, "_sweep", counted)
+        ranks = [ranker(m6) for m6 in m6s]
     return ranks, sent
 
 
@@ -226,7 +245,7 @@ def test_the_bound_agrees_with_lapack_on_every_corpus_conic(monkeypatch):
             m6s += [cm.sym6() for cm in solve(points, lines).real_conics]
         except MinconicError:
             pass
-    ranks, sent = ranks_and_sweeps(m6s, monkeypatch)
+    ranks, sent = ranks_and_sweeps(oracle_rank, m6s, monkeypatch)
     assert ranks == [lapack_rank(m6) for m6 in m6s]
     assert len(m6s) > 200 and 0 < len(sent) < len(m6s) // 10
 
@@ -238,7 +257,8 @@ def rotated(eigenvalues, rng):
     return (m[0, 0], m[0, 1], m[1, 1], m[0, 2], m[1, 2], m[2, 2])
 
 
-def test_the_bound_never_claims_rank_3_near_the_rank_threshold(monkeypatch):
+@RANKERS
+def test_the_bound_never_claims_rank_3_near_the_rank_threshold(ranker, monkeypatch):
     # eigenvalue ratios across RANK_ZERO = 1e-9: LAPACK reports rank 2 below
     # it and 3 above; the bound clears only conics well above it
     rng = random.Random(3)
@@ -251,7 +271,7 @@ def test_the_bound_never_claims_rank_3_near_the_rank_threshold(monkeypatch):
             m6s.append(rotated(big + (ratio * rng.choice((-1.0, 1.0)),), rng))
     for k in range(200):
         m6s.append(rotated((1.0, 1.0, 4e-9 + 2e-8 * k / 199), rng))
-    ranks, sent = ranks_and_sweeps(m6s, monkeypatch)
+    ranks, sent = ranks_and_sweeps(ranker, m6s, monkeypatch)
     lapack = [lapack_rank(m6) for m6 in m6s]
     # at ratio == RANK_ZERO the rounding of the computed ratio, about 1e-7 of
     # it, decides the rank for any eigensolver: there both solvers give 2 or
@@ -265,18 +285,19 @@ def test_the_bound_never_claims_rank_3_near_the_rank_threshold(monkeypatch):
     assert len(sent) < len(m6s)  # the bound cleared the larger ratios
 
 
+@pytest.mark.parametrize("ranker", [sweep_rank, public_rank], ids=["sweep", "conics.rank"])
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 @pytest.mark.parametrize(
     "spectrum", [(1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 0.0), (2.0, -1.0, -1.0), (1.0, -1.0, 1e-12)]
 )
-def test_the_sweep_gives_lapacks_rank_on_repeated_eigenvalues_at_any_scale(spectrum, scale):
+def test_the_sweep_gives_lapacks_rank_on_repeated_eigenvalues_at_any_scale(spectrum, scale, ranker):
     # repeated eigenvalues are the sweep's slowest case (a triple one takes
     # about ten sweeps), and the power-of-two scaling keeps the extreme
     # scales from overflowing or underflowing
     rng = random.Random(5)
     for _ in range(20):
         m6 = tuple(scale * x for x in rotated(spectrum, rng))
-        assert oracle._sweep_rank(*m6) == lapack_rank(m6)
+        assert ranker(m6) == lapack_rank(m6)
 
 
 CIRCLE = (1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
@@ -285,23 +306,29 @@ GENERIC = (2.0, 0.5, 1.0, 0.25, 0.0, -3.0)
 INF, NAN = math.inf, math.nan
 
 
-@pytest.mark.parametrize(
-    "m6s",
-    [
-        [tuple(1e150 * x for x in m6) for m6 in (CIRCLE, LINE_PAIR, GENERIC)],
-        [tuple(1e-150 * x for x in m6) for m6 in (CIRCLE, LINE_PAIR, GENERIC)],
+EXTREME = [
+    pytest.param(ranker, [tuple(k * x for x in m6) for m6 in (CIRCLE, LINE_PAIR, GENERIC)], id=f"{name}-{k:g}")
+    for ranker, name in ((oracle_rank, "oracle._rank"), (public_rank, "conics.rank"))
+    for k in (1e150, 1e-150)
+]
+# conics.rank raises ValueError for an inf or NaN entry instead of ranking it
+NON_FINITE = [
+    pytest.param(oracle_rank, m6s, id=f"oracle._rank-{name}")
+    for m6s, name in (
         # an inf or NaN past the first entry too, where max() can miss a NaN
-        [(INF,) + m6[1:] for m6 in (CIRCLE, LINE_PAIR, GENERIC)] + [(1.0, INF) + CIRCLE[2:]],
-        [(NAN,) + m6[1:] for m6 in (CIRCLE, LINE_PAIR, GENERIC)] + [(1.0, 0.0, NAN) + CIRCLE[3:]],
-    ],
-    ids=["1e150", "1e-150", "inf", "nan"],
-)
-def test_the_bound_leaves_extreme_and_non_finite_conics_to_lapack(m6s, monkeypatch):
+        ([(INF,) + m6[1:] for m6 in (CIRCLE, LINE_PAIR, GENERIC)] + [(1.0, INF) + CIRCLE[2:]], "inf"),
+        ([(NAN,) + m6[1:] for m6 in (CIRCLE, LINE_PAIR, GENERIC)] + [(1.0, 0.0, NAN) + CIRCLE[3:]], "nan"),
+    )
+]
+
+
+@pytest.mark.parametrize("ranker, m6s", EXTREME + NON_FINITE)
+def test_the_bound_leaves_extreme_and_non_finite_conics_to_lapack(ranker, m6s, monkeypatch):
     # the sweep ranks every one of them: a finite conic as LAPACK does, and a
     # conic with an inf or NaN entry as rank 0 (LAPACK's eigenvalues of
     # (nan, 0, 1, 0, 0, 1) are (0, -0, 1), and it does not converge on a NaN
     # beside non-zero off-diagonal entries)
-    ranks, sent = ranks_and_sweeps(m6s, monkeypatch)
+    ranks, sent = ranks_and_sweeps(ranker, m6s, monkeypatch)
     finite = all(math.isfinite(x) for m6 in m6s for x in m6)
     assert ranks == ([lapack_rank(m6) for m6 in m6s] if finite else [0] * len(m6s))
     assert sent == m6s

@@ -2,13 +2,14 @@
 number type its coordinates are written in: int, Fraction, Decimal and numpy
 objects solve, predict and certify exactly as their float-tuple twins do."""
 import random
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from minconic import HomogeneousPoint, MinconicError, ProjectiveLine, predict, solve
+from minconic import ConicMatrix, HomogeneousPoint, MinconicError, ProjectiveLine, classify, predict, rank, solve
 from minconic.oracle import (
     certify,
     dualize_input,
@@ -89,3 +90,18 @@ def test_objects_of_any_number_type_answer_as_their_float_twins(number):
             assert all(type(check.passed) is bool for check in cert.checks)
         differences += [k for a, b in results if not same(a, b)]
     assert differences == []
+
+
+@pytest.mark.parametrize(
+    "number", [int, Fraction, Decimal, np.float64], ids=["int", "Fraction", "Decimal", "float64"]
+)
+def test_rank_and_classify_of_any_number_type_answer_as_their_float_twins(number):
+    # a circle, a line pair, a point (x^2 + y^2) and a double line, also at a scale
+    # whose Frobenius norm overflows; numpy must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m6 in ((1, 0, 1, 0, 0, -1), (1, 0, -1, 0, 0, 0), (1, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0)):
+            for scale in (1, 10**300):
+                c = ConicMatrix(*(number(scale * x) for x in m6))
+                twin = ConicMatrix(*(float(scale * x) for x in m6))
+                assert (rank(c), classify(c)) == (rank(twin), classify(twin))

@@ -13,7 +13,7 @@ from minconic import (
     solve_five_points,
 )
 from minconic import _kernels as _k
-from minconic import oracle
+from minconic import conics, oracle
 from minconic.errors import RankDeficient, UnsupportedCount
 from minconic.oracle import (
     certify,
@@ -184,13 +184,13 @@ def test_the_sweep_ranks_only_the_conics_the_determinant_bound_cannot_clear(monk
     # |det| > 2 RANK_ZERO F^3 proves rank 3, so a solved set runs no Jacobi
     # sweep; each conic the bound cannot clear runs one
     calls = []
-    sweep_rank = oracle._sweep_rank
+    sweep = conics._sweep
 
     def counted(*m6):
         calls.append(m6)
-        return sweep_rank(*m6)
+        return sweep(*m6)
 
-    monkeypatch.setattr(oracle, "_sweep_rank", counted)
+    monkeypatch.setattr(conics, "_sweep", counted)
     points, lines, sol = _case5_four_real()
     assert certify(points, lines, sol).ok
     assert calls == []

@@ -15,10 +15,13 @@ from minconic import (
     HomogeneousPoint,
     ProjectiveLine,
     classify,
+    oracle,
     point_residual,
+    rank,
     solve_four_points_line,
     tangency_residual,
 )
+from minconic.conics import _sym6_frobenius
 from minconic.errors import DegenerateCase, MinconicError
 from minconic.solvers import _tangency_quadratic
 
@@ -175,6 +178,31 @@ def test_classify_total_on_nonzero_matrices(m6):
         return
     cm = ConicMatrix.from_sym6(m6)
     assert classify(cm) is not None
+
+
+unit = st.floats(min_value=-1.0, max_value=1.0)
+
+
+def line_pair(l, m):
+    """The sym6 of (l m^T + m l^T) / 2: rank 2, or 1 when l and m are parallel."""
+    return (
+        l[0] * m[0], 0.5 * (l[0] * m[1] + l[1] * m[0]), l[1] * m[1],
+        0.5 * (l[0] * m[2] + l[2] * m[0]), 0.5 * (l[1] * m[2] + l[2] * m[1]), l[2] * m[2],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.tuples(*[unit] * 6), st.builds(line_pair, st.tuples(unit, unit, unit), st.tuples(unit, unit, unit))),
+    st.integers(min_value=-300, max_value=300),
+)
+def test_rank_is_the_rank_of_certifys_nondegenerate_check(m6, k):
+    # conics.rank and certify's nondegenerate check make one rank decision:
+    # they agree at every scale, where the bound applies and where it does not
+    m6 = tuple(x * 10.0**k for x in m6)
+    if not any(m6):
+        return
+    assert rank(ConicMatrix(*m6)) == oracle._rank(m6, _sym6_frobenius(m6))
 
 
 def reference_normalized(v):
