@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale
 import math
 import os
 import sys
@@ -70,11 +71,16 @@ def _items(doc: dict, key: str) -> list:
 
 def load_config(path: str) -> dict:
     """The configuration at path: (x, y, w) point and (a, b, c) line tuples of floats, and options."""
+    # What text-mode open(path).read() gives, read unbuffered in one call: the
+    # bytes decoded with the codec text mode picks, then universal newlines
+    # (each \r\n and each lone \r read as \n). The errors are text mode's too.
     try:
-        with open(path) as fh:  # text mode: locale decoding, universal newlines
-            raw = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            raw = fh.read().decode(locale.getpreferredencoding(False))
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if "\r" in raw:
+        raw = raw.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer too long, nesting too deep
@@ -269,13 +275,21 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _posix_dir(path: str) -> str:
+    """str(Path(path)) on POSIX, by string operations: a leading "/" kept, or
+    exactly two kept as "//", empty and "." segments dropped, "" read as "."."""
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" if path[:1] == "/" else ""
+    return root + "/".join([part for part in path.split("/") if part and part != "."]) or "."
+
+
 def cmd_batch(args) -> int:
     # the flag is checked once, for every file; a file's options.tolerance
     # is checked with that file
     flag = None if args.tolerance is None else _tolerances({}, args.tolerance)
     # Every entry whose name ends in .json, files or not, sorted by name: what
-    # Path.glob("*.json") listed. Each path is str(Path(directory) / name).
-    root = str(Path(args.directory))
+    # Path.glob("*.json") listed. Each path is the directory as _posix_dir
+    # spells it, a "/" unless it ends in one, and the name; "." gives the name.
+    root = _posix_dir(args.directory)
     try:
         with os.scandir(root) as entries:
             names = sorted(e.name for e in entries if e.name.endswith(".json"))
@@ -285,7 +299,7 @@ def cmd_batch(args) -> int:
         names = []  # a directory that cannot be listed holds no configurations
     if not names:
         raise ParseError(f"no .json configurations in {args.directory}")
-    prefix = "" if root == "." else os.path.join(root, "")
+    prefix = "" if root == "." else root if root[-1] == "/" else root + "/"
     worst = EXIT_OK
     rows = []
     for name in names:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import minconic
 from minconic import cli
@@ -548,6 +549,72 @@ def test_batch_lists_every_name_ending_in_json(tmp_path, capsys):
     assert rows[:3] == [f".hidden.json: {OK_ROW}", f"B.json: {OK_ROW}", f"a.json: {OK_ROW}"]
     assert rows[3].startswith(f"sub.json: error[2] cannot read {d / 'sub.json'}: ")
     assert len(rows) == 4
+
+
+def _text_mode_reference(path):
+    """load_config's outcome as a text-mode read gives it: the config, or the
+    ParseError message. The payloads that decode are well-formed configs."""
+    try:
+        with open(path) as fh:
+            raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"cannot read {path}: {exc}"
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        return f"{path}: invalid JSON: {exc}"
+    if not isinstance(doc, dict):
+        return f"{path}: top level must be an object"
+    return {
+        "points": [(float(x), float(y), float(w[0]) if w else 1.0) for x, y, *w in doc.get("points", [])],
+        "lines": [tuple(map(float, line)) for line in doc.get("lines", [])],
+        "options": doc.get("options", {}),
+    }
+
+
+SQUARE_TEXT = '{\n "points": [[1, 1], [-1, 1], [-1, -1], [1, -1]],\n "lines": [[1, 1, -3]]\n}\n'
+
+READER_PAYLOADS = {
+    "utf8_bom": b"\xef\xbb\xbf" + SQUARE_TEXT.encode(),
+    "lf_non_ascii": SQUARE_TEXT.replace("\n}", ',\n "options": {"note": "\u00e9\u20ac"}\n}').encode(),
+    "crlf_valid": SQUARE_TEXT.replace("\n", "\r\n").encode(),
+    "crlf_invalid": SQUARE_TEXT.replace("\n", "\r\n").replace("[1, 1, -3]", "[1, 1, oops]").encode(),
+    "lone_cr_invalid": SQUARE_TEXT.replace("\n", "\r").replace("[1, 1, -3]", "[1, 1, oops]").encode(),
+    "cr_in_string": b'{\r\n "points": [],\r\n "options": {"note": "a\rb"}\r\n}',
+    "utf16_bom": b"\xff\xfe{}",
+    "invalid_utf8_mid_file": b'{"points": [], "options": {"note": "\x80"}, "lines": []}',
+    "multibyte_cut_at_eof": b'{"options": {"note": "\xe2\x82',
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("case", [*READER_PAYLOADS, "directory", "missing"])
+def test_the_reader_gives_what_a_text_mode_read_gives(tmp_path, case):
+    # load_config reads bytes unbuffered and decodes them itself; its config
+    # or its error message is the one a text-mode read would lead to
+    path = tmp_path / "x.json"
+    if case == "directory":
+        path.mkdir()
+    elif case != "missing":
+        path.write_bytes(READER_PAYLOADS[case])
+    want = _text_mode_reference(str(path))
+    try:
+        got = cli.load_config(str(path))
+    except cli.ParseError as exc:
+        got = str(exc)
+    assert got == want
+    if case == "crlf_valid":
+        assert got["lines"] == [(1.0, 1.0, -3.0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["", "/", "//", "///"]),
+    st.lists(st.sampled_from(["", ".", "..", "a", "b.json"]), max_size=8),
+)
+def test_the_batch_directory_is_spelled_as_pathlib_spells_it(lead, segments):
+    directory = lead + "/".join(segments)
+    assert cli._posix_dir(directory) == str(Path(directory))
 
 
 @pytest.mark.parametrize(
