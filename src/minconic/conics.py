@@ -194,9 +194,13 @@ def classify(c: ConicMatrix) -> ConicClass:
 
 def _residual(m6: Sequence[float], norm: float, v: Vec3) -> float:
     """|v^T M v| / (norm ||v||^2) for the symmetric matrix m6 of Frobenius
-    norm `norm`: the one residual expression behind both public residuals."""
-    n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    return abs(_k.sym_eval(m6, v)) / (norm * n2)
+    norm `norm`: the one residual expression behind both public residuals.
+    NaN when the divisor is zero (a zero element, a zero matrix, or squares
+    that underflow), as in oracle._conic_residuals."""
+    div = norm * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    if div == 0.0:
+        return math.nan
+    return abs(_k.sym_eval(m6, v)) / div
 
 
 def point_residual(c: ConicMatrix, p) -> float:

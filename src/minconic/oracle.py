@@ -16,12 +16,18 @@ Certification is straight-line float code on unpacked scalars, with no call
 per cross product, dot product or residual, and it calls nothing in the
 solvers' kernels. These are the ground truth the solver tests compare
 against.
+
+The generators draw points from the square [-BOX, BOX]^2 and accept a draw
+by one rule (_clear): each incidence or collinearity the draw constructs
+holds within the default geometric tolerance, and every other dispatch
+predicate stays MARGIN such tolerances clear of zero.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import _kernels as _k
@@ -54,17 +60,21 @@ def nullspace_five_point(points: Sequence) -> ConicMatrix:
     if len(points) != 5:
         raise UnsupportedCount("exactly five points required")
     basis: list[list[float]] = []
+
+    def reduce(v: list[float]) -> tuple[list[float], float]:
+        """v less its projections on the basis, taken twice, and its norm."""
+        for _ in range(2):
+            for q in basis:
+                d = sum(a * b for a, b in zip(v, q))
+                v = [a - d * b for a, b in zip(v, q)]
+        return v, math.sqrt(sum(x * x for x in v))
+
     for idx, p in enumerate(points):
         row = _design_row(_vec(p))
         scale = math.sqrt(sum(x * x for x in row))
         if scale == 0.0:
             raise RankDeficient(f"point {idx} produced a zero design row")
-        v = [x / scale for x in row]
-        for _ in range(2):
-            for q in basis:
-                d = sum(a * b for a, b in zip(v, q))
-                v = [a - d * b for a, b in zip(v, q)]
-        n = math.sqrt(sum(x * x for x in v))
+        v, n = reduce([x / scale for x in row])
         if n <= 1e-12:
             raise RankDeficient(
                 f"design matrix rank fell below five at point {idx} "
@@ -75,16 +85,9 @@ def nullspace_five_point(points: Sequence) -> ConicMatrix:
     best: Optional[list[float]] = None
     best_norm = -1.0
     for i in range(6):
-        v = [0.0] * 6
-        v[i] = 1.0
-        for _ in range(2):
-            for q in basis:
-                d = sum(a * b for a, b in zip(v, q))
-                v = [a - d * b for a, b in zip(v, q)]
-        n = math.sqrt(sum(x * x for x in v))
+        v, n = reduce([1.0 if j == i else 0.0 for j in range(6)])
         if n > best_norm:
-            best_norm = n
-            best = v
+            best, best_norm = v, n
     assert best is not None
     coeffs = [x / best_norm for x in best]
     return ConicMatrix.from_coefficients(coeffs).normalized()
@@ -483,19 +486,33 @@ def certify(
 #: distance, in geometric tolerances, of every inexact dispatch predicate from 0
 MARGIN = 10.0
 MAX_TRIES = 20000
+#: random points are drawn from the square [-BOX, BOX]^2
+BOX = 10.0
 
 
-def _rand_point(rng: random.Random, lim: float = 10.0) -> HomogeneousPoint:
-    return HomogeneousPoint(rng.uniform(-lim, lim), rng.uniform(-lim, lim), 1.0)
+def _rand_point(rng: random.Random) -> HomogeneousPoint:
+    return HomogeneousPoint(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX), 1.0)
 
 
-def _rand_line(rng: random.Random, lim: float = 10.0) -> ProjectiveLine:
+def _rand_line(rng: random.Random) -> ProjectiveLine:
     while True:
-        p = _rand_point(rng, lim)
-        q = _rand_point(rng, lim)
-        l = _k.cross(p.vec(), q.vec())
+        l = _k.cross(_rand_point(rng).vec(), _rand_point(rng).vec())
         if _k.norm3(l) > 1e-6:
             return ProjectiveLine(*l)
+
+
+def _point_on_line(rng: random.Random, l: Vec3) -> Optional[HomogeneousPoint]:
+    a, b, c = l
+    for _ in range(64):
+        if abs(b) >= abs(a):
+            x = rng.uniform(-BOX, BOX)
+            y = -(a * x + c) / b
+        else:
+            y = rng.uniform(-BOX, BOX)
+            x = -(b * y + c) / a
+        if abs(x) <= 2 * BOX and abs(y) <= 2 * BOX:
+            return HomogeneousPoint(x, y, 1.0)
+    return None
 
 
 def _rel_inc(v: Vec3, l: Vec3) -> float:
@@ -506,93 +523,55 @@ def _rel_det(u: Vec3, v: Vec3, w: Vec3) -> float:
     return abs(_k.det3(u, v, w)) / (_k.norm3(u) * _k.norm3(v) * _k.norm3(w))
 
 
-def _triples_ok(vecs, floor: float) -> bool:
-    n = len(vecs)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                if _rel_det(vecs[i], vecs[j], vecs[k]) < floor:
-                    return False
+def _clear(margins, exact=frozenset()) -> bool:
+    """The generators' one acceptance rule, on (predicate, relative
+    magnitude) pairs read in order: a predicate in exact, which the draw
+    makes hold, is within DEFAULT.geometry of 0, and every other is at least
+    MARGIN times that away from it. A NaN magnitude passes either test."""
+    floor = MARGIN * DEFAULT.geometry
+    for name, m in margins:
+        if (m > DEFAULT.geometry) if name in exact else (m < floor):
+            return False
     return True
 
 
 def random_five_points(rng: random.Random) -> list[HomogeneousPoint]:
     for _ in range(MAX_TRIES):
         pts = [_rand_point(rng) for _ in range(5)]
-        if _triples_ok([p.vec() for p in pts], MARGIN * DEFAULT.geometry):
+        if _clear(enumerate(_rel_det(*t) for t in combinations([p.vec() for p in pts], 3))):
             return pts
     raise RuntimeError("five-point sampling failed to meet margins")
 
 
 def random_4p1l(rng: random.Random) -> tuple[list[HomogeneousPoint], ProjectiveLine]:
     """Generic four-point/one-line input away from every special incidence."""
-    floor = MARGIN * DEFAULT.geometry
     for _ in range(MAX_TRIES):
         pts = [_rand_point(rng) for _ in range(4)]
         vecs = [p.vec() for p in pts]
-        if not _triples_ok(vecs, floor):
-            continue
+        if not _clear(enumerate(_rel_det(*t) for t in combinations(vecs, 3))):
+            continue  # the line is drawn only for a quadrangle
         line = _rand_line(rng)
         lv = line.vec()
-        if any(_rel_inc(v, lv) < floor for v in vecs):
-            continue
-        xi1, xi2, xi3 = _k.diag_vertices(*vecs)
-        if any(_rel_inc(x, lv) < floor for x in (xi1, xi2, xi3)):
-            continue
-        return pts, line
+        # the points, then the diagonal vertices, off the line
+        if _clear(enumerate(_rel_inc(v, lv) for v in vecs + list(_k.diag_vertices(*vecs)))):
+            return pts, line
     raise RuntimeError("4p1l sampling failed to meet margins")
-
-
-def _lines_ok(l1: Vec3, l2: Vec3, floor: float) -> bool:
-    sep = _k.norm3(_k.cross(l1, l2)) / (_k.norm3(l1) * _k.norm3(l2))
-    return sep > floor
-
-
-def _point_on_line(rng: random.Random, l: Vec3, lim: float = 10.0) -> Optional[HomogeneousPoint]:
-    a, b, c = l
-    for _ in range(64):
-        if abs(b) >= abs(a):
-            x = rng.uniform(-lim, lim)
-            y = -(a * x + c) / b
-        else:
-            y = rng.uniform(-lim, lim)
-            x = -(b * y + c) / a
-        if abs(x) <= 2 * lim and abs(y) <= 2 * lim:
-            return HomogeneousPoint(x, y, 1.0)
-    return None
-
-
-def _margins_3p2l(vecs, l1: Vec3, l2: Vec3):
-    """Relative magnitudes of every dispatch predicate for a 3p2l input."""
-    p = _k.cross(l1, l2)
-    incs = [[_rel_inc(v, l1), _rel_inc(v, l2)] for v in vecs]
-    colls = [
-        _rel_det(vecs[i], vecs[j], p)
-        for i in range(3)
-        for j in range(i + 1, 3)
-    ]
-    return incs, colls
 
 
 def random_3p2l_case(
     rng: random.Random, case: int
 ) -> tuple[list[HomogeneousPoint], ProjectiveLine, ProjectiveLine]:
-    """Random input that classifies as the requested 3-point/2-line case.
-
-    Constructed incidences/collinearities are exact to rounding; every other
-    dispatch predicate is kept at least MARGIN times its tolerance away
-    from zero so classification is unambiguous.
-    """
-    floor = MARGIN * DEFAULT.geometry
+    """Random input that classifies as the requested 3-point/2-line case,
+    unambiguously: the case's constructed predicates hold, the rest are clear."""
     for _ in range(MAX_TRIES):
-        l1 = _rand_line(rng)
-        l2 = _rand_line(rng)
+        l1, l2 = _rand_line(rng), _rand_line(rng)
         lv1, lv2 = l1.vec(), l2.vec()
-        if not _lines_ok(lv1, lv2, floor):
-            continue
         p = _k.cross(lv1, lv2)
-        if abs(p[2]) < 1e-3 * _k.norm3(p):
-            continue  # keep the crossing finite and well inside the box
+        # the lines apart, and their crossing finite and well inside the box,
+        # before any point is drawn
+        sep = _k.norm3(p) / (_k.norm3(lv1) * _k.norm3(lv2))
+        if not sep > MARGIN * DEFAULT.geometry or abs(p[2]) < 1e-3 * _k.norm3(p):
+            continue
         pa = (p[0] / p[2], p[1] / p[2])
         if max(abs(pa[0]), abs(pa[1])) > 50.0:
             continue
@@ -603,67 +582,44 @@ def random_3p2l_case(
             x1 = _rand_point(rng)
             if x2 is None or x3 is None:
                 continue
-            pts = [x1, x2, x3]
-            exact_inc = {(1, 0), (2, 1)}
-            exact_coll: set[tuple[int, int]] = set()
+            exact = {"x2 on l1", "x3 on l2"}
         elif case == 2:
             x3 = _point_on_line(rng, lv1)
             x1 = _rand_point(rng)
             if x3 is None:
                 continue
             u = rng.uniform(-2.0, 2.0)
-            x2 = HomogeneousPoint(
-                x1.x + u * (pa[0] - x1.x), x1.y + u * (pa[1] - x1.y), 1.0
-            )
-            pts = [x1, x2, x3]
-            exact_inc = {(2, 0)}
-            exact_coll = {(0, 1)}
+            x2 = HomogeneousPoint(x1.x + u * (pa[0] - x1.x), x1.y + u * (pa[1] - x1.y), 1.0)
+            exact = {"x3 on l1", "x1 x2 p"}
         elif case == 3:
             x2 = _rand_point(rng)
             u = rng.uniform(-2.0, 2.0)
-            x3 = HomogeneousPoint(
-                x2.x + u * (pa[0] - x2.x), x2.y + u * (pa[1] - x2.y), 1.0
-            )
+            x3 = HomogeneousPoint(x2.x + u * (pa[0] - x2.x), x2.y + u * (pa[1] - x2.y), 1.0)
             x1 = _rand_point(rng)
-            pts = [x1, x2, x3]
-            exact_inc = set()
-            exact_coll = {(1, 2)}
+            exact = {"x2 x3 p"}
         elif case == 4:
             x3 = _point_on_line(rng, lv1)
             if x3 is None:
                 continue
-            pts = [_rand_point(rng), _rand_point(rng), x3]
-            exact_inc = {(2, 0)}
-            exact_coll = set()
+            x1, x2 = _rand_point(rng), _rand_point(rng)
+            exact = {"x3 on l1"}
         elif case == 5:
-            pts = [_rand_point(rng) for _ in range(3)]
-            exact_inc = set()
-            exact_coll = set()
+            x1, x2, x3 = _rand_point(rng), _rand_point(rng), _rand_point(rng)
+            exact = set()
         else:
             raise ValueError(f"unknown case {case}")
 
+        pts = [x1, x2, x3]
         vecs = [pt.vec() for pt in pts]
-        if _rel_det(*vecs) < floor:
-            continue
-        incs, colls = _margins_3p2l(vecs, lv1, lv2)
-        ok = True
-        for i in range(3):
-            for j in range(2):
-                if (i, j) in exact_inc:
-                    if incs[i][j] > DEFAULT.geometry:
-                        ok = False
-                elif incs[i][j] < floor:
-                    ok = False
-        pair_order = [(0, 1), (0, 2), (1, 2)]
-        for idx, pr in enumerate(pair_order):
-            if pr in exact_coll:
-                if colls[idx] > DEFAULT.geometry:
-                    ok = False
-            elif colls[idx] < floor:
-                ok = False
-        if not ok:
-            continue
-        return pts, l1, l2
+        # the points apart, each point on each line, then each pair collinear
+        # with the crossing p
+        margins = [("x1 x2 x3", _rel_det(*vecs))]
+        margins += [(f"x{i} on l{j}", _rel_inc(v, l))
+                    for i, v in enumerate(vecs, 1) for j, l in ((1, lv1), (2, lv2))]
+        margins += [(f"x{i + 1} x{j + 1} p", _rel_det(vecs[i], vecs[j], p))
+                    for i, j in ((0, 1), (0, 2), (1, 2))]
+        if _clear(margins, exact):
+            return pts, l1, l2
     raise RuntimeError(f"3p2l case-{case} sampling failed to meet margins")
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import _kernels as _k
 from .errors import GeneralPositionError
-from .projective import _vec
+from .projective import _named_vec
 from .tolerances import DEFAULT
 
 
@@ -25,8 +25,10 @@ def require_no_collinear_triple(points: Sequence) -> list[float]:
     A triple is collinear when |det| is within the geometric tolerance times
     the product of its three norms. Otherwise return the determinants of the
     triples i < j < k in lexicographic order, (0, 1, 2), (0, 1, 3), ...
+    Raises NonFiniteInput naming the first point with an inf or NaN
+    coordinate, or one beyond the float range.
     """
-    vecs = [_vec(p) for p in points]
+    vecs = [_named_vec(p, "point", i) for i, p in enumerate(points)]
     norms = [_k.norm3(v) for v in vecs]
     geometry = DEFAULT.geometry
     dets = []

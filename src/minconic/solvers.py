@@ -70,15 +70,6 @@ from .errors import (
 from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _named_vec, _vec
 from .tolerances import DEFAULT, PARAMETER, Tolerances
 
-KINDS = {
-    (5, 0): "5p",
-    (4, 1): "4p1l",
-    (3, 2): "3p2l",
-    (2, 3): "2p3l",
-    (1, 4): "1p4l",
-    (0, 5): "5l",
-}
-
 #: the count errors of the families whose functions take a fixed number of lines
 _FOUR_POINTS = "exactly four points required"
 _THREE_POINTS = "exactly three points required"
@@ -826,7 +817,7 @@ def _triples(
     MalformedCoordinates or NonFiniteInput naming it.
     """
     n = len(points)
-    if (n, len(lines)) not in KINDS:
+    if n + len(lines) != 5:
         raise UnsupportedCount(
             wrong_count
             or f"{n} points and {len(lines)} lines do not form a "

@@ -171,6 +171,26 @@ def test_parse_errors_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, payload, flags, message",
+    [
+        ("solve", {**SQUARE_TANGENT, "lines": [[1, 1]]}, [], "lines[0] must be [a, b, c]"),
+        ("solve", {**SQUARE_TANGENT, "options": [1]}, [], "options must be an object"),
+        ("plot", SQUARE_TANGENT, ["--viewport=0,0,1"], "viewport must be xmin,ymin,xmax,ymax"),
+        ("plot", {**SQUARE_TANGENT, "options": {"viewport": [0, 0, 1]}}, [],
+         "viewport must be a list of four numbers"),
+    ],
+    ids=["line", "options", "viewport-flag", "viewport-option"],
+)
+def test_malformed_config_parts_exit_2_with_one_error_line(tmp_path, capsys, command, payload, flags, message):
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    out = tmp_path / "fig.svg"
+    assert cli.main([command, cfg, *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "payload",
     [{"points": 5, "lines": []}, {"points": SQUARE_TANGENT["points"], "lines": None}],
     ids=["points", "lines"],

@@ -199,6 +199,21 @@ def test_residuals_vanish_exactly_on_the_locus():
     assert tangency_residual(CIRCLE, ProjectiveLine(1.0, 0.0, -2.0)) > 0.1
 
 
+@pytest.mark.parametrize(
+    "residual, conic, element",
+    [
+        (point_residual, CIRCLE, (0.0, 0.0, 0.0)),  # a zero element
+        (tangency_residual, CIRCLE, (0.0, 0.0, 0.0)),
+        (point_residual, ConicMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0)),  # a zero conic
+        (tangency_residual, ConicMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0)),
+        (tangency_residual, ConicMatrix(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),  # rank 1: adj = 0
+    ],
+)
+def test_a_residual_with_a_zero_divisor_is_nan(residual, conic, element):
+    # NaN, as certify reads the same divisors, and not a bare ZeroDivisionError
+    assert math.isnan(residual(conic, element))
+
+
 def test_residuals_are_scale_invariant():
     p = (6.0, 0.0, 2.0)  # the point (3, 0) at a non-unit scale
     r1 = point_residual(CIRCLE, p)

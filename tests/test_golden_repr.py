@@ -29,7 +29,12 @@ outputs. The blocks:
 - `certify_<corpus>`: `oracle.certify` of the `solve` outcome, every check's
   name, verdict, magnitude and limit and the checks not judged, on the
   `mixed_objects` and `ransac` corpora; an input that `solve` refuses
-  records its error.
+  records its error;
+- `generators_rejecting`: `test_oracle.margin_draw`, what each of the
+  oracle's seven generators returns (or its RuntimeError) and the rng's
+  final state, at seeds 1-20, at oracle.MARGIN 1e7 and 3e8, with
+  `_point_on_line` as it is and failing on 40% of its calls: the margin
+  rejection paths, which the default margin almost never runs.
 
 The kernel, analysis and builder inputs are built with the live
 `_k.cross`, `_k.dot3`, `_k.norm3` and `_k.diag_vertices`, so a change to
@@ -56,6 +61,7 @@ from minconic.conics import _pencil_eigenvalues
 
 import test_analyses as analyses
 import test_kernels as kernels
+import test_oracle as generators
 from test_reader import ELEMENTS, fault_pairs, placed, wrong_counts
 
 HERE = Path(__file__).parent
@@ -152,6 +158,7 @@ for family in analyses.FAMILIES:
 BLOCKS.update({f"certify_mixed_objects_{seed}": ((certify,), partial(mixed, seed, "objects"))
                for seed in SEEDS})
 BLOCKS.update({f"certify_ransac_{seed}": ((certify,), partial(ransac, seed)) for seed in SEEDS})
+BLOCKS["generators_rejecting"] = (generators.margin_draw,), generators.margin_draws
 
 
 def outcome(fn, *args):

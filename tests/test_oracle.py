@@ -2,6 +2,8 @@
 import math
 import random
 from dataclasses import replace
+from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +27,7 @@ from minconic.oracle import (
     scan_tangency_roots,
 )
 from minconic.solvers import classify_3p2l_case
+from minconic.tolerances import DEFAULT
 
 from conftest import gallery_names, load_gallery_case, six_vector_angle
 
@@ -287,6 +290,105 @@ def test_random_generators_produce_the_requested_case():
             pts, l1, l2 = random_3p2l_case(rng, case)
             alloc = classify_3p2l_case(pts, l1, l2)
             assert alloc.case == case
+
+
+#: the seven generators by name, each a function of a Random
+GENERATORS = {
+    "five_points": random_five_points,
+    "4p1l": random_4p1l,
+    **{f"3p2l_case_{case}": partial(random_3p2l_case, case=case) for case in (1, 2, 3, 4, 5)},
+}
+#: margins, in geometric tolerances, at which the generators reject draws
+#: (the default margin of 10 almost never does)
+REJECTING_MARGINS = (1e7, 3e8)
+#: shares of the _point_on_line calls made to fail
+FAILING = (0.0, 0.4)
+#: the 3p2l predicates each case makes exact: ("inc", point, line) and
+#: ("coll", point, point), the latter collinear with the meet of the lines
+EXACT_3P2L = {
+    1: {("inc", 1, 0), ("inc", 2, 1)},
+    2: {("inc", 2, 0), ("coll", 0, 1)},
+    3: {("coll", 1, 2)},
+    4: {("inc", 2, 0)},
+    5: set(),
+}
+
+
+def margin_draw(name, seed, margin, failing):
+    """(what generator `name` returns for Random(seed), or the RuntimeError
+    it raises; the rng's final state), with oracle.MARGIN set to margin and,
+    when failing is not 0, _point_on_line first drawing one rng.random() and
+    returning None when it falls below failing."""
+    rng = random.Random(seed)
+    place, saved = oracle._point_on_line, oracle.MARGIN
+
+    def failing_place(rng, l):
+        return None if rng.random() < failing else place(rng, l)
+
+    oracle.MARGIN = margin
+    if failing:
+        oracle._point_on_line = failing_place
+    try:
+        drawn = GENERATORS[name](rng)
+    except RuntimeError as exc:
+        drawn = exc
+    finally:
+        oracle.MARGIN, oracle._point_on_line = saved, place
+    return drawn, rng.getstate()
+
+
+def margin_draws():
+    """The argument tuples of margin_draw that run the rejection paths."""
+    for name in GENERATORS:
+        for margin in REJECTING_MARGINS:
+            for failing in FAILING:
+                for seed in range(1, 21):
+                    yield name, seed, margin, failing
+
+
+def _inc(v, l):
+    return abs(_k.dot3(v, l)) / (_k.norm3(v) * _k.norm3(l))
+
+
+def _det(u, v, w):
+    return abs(_k.det3(u, v, w)) / (_k.norm3(u) * _k.norm3(v) * _k.norm3(w))
+
+
+def predicate_margins(name, drawn):
+    """(exact, clear): the relative magnitudes of the predicates that the
+    generator `name` makes exact, and of every other dispatch predicate of
+    the input it drew."""
+    if name == "five_points":
+        return [], [_det(*t) for t in combinations([p.vec() for p in drawn], 3)]
+    if name == "4p1l":
+        pts, line = drawn
+        vecs, lv = [p.vec() for p in pts], line.vec()
+        clear = [_det(*t) for t in combinations(vecs, 3)]
+        clear += [_inc(v, lv) for v in vecs + list(_k.diag_vertices(*vecs))]
+        return [], clear
+    pts, l1, l2 = drawn
+    vecs, lvs = [p.vec() for p in pts], (l1.vec(), l2.vec())
+    meet = _k.cross(*lvs)
+    margins = {("inc", i, j): _inc(v, lvs[j]) for i, v in enumerate(vecs) for j in (0, 1)}
+    margins.update({("coll", i, j): _det(vecs[i], vecs[j], meet) for i, j in combinations(range(3), 2)})
+    exact = EXACT_3P2L[int(name[-1])]
+    clear = [m for key, m in margins.items() if key not in exact]
+    clear += [_k.norm3(meet) / (_k.norm3(lvs[0]) * _k.norm3(lvs[1])), _det(*vecs)]
+    return [margins[key] for key in exact], clear
+
+
+@pytest.mark.parametrize("margin", REJECTING_MARGINS)
+@pytest.mark.parametrize("failing", FAILING)
+@pytest.mark.parametrize("name", list(GENERATORS))
+def test_generators_keep_constructed_predicates_exact_and_the_rest_clear(name, failing, margin):
+    floor = margin * DEFAULT.geometry
+    for seed in range(1, 21):
+        drawn, _ = margin_draw(name, seed, margin, failing)
+        assert not isinstance(drawn, RuntimeError), (seed, drawn)
+        exact, clear = predicate_margins(name, drawn)
+        assert all(m <= DEFAULT.geometry for m in exact), (seed, exact)
+        assert min(clear) >= floor, (seed, min(clear))
+    assert (oracle.MARGIN, oracle._point_on_line.__name__) == (10.0, "_point_on_line")
 
 
 def test_random_4p1l_is_solvable_and_certified():

@@ -20,7 +20,7 @@ import pytest
 from minconic import HomogeneousPoint, ProjectiveLine
 from minconic.errors import UnsupportedCount
 from minconic.projective import _named_vec
-from minconic.solvers import KINDS, _triples
+from minconic.solvers import _triples
 
 GALLERY = Path(__file__).parent / "fixtures" / "gallery"
 
@@ -184,8 +184,12 @@ def wrong_counts():
             yield [FAULTS["nan"]] + pts[1:], lns
 
 
+#: the (points, lines) counts of the six minimal families
+MINIMAL = {(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)}
+
+
 def ref_triples(points, lines, wrong_count=None):
-    if (len(points), len(lines)) not in KINDS:
+    if (len(points), len(lines)) not in MINIMAL:
         raise UnsupportedCount(
             wrong_count
             or f"{len(points)} points and {len(lines)} lines do not form a "

@@ -8,7 +8,7 @@ import pytest
 import minconic._kernels as _k
 from minconic import ConicClass, ConicMatrix, classify, point_residual, solve
 from minconic.conics import _normalized6
-from minconic.errors import DegenerateCase, GeneralPositionError, UnsupportedCount
+from minconic.errors import DegenerateCase, GeneralPositionError, NonFiniteInput, UnsupportedCount
 from minconic.oracle import dualize_input
 from minconic.selfpolar import require_no_collinear_triple
 
@@ -52,6 +52,21 @@ def test_collinear_triple_is_named():
     with pytest.raises(GeneralPositionError) as err:
         solve(pts, [(1.0, 0.0, -7.0)])
     assert err.value.indices == (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "points, index",
+    [
+        ([(math.inf, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (2.0, 5.0, 1.0)], 0),
+        ([(math.nan, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0)], 0),
+        ([(0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (2.0, 5.0, -math.inf)], 2),
+    ],
+)
+def test_a_non_finite_point_is_named_and_not_called_collinear(points, index):
+    # an inf point once read as collinear with two others, and a NaN triple
+    # returned its NaN determinant
+    with pytest.raises(NonFiniteInput, match=rf"^point {index} has a non-finite coordinate"):
+        require_no_collinear_triple(points)
 
 
 def test_collinearity_tolerance_scales_with_coordinates():

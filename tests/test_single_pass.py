@@ -26,6 +26,7 @@ from minconic import (
     UnsupportedCount,
     pencil_eigenvalues,
     predict,
+    require_no_collinear_triple,
     solve,
     solvers,
 )
@@ -486,6 +487,7 @@ HUGE_READERS = {
     "classify_3p2l_case": lambda huge: solvers.classify_3p2l_case([huge] + FIVE[1:3], L1, L2),
     "pencil_eigenvalues": lambda huge: pencil_eigenvalues(FIVE[:3], L1, huge),
     "ProjectiveLine.through": lambda huge: ProjectiveLine.through(huge, FIVE[1]),
+    "require_no_collinear_triple": lambda huge: require_no_collinear_triple([huge] + FIVE[1:4]),
 }
 
 
