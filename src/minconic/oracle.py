@@ -34,7 +34,7 @@ from . import _kernels as _k
 from ._frozen import fast_init
 from .conics import ConicMatrix, _rank, _sym6_frobenius
 from .errors import RankDeficient, UnsupportedCount
-from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _vec
+from .projective import HomogeneousPoint, ProjectiveLine, Vec3, _named_vec, _vec
 from .solvers import SolutionSet, _triples
 from .tolerances import DEFAULT, DISCRIMINANT, RESIDUAL, Tolerances
 
@@ -55,7 +55,8 @@ def nullspace_five_point(points: Sequence) -> ConicMatrix:
     remaining direction after orthogonalizing the five rows is the conic.
     Implemented locally with modified Gram-Schmidt (run twice per vector for
     orthogonality at working precision) so the oracle does not share code
-    with anything it checks.
+    with anything it checks. NonFiniteInput names a point with an inf or
+    NaN coordinate.
     """
     if len(points) != 5:
         raise UnsupportedCount("exactly five points required")
@@ -70,7 +71,7 @@ def nullspace_five_point(points: Sequence) -> ConicMatrix:
         return v, math.sqrt(sum(x * x for x in v))
 
     for idx, p in enumerate(points):
-        row = _design_row(_vec(p))
+        row = _design_row(_named_vec(p, "point", idx))
         scale = math.sqrt(sum(x * x for x in row))
         if scale == 0.0:
             raise RankDeficient(f"point {idx} produced a zero design row")
@@ -105,13 +106,14 @@ def scan_tangency_roots(points: Sequence, line) -> list[float]:
     brackets sign changes, and bisects each bracket down to 1e-12. Purely
     numeric; roots that the grid steps over (double roots, sub-grid pairs)
     are missed, which is acceptable for an oracle that cross-checks simple
-    roots.
+    roots. NonFiniteInput names a point or the line with an inf or NaN
+    coordinate.
     """
     if len(points) != 4:
         raise UnsupportedCount("exactly four points required")
     lo, hi, samples = -50.0, 50.0, 4096
-    xi1, xi2, xi3 = _k.diag_vertices(*(_vec(p) for p in points))
-    lv = _vec(line)
+    xi1, xi2, xi3 = _k.diag_vertices(*(_named_vec(p, "point", i) for i, p in enumerate(points)))
+    lv = _named_vec(line, "line", 0)
 
     def g(s: float) -> float:
         m6 = _k.conic_from_pencil(xi1, xi2, xi3, s)

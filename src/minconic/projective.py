@@ -46,8 +46,9 @@ class ProjectiveLine:
 
     @classmethod
     def through(cls, p, q) -> "ProjectiveLine":
-        """The join of two points, each a HomogeneousPoint or a 3-sequence."""
-        return cls(*_k.cross(_vec(p), _vec(q)))
+        """The join of two points, each a HomogeneousPoint or a 3-sequence;
+        NonFiniteInput naming point 0 or 1 for an inf or NaN coordinate."""
+        return cls(*_k.cross(_named_vec(p, "point", 0), _named_vec(q, "point", 1)))
 
     def vec(self) -> Vec3:
         return (self.a, self.b, self.c)

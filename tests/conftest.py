@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import pathlib
@@ -40,6 +41,15 @@ def load_gallery_case(name):
 
 def gallery_names():
     return sorted(p.stem for p in (FIXTURES / "gallery").glob("*.json"))
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark's corpora."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def six_vector_angle(c1, c2):

@@ -18,8 +18,8 @@ from minconic.projective import _vec
 from minconic.solvers import _triples
 from minconic.tolerances import DEFAULT, RESIDUAL
 
-from conftest import gallery_names, load_gallery_case
-from test_single_pass import FIVE, L1, L2, READ_FAULTS, _benchmark_workloads
+from conftest import benchmark_workloads, gallery_names, load_gallery_case
+from test_single_pass import FIVE, L1, L2, READ_FAULTS
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -148,13 +148,13 @@ def odd_conics():
 
 
 def mixed(seed):
-    return solved((p, l) for _, p, l in _benchmark_workloads().mixed_corpus(random.Random(seed), 100))
+    return solved((p, l) for _, p, l in benchmark_workloads().mixed_corpus(random.Random(seed), 100))
 
 
 CORPORA = {
     **{f"mixed_corpus seed {s}": lambda s=s: mixed(s) for s in (1, 2, 3)},
     "ransac_samples seed 7": lambda: solved(
-        s for s, _ in _benchmark_workloads().ransac_samples(random.Random(7), 40, 50)),
+        s for s, _ in benchmark_workloads().ransac_samples(random.Random(7), 40, 50)),
     "gallery": lambda: solved(load_gallery_case(name)[:2] for name in gallery_names()),
     "rank-deficient, non-finite and zero conics": odd_conics,
     # test_single_pass's faulty reads, against the solution of the clean input

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,11 @@ def test_text_report_prints_the_json_reports_numbers(name, capsys):
     want.append(f"residuals: max incidence={g(res['max_incidence'])} max tangency={g(res['max_tangency'])}")
     keys = ("discriminant:", "pencil eigenvalues:", "  six-vector:", "  s=", "residuals:")
     assert [row for row in text.splitlines() if row.startswith(keys)] == want
+    # the solve report names the rule that predict prints
+    assert cli.main(["predict", path]) == 0
+    rules = [row[6:] for row in capsys.readouterr().out.splitlines() if row.startswith("rule: ")]
+    predictions = [row for row in text.splitlines() if row.startswith("prediction: ")]
+    assert len(rules) == 1 and len(predictions) == 1 and predictions[0].endswith(f" ({rules[0]})")
 
 
 def test_solve_output_is_byte_stable(square_cfg, capsys):
@@ -137,18 +143,22 @@ def test_check_exit_code_on_failure(square_cfg, capsys, monkeypatch):
     assert "CERTIFICATION FAILED" in out
 
 
-@pytest.mark.parametrize(
-    "name, judged",
-    [("3p2l_case1", False), ("4p1l_generic_real_a", True)],
-)
-def test_check_names_the_checks_it_did_not_judge(name, judged, capsys):
+#: the gallery files whose count check judges: the generic and case-5
+#: inputs, the five-point fit and its dual
+JUDGED = ("*generic*", "*case5*", "5p_*", "5l_*")
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_check_names_the_checks_it_did_not_judge(name, capsys):
     # a special-position input's count is not judged: one line says so,
     # before the result, and the exit code is that of the checks run
+    judged = any(fnmatch(name, pattern) for pattern in JUDGED)
+    real = load_gallery_case(name)[2]["real"]
     assert cli.main(["check", str(FIXTURES / "gallery" / f"{name}.json")]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[-1] == "result: all checks passed"
     if judged:
-        assert "pass count-consistency: 2 (limit 2)" in rows
+        assert f"pass count-consistency: {real} (limit {real})" in rows
         assert not any(row.startswith("not judged") for row in rows)
     else:
         assert rows[-2] == "not judged count-consistency"
@@ -233,13 +243,14 @@ def test_viewport_of_no_extent_exits_2(tmp_path, capsys, source, viewport):
     assert not (tmp_path / "fig.svg").exists()
 
 
-@pytest.mark.parametrize("name", ["5p_collinear", "4p1l_side"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in (FIXTURES / "special").glob("*.json")))
 def test_predict_refuses_what_solve_refuses(capsys, name):
     # predict runs solve's analysis, so a special-position input exits 3
-    # from both with the same error line instead of a count from predict
+    # from both with the same error line instead of a count from predict;
+    # check, which certifies a solve, refuses it with that line too
     cfg = FIXTURES / "special" / f"{name}.json"
     expected = json.loads(cfg.read_text())["expected"]["error"]
-    for command in ("solve", "predict"):
+    for command in ("solve", "predict", "check"):
         assert cli.main([command, str(cfg)]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {expected}\n")
@@ -309,9 +320,10 @@ def test_underflowing_divisor_exits_3_without_traceback(capsys, name):
     # is the builder's, so predict answers that input
     path = UNDERFLOW / name
     expected = json.loads(path.read_text())["expected"]["error"]
-    assert cli.main(["solve", str(path)]) == 3
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {expected}\n")
+    for command in ("solve", "check"):
+        assert cli.main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {expected}\n")
     if name.startswith("5p"):
         assert cli.main(["predict", str(path)]) == 0
         capsys.readouterr()
@@ -487,8 +499,8 @@ sys.path.insert(0, {str(Path(minconic.__file__).parents[1])!r})
 from minconic import cli
 from pathlib import Path
 for f in sorted(Path({str(gallery)!r}).glob("*.json")):
-    for command in ("solve", "predict", "check", "plot"):
-        assert cli.main([command, str(f), "--out", os.devnull]) == 0, (command, f.name)
+    for args in (["solve"], ["solve", "--format", "json"], ["predict"], ["check"], ["plot"]):
+        assert cli.main([*args, str(f), "--out", os.devnull]) == 0, (args, f.name)
 assert cli.main(["batch", {str(gallery)!r}, "--out", os.devnull]) == 0
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -635,6 +647,22 @@ def test_the_reader_gives_what_a_text_mode_read_gives(tmp_path, case):
 def test_the_batch_directory_is_spelled_as_pathlib_spells_it(lead, segments):
     directory = lead + "/".join(segments)
     assert cli._posix_dir(directory) == str(Path(directory))
+
+
+def test_batch_reports_the_gallery_alike_however_spelled_or_line_ended(tmp_path, capsys, monkeypatch):
+    # the same rows and exit code for every spelling of the directory and
+    # for a copy of the gallery whose files end their lines in CRLF
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    for f in (FIXTURES / "gallery").glob("*.json"):
+        text = f.read_bytes()
+        assert b"\r" not in text and b"\n" in text, f.name
+        (crlf / f.name).write_bytes(text.replace(b"\n", b"\r\n"))
+    monkeypatch.chdir(FIXTURES.parents[1])
+    want = cli.main(["batch", "tests/fixtures/gallery"]), capsys.readouterr().out
+    assert want[0] == 0 and len(want[1].splitlines()) == len(gallery_names())
+    for spelled in ("./tests/fixtures/gallery/", "tests/fixtures//gallery", str(crlf)):
+        assert (cli.main(["batch", spelled]), capsys.readouterr().out) == want, spelled
 
 
 @pytest.mark.parametrize(

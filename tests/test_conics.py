@@ -31,8 +31,7 @@ from minconic.errors import (
 )
 from minconic.projective import HomogeneousPoint, ProjectiveLine
 
-from conftest import conic_from_rows, conic_rows
-from test_single_pass import _benchmark_workloads
+from conftest import benchmark_workloads, conic_from_rows, conic_rows
 
 CIRCLE = ConicMatrix(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
 
@@ -100,6 +99,8 @@ def test_normalized_survives_overflowing_squares():
 def test_normalized_rejects_the_zero_matrix():
     with pytest.raises(DegenerateCase, match="zero conic"):
         ConicMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0).normalized()
+    with pytest.raises(ValueError, match="zero conic matrix has no class"):
+        classify(ConicMatrix(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def test_adjugate_involution():
@@ -158,7 +159,7 @@ def test_rank_and_classify_sweep_only_the_conics_the_bound_cannot_clear(monkeypa
     # conics it does not clear, once each for rank, and once more for
     # classify's signs of a line pair or point
     m6s = []
-    for _, points, lines in _benchmark_workloads().mixed_corpus(random.Random(1), 20):
+    for _, points, lines in benchmark_workloads().mixed_corpus(random.Random(1), 20):
         try:
             m6s += [cm.sym6() for cm in solve(points, lines).real_conics]
         except MinconicError:

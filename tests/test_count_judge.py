@@ -30,8 +30,7 @@ from minconic.oracle import (
 from minconic.solvers import CountPrediction, _triples
 from minconic.tolerances import RANK_ZERO
 
-from conftest import load_gallery_case
-from test_single_pass import _benchmark_workloads
+from conftest import benchmark_workloads, load_gallery_case
 
 BAND = MARGIN * DEFAULT.geometry
 
@@ -51,7 +50,7 @@ def special(prediction) -> bool:
 def test_the_judge_agrees_with_predict_on_the_benchmark_corpus():
     # margin-sampled: every generic input is judged, every special one not
     counts = {True: 0, False: 0}
-    for category, points, lines in _benchmark_workloads().mixed_corpus(random.Random(1), 20):
+    for category, points, lines in benchmark_workloads().mixed_corpus(random.Random(1), 20):
         pred = predict(points, lines)
         count = judged(points, lines)
         if special(pred):
@@ -65,7 +64,7 @@ def test_the_judge_agrees_with_predict_on_the_benchmark_corpus():
 def test_the_judge_agrees_with_predict_on_raw_ransac_samples():
     # no margin rejection: wherever both answer, they agree
     agreed = 0
-    for (points, lines), _ in _benchmark_workloads().ransac_samples(random.Random(1), 10, 20):
+    for (points, lines), _ in benchmark_workloads().ransac_samples(random.Random(1), 10, 20):
         try:
             pred = predict(points, lines)
         except MinconicError:
@@ -240,7 +239,7 @@ def ranks_and_sweeps(ranker, m6s, monkeypatch):
 
 def test_the_bound_agrees_with_lapack_on_every_corpus_conic(monkeypatch):
     m6s = []
-    for _, points, lines in _benchmark_workloads().mixed_corpus(random.Random(1), 20):
+    for _, points, lines in benchmark_workloads().mixed_corpus(random.Random(1), 20):
         try:
             m6s += [cm.sym6() for cm in solve(points, lines).real_conics]
         except MinconicError:

@@ -33,6 +33,8 @@ def test_five_tangent_lines_give_the_circle():
     sol = solve([], circle_tangents())
     assert sol.case_label == "dual:5p"
     assert (sol.real_count, sol.complex_count) == (1, 0)
+    assert len(sol) == 1
+    assert solve_dual([], circle_tangents()).real_conics == sol.real_conics
     assert six_vector_angle(sol.real_conics[0], CIRCLE) < 1e-9
     for l in circle_tangents():
         assert tangency_residual(sol.real_conics[0], l) < 1e-12

@@ -46,7 +46,6 @@ library. An intended output change rewrites the file with
 and the change log names each block that changed.
 """
 import hashlib
-import importlib.util
 import json
 import random
 import sys
@@ -59,6 +58,7 @@ import minconic._kernels as _k
 from minconic import HomogeneousPoint, ProjectiveLine, Tolerances, oracle, predict, solve, solvers
 from minconic.conics import _pencil_eigenvalues
 
+from conftest import benchmark_workloads
 import test_analyses as analyses
 import test_kernels as kernels
 import test_oracle as generators
@@ -70,28 +70,19 @@ SEEDS = (1, 2, 3)
 TOLERANCES = (Tolerances(), Tolerances(0.0), Tolerances(1e-3))
 
 
-def workloads():
-    """perfbench/workloads.py, loaded by path: the benchmark's corpora."""
-    path = HERE.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def as_tuples(items):
     return [x.vec() for x in items]
 
 
 def mixed(seed, form):
-    for _, points, lines in workloads().mixed_corpus(random.Random(seed), 100):
+    for _, points, lines in benchmark_workloads().mixed_corpus(random.Random(seed), 100):
         if form == "tuples":
             points, lines = as_tuples(points), as_tuples(lines)
         yield points, lines, Tolerances()
 
 
 def ransac(seed):
-    for (points, lines), _ in workloads().ransac_samples(random.Random(seed), 20, 50):
+    for (points, lines), _ in benchmark_workloads().ransac_samples(random.Random(seed), 20, 50):
         yield points, lines, Tolerances()
 
 

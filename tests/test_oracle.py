@@ -54,6 +54,8 @@ def test_nullspace_rejects_duplicate_point(square):
     pts = list(square) + [square[0]]
     with pytest.raises(RankDeficient):
         nullspace_five_point(pts)
+    with pytest.raises(RankDeficient, match="point 0 produced a zero design row"):
+        nullspace_five_point([(0.0, 0.0, 0.0)] + list(square))
 
 
 @pytest.mark.parametrize("count", [3, 4, 5, 6])
@@ -290,6 +292,8 @@ def test_random_generators_produce_the_requested_case():
             pts, l1, l2 = random_3p2l_case(rng, case)
             alloc = classify_3p2l_case(pts, l1, l2)
             assert alloc.case == case
+    with pytest.raises(ValueError, match="unknown case 6"):
+        random_3p2l_case(rng, 6)
 
 
 #: the seven generators by name, each a function of a Random

@@ -86,6 +86,11 @@ def test_point_at_infinity_is_skipped():
     assert 'class="input-point"' not in svg
 
 
+def test_a_viewport_of_no_extent_is_refused():
+    with pytest.raises(ValueError, match="viewport must have positive extent"):
+        render_svg([], [], [], (1, 1, 0, 0))
+
+
 def test_tuple_line_draws_as_its_object(square):
     line = ProjectiveLine(1.0, 1.0, -3.0)
     assert render_svg(square, [(1.0, 1.0, -3.0)], []) == render_svg(square, [line], [])

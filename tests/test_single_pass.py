@@ -3,13 +3,11 @@ the prediction that predict() gives for the same input; predict() runs the
 analysis that solve() runs, so it refuses every special-position input that
 solve() refuses; solve() and predict() read each input element once, and the
 public family functions pass the same front door."""
-import importlib.util
 import math
 import random
 import re
 from collections import Counter
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 
@@ -34,13 +32,15 @@ from minconic.conics import ConicMatrix, _normalized6
 from minconic.oracle import (
     certify,
     dualize_input,
+    nullspace_five_point,
     random_3p2l_case,
     random_4p1l,
     random_five_points,
+    scan_tangency_roots,
 )
 from minconic.tolerances import DEFAULT
 
-from conftest import gallery_names, load_gallery_case
+from conftest import benchmark_workloads, gallery_names, load_gallery_case
 
 
 def counted(monkeypatch, owner, name):
@@ -237,20 +237,11 @@ def test_solve_reports_the_prediction_of_predict(monkeypatch):
     assert dual >= 3 * 40
 
 
-def _benchmark_workloads():
-    """perfbench/workloads.py, loaded by path: the benchmark's corpora."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_solve_records_the_prediction_predict_returns_on_the_benchmark_corpus(seed):
     # every family of the solve_mix corpus, the dual ones included
     families = Counter()
-    for category, points, lines in _benchmark_workloads().mixed_corpus(random.Random(seed), 200):
+    for category, points, lines in benchmark_workloads().mixed_corpus(random.Random(seed), 200):
         try:
             sol = solve(points, lines)
         except MinconicError:  # refused inputs are compared elsewhere
@@ -485,9 +476,11 @@ HUGE_READERS = {
         [huge] + FIVE[1:3], [L1, L2], solve(FIVE[:3], [L1, L2])
     ),
     "classify_3p2l_case": lambda huge: solvers.classify_3p2l_case([huge] + FIVE[1:3], L1, L2),
+    "nullspace_five_point": lambda huge: nullspace_five_point([huge] + FIVE[1:]),
     "pencil_eigenvalues": lambda huge: pencil_eigenvalues(FIVE[:3], L1, huge),
     "ProjectiveLine.through": lambda huge: ProjectiveLine.through(huge, FIVE[1]),
     "require_no_collinear_triple": lambda huge: require_no_collinear_triple([huge] + FIVE[1:4]),
+    "scan_tangency_roots": lambda huge: scan_tangency_roots([huge] + FIVE[1:4], L1),
 }
 
 
@@ -498,6 +491,28 @@ def test_every_reader_names_a_coordinate_no_float_can_hold(reader):
     # package's error and not a bare OverflowError
     with pytest.raises(NonFiniteInput, match="a coordinate no float can hold"):
         HUGE_READERS[reader](HUGE[NAN_POINT])
+
+
+#: a reader outside the front door that names the elements it reads, called
+#: with a bad element, and the name it gives that element; pencil_eigenvalues
+#: and require_no_collinear_triple have their own such tests
+NAMING_READERS = {
+    "nullspace_five_point": (lambda bad: nullspace_five_point(FIVE[:4] + [bad]), "point 4"),
+    "ProjectiveLine.through": (lambda bad: ProjectiveLine.through(FIVE[0], bad), "point 1"),
+    "scan_tangency_roots, point": (lambda bad: scan_tangency_roots([*FIVE[:2], bad, FIVE[3]], L1), "point 2"),
+    "scan_tangency_roots, line": (lambda bad: scan_tangency_roots(FIVE[:4], bad), "line 0"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("reader", sorted(NAMING_READERS))
+def test_every_naming_reader_names_an_inf_or_nan_coordinate(reader, value):
+    # nullspace_five_point raised a bare AssertionError for an inf point,
+    # scan_tangency_roots returned no roots and ProjectiveLine.through a
+    # line of inf and NaN coefficients
+    call, element = NAMING_READERS[reader]
+    with pytest.raises(NonFiniteInput, match=f"^{element} has a non-finite coordinate: "):
+        call((1.0, value, 1.0))
 
 
 def scaled_gallery_case(name, scale):
